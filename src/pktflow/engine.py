@@ -12,9 +12,17 @@ Three variants share one propagation loop:
   guards and approximated as true otherwise.
 
 Propagation: the origin zone emits its departure value once; whenever a
-firewall's value grows it is re-queued and pushed through each of its links;
-zones record arrivals but never re-emit.  The lattice is finite (fixed header
-width), so the fixpoint is reached without widening.
+firewall's value grows it is re-queued.  Each expansion runs the firewall's
+DNAT, filter, and SNAT tables once and hands the survivors to the routing
+step of every out-link; zones record arrivals but never re-emit.  The lattice
+is finite (fixed header width), so the fixpoint is reached without widening.
+
+Joined values are canonical (v2 packets sorted by their unique (orig, nated)
+key, formulas compared by store node), so value equality is plain ``==``.
+The survivors of each firewall's latest expansion feed the no-route
+diagnostic: every accepted update re-queues the firewall and an expansion
+never changes the expanding node's own value, so the latest expansion saw
+the final value.
 """
 
 from __future__ import annotations
@@ -29,10 +37,9 @@ from .xfer import (
     AbstractPacket,
     DropLedger,
     VectorPacket,
-    filter_table_tf,
+    firewall_tf,
     link_tf,
     nat_packet,
-    nat_table_tf,
     update_original,
 )
 
@@ -74,11 +81,6 @@ class _Lattice:
     def _field_nated(self, name: str, mask: int) -> bool:
         return bool((mask >> self.layout.index(name)) & 1)
 
-    # value-level helpers shared by v1/ia (singleton values)
-
-    def join_values(self, a: AbstractValue, b: AbstractValue) -> AbstractValue:
-        return self.join([*a.packets, *b.packets])
-
     def curr_of(self, p) -> Formula:
         return p.curr
 
@@ -116,11 +118,6 @@ class V1Lattice(_Lattice):
         for p in packets:
             acc = acc | p.curr
         return BOTTOM if acc.is_empty() else AbstractValue((AbstractPacket(acc),))
-
-    def value_equals(self, a: AbstractValue, b: AbstractValue) -> bool:
-        if a.is_bottom() or b.is_bottom():
-            return a.is_bottom() and b.is_bottom()
-        return a.packets[0].curr == b.packets[0].curr
 
 
 class V2Lattice(_Lattice):
@@ -195,12 +192,6 @@ class V2Lattice(_Lattice):
         ]
         return AbstractValue(tuple(merged))
 
-    def value_equals(self, a: AbstractValue, b: AbstractValue) -> bool:
-        def keyed(v):
-            return {(p.orig.node, p.nated): p.curr.node for p in v.packets}
-
-        return keyed(a) == keyed(b)
-
 
 class IALattice(_Lattice):
     """Per-field formula vector; sound over-approximation of v1."""
@@ -263,11 +254,6 @@ class IALattice(_Lattice):
             vec = [a | b for a, b in zip(vec, p.vec)]
         return AbstractValue((VectorPacket(tuple(vec)),))
 
-    def value_equals(self, a: AbstractValue, b: AbstractValue) -> bool:
-        if a.is_bottom() or b.is_bottom():
-            return a.is_bottom() and b.is_bottom()
-        return a.packets[0].vec == b.packets[0].vec
-
 
 _LATTICES = {"v1": V1Lattice, "v2": V2Lattice, "ia": IALattice}
 
@@ -306,12 +292,10 @@ def default_iteration_ceiling(net: Network) -> int:
     return 10 * max(1, len(net.links)) * (1 << min(net.layout.total_bits, 20))
 
 
-def join(a: AbstractValue, b: AbstractValue, lattice) -> AbstractValue:
-    return lattice.join_values(a, b)
-
-
-def value_equals(a: AbstractValue, b: AbstractValue, lattice) -> bool:
-    return lattice.value_equals(a, b)
+def initial_value(net: Network, zone_name: str, variant: str = "v2") -> AbstractValue:
+    """The abstract value leaving ``zone_name``, for the given lattice variant."""
+    lattice = get_lattice(variant, net)
+    return lattice.join(lattice.initial(zone_name))
 
 
 def analyze(
@@ -348,6 +332,7 @@ def analyze(
     stats.joins += 1
 
     arrivals: dict[str, Formula] = {z.name: net.store.false for z in net.zones}
+    survivors: dict[str, list] = {}  # firewall -> table survivors, latest expansion
     queue: deque[str] = deque([origin])
     queued = {origin}
     while queue:
@@ -359,8 +344,11 @@ def analyze(
             )
         m = queue.popleft() if worklist == "fifo" else queue.pop()
         queued.discard(m)
+        packets = facts[m].packets
+        if not net.is_zone(m):
+            packets = survivors[m] = firewall_tf(net.firewall(m), packets, ledger, lattice)
         for own_iface, _, peer in net.out_links(m):
-            out = link_tf(net, m, own_iface, facts[m].packets, ledger, lattice)
+            out = link_tf(net, m, own_iface, packets, lattice)
             if not out:
                 continue
             if net.is_zone(peer):
@@ -368,7 +356,7 @@ def analyze(
                     arrivals[peer] = arrivals[peer] | lattice.curr_of(p)
             new_value = lattice.join([*facts[peer].packets, *out])
             stats.joins += 1
-            if lattice.value_equals(facts[peer], new_value):
+            if new_value == facts[peer]:
                 continue
             if observer is not None:
                 observer(peer, facts[peer], new_value)
@@ -382,7 +370,7 @@ def analyze(
     return AnalysisResult(
         net, origin, lattice.variant, facts, ledger, stats,
         misdelivered=_misdelivery(net, arrivals),
-        no_route=_no_route(net, lattice, facts),
+        no_route=_no_route(net, lattice, survivors),
     )
 
 
@@ -401,25 +389,20 @@ def _misdelivery(net: Network, arrivals: dict[str, Formula]) -> dict[str, Formul
     return out
 
 
-def _no_route(net: Network, lattice, facts) -> dict[str, Formula]:
+def _no_route(net: Network, lattice, survivors) -> dict[str, Formula]:
     """Packets that clear a firewall's tables but match no routing guard."""
     out: dict[str, Formula] = {}
     for fw in net.firewalls:
-        value = facts[fw.name]
-        if value.is_bottom():
-            continue
-        s = nat_table_tf(fw.dnat, value.packets, lattice)
-        s = filter_table_tf(fw.filter, s, None, lattice)
-        s = nat_table_tf(fw.snat, s, lattice)
+        s = survivors.get(fw.name)
         if not s:
             continue
-        survivors = net.store.false
+        cleared = net.store.false
         for p in s:
-            survivors = survivors | lattice.curr_of(p)
+            cleared = cleared | lattice.curr_of(p)
         routed = net.store.false
         for _, guard in fw.routing:
             routed = routed | guard_to_formula(guard, net.store)
-        leftover = survivors & ~routed
+        leftover = cleared & ~routed
         if not leftover.is_empty():
             out[fw.name] = leftover
     return out

@@ -35,9 +35,6 @@ PRESET_LAYOUTS = {
 
 SCHEMA_VERSION = 1
 
-# Synthetic routing rules get ids below this marker and stay out of ledgers.
-ROUTING_RULE_ID = -1
-
 
 class ConfigError(ValueError):
     """Configuration parse or validation failure."""
@@ -134,18 +131,7 @@ def parse_value_set(text: str, field: str, width: int, ctx: str = "value set") -
 
 def value_set_to_text(fvs: FieldValueSet, width: int) -> str:
     """Inverse of parse_value_set, preferring the compact dotted notation."""
-    parts = []
-    for lo, hi in fvs.ranges:
-        if width == 32:
-            lo_s = _dotted(lo)
-            if lo == hi:
-                parts.append(lo_s)
-            elif (lo >> 8) == (hi >> 8):
-                parts.append(f"{lo_s}-{hi & 0xFF}")
-            else:
-                parts.append(f"{lo_s}-{_dotted(hi)}")
-        else:
-            parts.append(str(lo) if lo == hi else f"{lo}-{hi}")
+    parts = [range_to_text(lo, hi, width) for lo, hi in fvs.ranges]
     body = ",".join(parts) if parts else "*"
     if not fvs.ranges:  # empty positive set has no literal; negated-empty is *
         return "*" if fvs.negated else body
@@ -154,6 +140,19 @@ def value_set_to_text(fvs: FieldValueSet, width: int) -> str:
 
 def _dotted(v: int) -> str:
     return f"{(v >> 24) & 255}.{(v >> 16) & 255}.{(v >> 8) & 255}.{v & 255}"
+
+
+def range_to_text(lo: int, hi: int, width: int) -> str:
+    """One value-set item: dotted quads (with last-octet shorthand) on
+    32-bit fields, plain integers otherwise."""
+    if width != 32:
+        return str(lo) if lo == hi else f"{lo}-{hi}"
+    lo_s = _dotted(lo)
+    if lo == hi:
+        return lo_s
+    if (lo >> 8) == (hi >> 8):
+        return f"{lo_s}-{hi & 0xFF}"
+    return f"{lo_s}-{_dotted(hi)}"
 
 
 # ------------------------------------------------------------- rule model
@@ -652,10 +651,3 @@ def zone_departure_formula(net: Network, zone_name: str) -> Formula:
     port in its range when one is declared, other fields free."""
     return net.zone_src_atom(net.zone(zone_name))
 
-
-def initial_value(net: Network, zone_name: str, variant: str = "v2"):
-    """The abstract value leaving ``zone_name``, for the given lattice variant."""
-    from .engine import get_lattice
-
-    lattice = get_lattice(variant, net)
-    return lattice.join(lattice.initial(zone_name))

@@ -19,25 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import AbstractValue, AnalysisResult, get_lattice
-from .netmodel import Network
+from .netmodel import Network, range_to_text
 from .pktset import Formula, HeaderLayout
 
 Ranges = tuple[tuple[int, int], ...]
-
-
-def _dotted(v: int) -> str:
-    return f"{(v >> 24) & 255}.{(v >> 16) & 255}.{(v >> 8) & 255}.{v & 255}"
-
-
-def _item_text(lo: int, hi: int, width: int) -> str:
-    if width == 32:
-        lo_s = _dotted(lo)
-        if lo == hi:
-            return lo_s
-        if (lo >> 8) == (hi >> 8):
-            return f"{lo_s}-{hi & 0xFF}"
-        return f"{lo_s}-{_dotted(hi)}"
-    return str(lo) if lo == hi else f"{lo}-{hi}"
 
 
 def _complement(ranges: Ranges, width: int) -> Ranges:
@@ -60,8 +45,8 @@ def format_field_display(ranges: Ranges, width: int) -> str:
         return "false"
     comp = _complement(ranges, width)
     if len(comp) < len(ranges):
-        return "!{" + ", ".join(_item_text(lo, hi, width) for lo, hi in comp) + "}"
-    items = [_item_text(lo, hi, width) for lo, hi in ranges]
+        return "!{" + ", ".join(range_to_text(lo, hi, width) for lo, hi in comp) + "}"
+    items = [range_to_text(lo, hi, width) for lo, hi in ranges]
     return items[0] if len(items) == 1 else "{" + ", ".join(items) + "}"
 
 
@@ -73,8 +58,8 @@ def format_field_data(ranges: Ranges, width: int) -> str:
         return "!*"
     comp = _complement(ranges, width)
     if len(comp) < len(ranges):
-        return "!" + ",".join(_item_text(lo, hi, width) for lo, hi in comp)
-    return ",".join(_item_text(lo, hi, width) for lo, hi in ranges)
+        return "!" + ",".join(range_to_text(lo, hi, width) for lo, hi in comp)
+    return ",".join(range_to_text(lo, hi, width) for lo, hi in ranges)
 
 
 @dataclass(frozen=True)

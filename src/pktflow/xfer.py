@@ -1,4 +1,4 @@
-"""Abstract transfer functions for rules, tables, and links.
+"""Abstract transfer functions for rules, tables, firewalls, and links.
 
 A rule transfer splits an incoming abstract packet into a branch that matches
 the rule's guard and branches that do not; the lattice object supplied by the
@@ -7,26 +7,17 @@ so the same table/link plumbing serves all three analysis variants.
 
 Filter tables thread the unmatched branches through successive rules and
 return the union of accepted branches; NAT tables additionally rewrite the
-matched branch's target field.  A link transfer pushes a value through the
-emitting node's DNAT, filter, and SNAT tables in that order and then applies
-the routing constraint of the emitting interface as a synthetic filter table
-(accept what the routing guard allows, drop the rest) whose drops stay out of
-the ledger.
+matched branch's target field.  A firewall transfer pushes a value through
+the firewall's DNAT, filter, and SNAT tables in that order, once per
+expansion; a link transfer then keeps what the emitting interface's routing
+guard admits.  Routing misses are not rule drops and never reach the ledger.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .netmodel import (
-    ACCEPT,
-    DROP,
-    FilterRule,
-    Guard,
-    NatRule,
-    Network,
-    ROUTING_RULE_ID,
-)
+from .netmodel import DROP, Firewall, FilterRule, NatRule, Network
 from .pktset import Formula, FormulaStore
 
 
@@ -80,7 +71,7 @@ class DropLedger:
     """Per-DROP-rule accumulation of the forms discarded by that rule.
 
     Variant 2 records original (pre-NAT) forms; variants 1/ia record current
-    forms.  Synthetic routing rules (negative ids) are never recorded.
+    forms.
     """
 
     def __init__(self, store: FormulaStore):
@@ -88,7 +79,7 @@ class DropLedger:
         self._dropped: dict[int, Formula] = {}
 
     def record(self, rule_id: int, form: Formula) -> None:
-        if rule_id < 0 or form.is_empty():
+        if form.is_empty():
             return
         prev = self._dropped.get(rule_id, self.store.false)
         self._dropped[rule_id] = prev | form
@@ -155,29 +146,26 @@ def nat_table_tf(table, pset, lat):
     return out + pending
 
 
-def routing_table(guard: Guard) -> tuple[FilterRule, FilterRule]:
-    """Synthetic two-rule filter realizing a routing constraint: accept what
-    the guard allows, drop everything else (outside the policy ledger)."""
-    return (
-        FilterRule(guard, ACCEPT, ROUTING_RULE_ID),
-        FilterRule(Guard(), DROP, ROUTING_RULE_ID - 1),
-    )
+def firewall_tf(fw: Firewall, pset, ledger: DropLedger | None, lat):
+    """Run a packet set through the firewall's DNAT, filter, and SNAT tables;
+    returns the survivors, before routing."""
+    s = nat_table_tf(fw.dnat, pset, lat)
+    s = filter_table_tf(fw.filter, s, ledger, lat)
+    return nat_table_tf(fw.snat, s, lat)
 
 
-def link_tf(net: Network, node: str, interface: str, pset, ledger: DropLedger | None, lat):
+def link_tf(net: Network, node: str, interface: str, pset, lat):
     """Transfer a packet set from ``node`` out through ``interface``.
 
-    Zone-side transfers are the identity (zones own no tables); firewall-side
-    transfers run the three tables and the interface's routing constraint.
-    An interface with no routing entry emits nothing.
+    Zone-side transfers are the identity (zones own no tables).  On a
+    firewall, ``pset`` holds the survivors of ``firewall_tf`` and only the
+    interface's routing guard applies; an interface with no routing entry
+    emits nothing.
     """
     if net.is_zone(node):
         return list(pset)
-    fw = net.firewall(node)
-    s = nat_table_tf(fw.dnat, pset, lat)
-    s = filter_table_tf(fw.filter, s, ledger, lat)
-    s = nat_table_tf(fw.snat, s, lat)
-    guard = fw.routing_guard(interface)
+    guard = net.firewall(node).routing_guard(interface)
     if guard is None:
         return []
-    return filter_table_tf(routing_table(guard), s, None, lat)
+    out = [lat.refine_match(p, guard) for p in pset]
+    return [p for p in out if p is not None]

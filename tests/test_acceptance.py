@@ -13,7 +13,7 @@ import pytest
 
 from helpers import facts_line, packet_text_to_formulas
 from pktflow.cli import main
-from pktflow.engine import analyze, default_iteration_ceiling, get_lattice, value_equals
+from pktflow.engine import analyze, default_iteration_ceiling
 from pktflow.gen import (
     cycle_network,
     cycle_required_hops,
@@ -184,13 +184,12 @@ def test_criterion_7_termination_and_order():
     for seed, net, origin in trial_nets():
         ceiling = default_iteration_ceiling(net)
         for variant in ("v1", "v2", "ia"):
-            lat = get_lattice(variant, net)
             fifo = analyze(net, origin, variant, worklist="fifo")
             lifo = analyze(net, origin, variant, worklist="lifo")
             assert fifo.stats.iterations <= ceiling
             assert lifo.stats.iterations <= ceiling
             for node in net.node_names():
-                assert value_equals(fifo.facts[node], lifo.facts[node], lat), (
+                assert fifo.facts[node] == lifo.facts[node], (
                     seed, variant, node,
                 )
 

@@ -5,12 +5,12 @@ import json
 import pytest
 
 from helpers import guard_of
+from pktflow.engine import initial_value
 from pktflow.gen import fixture_text, random_network
 from pktflow.netmodel import (
     ConfigError,
     Guard,
     guard_to_formula,
-    initial_value,
     load_network,
     network_from_config,
     network_to_config,

@@ -153,7 +153,7 @@ def test_concretize_join_distributes(small3, variant):
     lat = get_lattice(variant, small3)
     res = analyze(small3, "Z1", variant)
     a, b = res.facts["Z2"], res.facts["Z4"]
-    joined = lat.join_values(a, b)
+    joined = lat.join([*a.packets, *b.packets])
     got = concretize_currs(joined, variant, small3)
     want = concretize_currs(a, variant, small3) | concretize_currs(b, variant, small3)
     if variant == "v1":
@@ -166,7 +166,7 @@ def test_concretize_join_v2_superset(small3):
     lat = get_lattice("v2", small3)
     res = analyze(small3, "Z1", "v2")
     a, b = res.facts["Z2"], res.facts["Z4"]
-    joined = lat.join_values(a, b)
+    joined = lat.join([*a.packets, *b.packets])
     got = concretize_pairs(joined, small3)
     want = concretize_pairs(a, small3) | concretize_pairs(b, small3)
     assert got >= want
@@ -229,6 +229,25 @@ def test_random_trials_all_variants(seed):
     for variant in ("v1", "v2", "ia"):
         rep = compare(net, origin, variant)
         assert rep.ok, f"{variant} failed on seed {seed}"
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_random_diagnostics_match_oracle(seed):
+    """No-route leftovers (v1, v2) and v2 ledger entries enumerate to exactly
+    what the exhaustive simulation observed."""
+    cfg, origin = random_network(seed)
+    net = network_from_config(cfg)
+    sim = simulate(net, origin)
+    cap = 1 << net.layout.total_bits
+    no_route: dict[str, set[int]] = {}
+    for node, c, _ in sim.no_route:
+        no_route.setdefault(node, set()).add(c)
+    results = {variant: analyze(net, origin, variant) for variant in ("v1", "v2")}
+    for variant, res in results.items():
+        got = {fw: set(f.enumerate(cap)) for fw, f in res.no_route.items()}
+        assert got == no_route, f"{variant} no-route differs on seed {seed}"
+    dropped = {rid: set(f.enumerate(cap)) for rid, f in results["v2"].ledger.items()}
+    assert dropped == sim.per_rule_dropped, f"v2 ledger differs on seed {seed}"
 
 
 # ------------------------------------------------------------- other origins

@@ -22,6 +22,7 @@ from pktflow.xfer import (
     DropLedger,
     filter_rule_tf,
     filter_table_tf,
+    firewall_tf,
     link_tf,
     nat_packet,
     nat_rule_tf,
@@ -180,14 +181,14 @@ def test_update_original_fig3_rule3(fig3, lat):
 
 def test_link_zone_side_identity(fig3, lat):
     p = z1_packet(fig3, lat)
-    out = link_tf(fig3, "Z1", "z1", [p], None, lat)
+    out = link_tf(fig3, "Z1", "z1", [p], lat)
     assert len(out) == 1 and out[0] is p
 
 
 def test_link_f1_to_f2(fig3, lat):
     p = z1_packet(fig3, lat)
     ledger = DropLedger(fig3.store)
-    out = link_tf(fig3, "F1", "f1-f2", [p], ledger, lat)
+    out = link_tf(fig3, "F1", "f1-f2", firewall_tf(fig3.firewall("F1"), [p], ledger, lat), lat)
     assert len(out) == 1
     assert out[0].curr == atom(fig3, "s", "202.67.34.6-10") & atom(fig3, "d", "202.65.23.2")
     assert out[0].orig == atom(fig3, "s", "10.192.29.1-255") & atom(fig3, "d", "202.65.23.2")
@@ -195,7 +196,8 @@ def test_link_f1_to_f2(fig3, lat):
 
 def test_link_f1_to_z4_excludes_internal_and_blocked(fig3, lat):
     p = z1_packet(fig3, lat)
-    out = link_tf(fig3, "F1", "f1-z4", [p], DropLedger(fig3.store), lat)
+    s = firewall_tf(fig3.firewall("F1"), [p], DropLedger(fig3.store), lat)
+    out = link_tf(fig3, "F1", "f1-z4", s, lat)
     (q,) = out
     excluded = (
         atom(fig3, "d", "10.192.28.1-255")
@@ -213,22 +215,24 @@ def test_link_routing_miss_is_empty(fig3, lat):
         atom(fig3, "s", "10.192.29.7"),
         1 << fig3.layout.index("s"),
     )
+    s = firewall_tf(fig3.firewall("F1"), [p], None, lat)
     for iface in ("f1-z1", "f1-z2", "f1-f2", "f1-z4"):
-        assert link_tf(fig3, "F1", iface, [p], None, lat) == []
+        assert link_tf(fig3, "F1", iface, s, lat) == []
 
 
 def test_link_without_routing_entry_emits_nothing():
     net = load_network(fixture_text("fig1.json"))
     lat = get_lattice("v2", net)
     p = lat.initial("Z1")[0]
-    assert link_tf(net, "F1", "f1-f2l", [p], None, lat) == []
+    s = firewall_tf(net.firewall("F1"), [p], None, lat)
+    assert link_tf(net, "F1", "f1-f2l", s, lat) == []
 
 
 def test_routing_drop_not_in_ledger(fig3, lat):
     p = z1_packet(fig3, lat)
     ledger = DropLedger(fig3.store)
     for iface in ("f1-z1", "f1-z2", "f1-f2", "f1-z4"):
-        link_tf(fig3, "F1", iface, [p], ledger, lat)
+        link_tf(fig3, "F1", iface, firewall_tf(fig3.firewall("F1"), [p], ledger, lat), lat)
     assert ledger.rule_ids() == [1]  # only the real DROP rule
 
 
