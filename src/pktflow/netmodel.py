@@ -174,9 +174,14 @@ class Guard:
 
 
 def guard_to_formula(guard: Guard, store: FormulaStore) -> Formula:
-    f = store.true
-    for _, fvs in guard.atoms:
-        f = f & store.atom(fvs)
+    """The conjunction of the guard's atoms, built once per store and guard
+    value."""
+    f = store.guard_formulas.get(guard)
+    if f is None:
+        f = store.true
+        for _, fvs in guard.atoms:
+            f = f & store.atom(fvs)
+        store.guard_formulas[guard] = f
     return f
 
 
@@ -235,45 +240,57 @@ class Network:
     firewalls: tuple[Firewall, ...]
     links: tuple[tuple[str, str], ...]
     store: FormulaStore = dc_field(compare=False, repr=False, default=None)
+    # lookups built once from the fields above
+    _zone: dict[str, Zone] = dc_field(init=False, compare=False, repr=False)
+    _firewall: dict[str, Firewall] = dc_field(init=False, compare=False, repr=False)
+    _node_of: dict[str, str] = dc_field(init=False, compare=False, repr=False)
+    _out_links: dict[str, tuple[tuple[str, str, str], ...]] = dc_field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        node_of = {z.interface: z.name for z in self.zones}
+        for f in self.firewalls:
+            node_of.update((i, f.name) for i in f.interfaces)
+        out: dict[str, list[tuple[str, str, str]]] = {n: [] for n in self.node_names()}
+        for i1, i2 in self.links:
+            n1, n2 = node_of[i1], node_of[i2]
+            out[n1].append((i1, i2, n2))
+            out[n2].append((i2, i1, n1))
+        object.__setattr__(self, "_zone", {z.name: z for z in self.zones})
+        object.__setattr__(self, "_firewall", {f.name: f for f in self.firewalls})
+        object.__setattr__(self, "_node_of", node_of)
+        object.__setattr__(self, "_out_links", {n: tuple(v) for n, v in out.items()})
 
     # -- topology helpers ---------------------------------------------------
 
     def zone(self, name: str) -> Zone:
-        for z in self.zones:
-            if z.name == name:
-                return z
-        raise ConfigError(f"unknown zone {name!r}")
+        try:
+            return self._zone[name]
+        except KeyError:
+            raise ConfigError(f"unknown zone {name!r}") from None
 
     def firewall(self, name: str) -> Firewall:
-        for f in self.firewalls:
-            if f.name == name:
-                return f
-        raise ConfigError(f"unknown firewall {name!r}")
+        try:
+            return self._firewall[name]
+        except KeyError:
+            raise ConfigError(f"unknown firewall {name!r}") from None
 
     def node_names(self) -> tuple[str, ...]:
         return tuple(z.name for z in self.zones) + tuple(f.name for f in self.firewalls)
 
     def is_zone(self, name: str) -> bool:
-        return any(z.name == name for z in self.zones)
+        return name in self._zone
 
     def node_of(self, interface: str) -> str:
-        for z in self.zones:
-            if z.interface == interface:
-                return z.name
-        for f in self.firewalls:
-            if interface in f.interfaces:
-                return f.name
-        raise ConfigError(f"interface {interface!r} belongs to no node")
+        try:
+            return self._node_of[interface]
+        except KeyError:
+            raise ConfigError(f"interface {interface!r} belongs to no node") from None
 
-    def out_links(self, node: str) -> list[tuple[str, str, str]]:
+    def out_links(self, node: str) -> tuple[tuple[str, str, str], ...]:
         """(own interface, peer interface, peer node) for each link at node."""
-        out = []
-        for i1, i2 in self.links:
-            if self.node_of(i1) == node:
-                out.append((i1, i2, self.node_of(i2)))
-            if self.node_of(i2) == node:
-                out.append((i2, i1, self.node_of(i1)))
-        return out
+        return self._out_links.get(node, ())
 
     def zone_src_atom(self, zone: Zone) -> Formula:
         f = self.store.atom(zone.addr)
@@ -300,6 +317,14 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
+def _objects(raw, ctx: str) -> list[dict]:
+    _require(
+        isinstance(raw, list) and all(isinstance(e, dict) for e in raw),
+        f"{ctx}: expected an array of objects",
+    )
+    return raw
+
+
 def _parse_layout(raw) -> HeaderLayout:
     if isinstance(raw, str):
         _require(raw in PRESET_LAYOUTS, f"unknown layout preset {raw!r}")
@@ -311,7 +336,12 @@ def _parse_layout(raw) -> HeaderLayout:
             isinstance(entry, dict) and "name" in entry and "width" in entry,
             "layout: each field needs 'name' and 'width'",
         )
-        fields.append((str(entry["name"]), int(entry["width"])))
+        width = entry["width"]
+        _require(
+            isinstance(width, int) and not isinstance(width, bool),
+            f"layout: width of field {entry['name']!r} must be an integer",
+        )
+        fields.append((str(entry["name"]), width))
     try:
         return HeaderLayout(tuple(fields))
     except PktsetError as e:
@@ -439,12 +469,13 @@ def network_from_config(cfg: dict) -> Network:
     for fraw in cfg["firewalls"]:
         ctx = f"firewalls[{fraw.get('name', '?')}]"
         _require("name" in fraw and "interfaces" in fraw, f"{ctx}: needs name and interfaces")
+        _require(isinstance(fraw["interfaces"], list), f"{ctx}: interfaces must be an array")
         interfaces = tuple(str(i) for i in fraw["interfaces"])
         _require(len(set(interfaces)) == len(interfaces), f"{ctx}: duplicate interfaces")
 
         def nat_rules(key: str, writable: tuple[str, ...]):
             rules = []
-            for k, rraw in enumerate(fraw.get(key, [])):
+            for k, rraw in enumerate(_objects(fraw.get(key, []), f"{ctx}.{key}")):
                 rctx = f"{ctx}.{key}[{k}]"
                 _require("field" in rraw and "to" in rraw, f"{rctx}: needs field and to")
                 fname = str(rraw["field"])
@@ -464,7 +495,7 @@ def network_from_config(cfg: dict) -> Network:
         dnat = nat_rules("dnat", ("d", "dp"))
 
         filt = []
-        for k, rraw in enumerate(fraw.get("filter", [])):
+        for k, rraw in enumerate(_objects(fraw.get("filter", []), f"{ctx}.filter")):
             rctx = f"{ctx}.filter[{k}]"
             action = rraw.get("action")
             _require(action in (DROP, ACCEPT), f"{rctx}: action must be DROP or ACCEPT")
@@ -476,7 +507,9 @@ def network_from_config(cfg: dict) -> Network:
         snat = nat_rules("snat", ("s", "sp"))
 
         routing = []
-        for iface, graw in fraw.get("routing", {}).items():
+        routing_raw = fraw.get("routing", {})
+        _require(isinstance(routing_raw, dict), f"{ctx}: routing must be an object")
+        for iface, graw in routing_raw.items():
             _require(iface in interfaces, f"{ctx}: routing for unknown interface {iface!r}")
             routing.append((str(iface), _parse_guard(graw, layout, f"{ctx}.routing[{iface}]")))
 
@@ -565,12 +598,18 @@ def load_network(text: str) -> Network:
         cfg = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ConfigError("parse error: arrays or objects nested too deeply") from None
     return network_from_config(cfg)
 
 
 def load_network_file(path) -> Network:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_network(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    return load_network(text)
 
 
 # ------------------------------------------------------------- rendering back

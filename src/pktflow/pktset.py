@@ -8,6 +8,26 @@ equality and emptiness tests on handles are O(1).
 Variable order is field-major in layout declaration order, most-significant
 bit first within a field.  Headers are plain ints: variable i is bit
 (total_bits - 1 - i) of the header value, so enumeration order is ascending.
+
+Kernel invariants (``FormulaStore``):
+
+* Node 0 is false and node 1 is true; both carry the variable ``nbits``, one
+  past the last header variable, so a terminal sorts below every decision.
+* Every other node n tests variable ``_var[n]`` with children ``_lo[n]``
+  (bit 0) and ``_hi[n]`` (bit 1); its children test strictly larger
+  variables, and ``_lo[n] != _hi[n]``.
+* No two nodes share (var, lo, hi): the unique table maps each triple to its
+  node, so one function has one node and equal functions have equal ids.
+* Nodes are never freed or renumbered.  ``_var``, ``_lo`` and ``_hi`` are
+  plain lists with one entry per node, grown in place by ``append`` and never
+  replaced, so ``len(store._var)`` is the node count and a reference to the
+  list taken at any time stays current.  Instrumentation relies on this.
+* New nodes are numbered in creation order, and an operation creates its
+  nodes in a fixed order (the low branch before the high branch), so the
+  same sequence of operations gives the same node ids.
+* The unique table and the ``&``/``|`` computed tables key on one packed
+  int (a node pair as ``small << 32 | large``), which assumes fewer than
+  2**32 nodes per store.  Quantification caches are kept per variable set.
 """
 
 from __future__ import annotations
@@ -36,6 +56,10 @@ class HeaderLayout:
     """Ordered (name, width) field declarations for a packet header."""
 
     fields: tuple[tuple[str, int], ...]
+    total_bits: int = dc_field(init=False, repr=False, compare=False)
+    # name -> (index, offset, width, shift, mask), built once per layout;
+    # shift and mask locate the field inside a header int
+    _slots: dict = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.fields:
@@ -46,10 +70,14 @@ class HeaderLayout:
         for name, width in self.fields:
             if width < 1:
                 raise PktsetError(f"field {name!r} has non-positive width")
-
-    @property
-    def total_bits(self) -> int:
-        return sum(w for _, w in self.fields)
+        total = sum(w for _, w in self.fields)
+        slots = {}
+        off = 0
+        for i, (name, width) in enumerate(self.fields):
+            slots[name] = (i, off, width, total - off - width, (1 << width) - 1)
+            off += width
+        object.__setattr__(self, "total_bits", total)
+        object.__setattr__(self, "_slots", slots)
 
     @property
     def field_count(self) -> int:
@@ -62,40 +90,39 @@ class HeaderLayout:
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.fields)
 
+    def _slot(self, name: str) -> tuple[int, int, int, int, int]:
+        try:
+            return self._slots[name]
+        except KeyError:
+            raise UnknownFieldError(f"unknown field {name!r}") from None
+
     def index(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.fields):
-            if n == name:
-                return i
-        raise UnknownFieldError(f"unknown field {name!r}")
+        return self._slot(name)[0]
 
     def width(self, name: str) -> int:
-        return self.fields[self.index(name)][1]
+        return self._slot(name)[2]
 
     def offset(self, name: str) -> int:
         """First variable index of the field (MSB of the field)."""
-        off = 0
-        for n, w in self.fields:
-            if n == name:
-                return off
-            off += w
-        raise UnknownFieldError(f"unknown field {name!r}")
+        return self._slot(name)[1]
 
     def field_vars(self, name: str) -> range:
-        off = self.offset(name)
-        return range(off, off + self.width(name))
+        _, off, w, _, _ = self._slot(name)
+        return range(off, off + w)
 
     def extract_value(self, header: int, name: str) -> int:
         """Field value inside a concrete header int."""
-        off, w = self.offset(name), self.width(name)
-        return (header >> (self.total_bits - off - w)) & ((1 << w) - 1)
+        try:  # the oracle's inner loop: no _slot call
+            _, _, _, shift, mask = self._slots[name]
+        except KeyError:
+            raise UnknownFieldError(f"unknown field {name!r}") from None
+        return (header >> shift) & mask
 
     def with_value(self, header: int, name: str, value: int) -> int:
-        off, w = self.offset(name), self.width(name)
-        if not 0 <= value < (1 << w):
+        _, _, _, shift, mask = self._slot(name)
+        if not 0 <= value <= mask:
             raise RangeError(f"value {value} does not fit field {name!r}")
-        shift = self.total_bits - off - w
-        mask = ((1 << w) - 1) << shift
-        return (header & ~mask) | (value << shift)
+        return (header & ~(mask << shift)) | (value << shift)
 
 
 def _normalize_ranges(ranges) -> tuple[tuple[int, int], ...]:
@@ -132,7 +159,136 @@ class FieldValueSet:
             yield from range(lo, hi + 1)
 
 
-_TERMINAL = -1  # sentinel var for the two terminal nodes
+def _kernel(var: list[int], low: list[int], high: list[int]):
+    """The node operations of one store, as closures over its node lists.
+
+    Returns ``(mk, and_, or_, not_, exists)``.  Each call of ``and_``/``or_``
+    tests the terminal cases before it builds a cache key, and creates its
+    result node inline; ``exists(a, vars_fs, vmax, cache)`` takes the cache
+    of its variable set from the caller.
+    """
+    vshift = var[0].bit_length()  # var[0] == nbits bounds every variable
+    uniq: dict[int, int] = {}  # (lo, hi, var) packed into one int -> node
+    and_cache: dict[int, int] = {}
+    or_cache: dict[int, int] = {}
+    not_cache: dict[int, int] = {}
+
+    def mk(v: int, lo: int, hi: int) -> int:
+        if lo == hi:
+            return lo
+        key = (lo << 32 | hi) << vshift | v
+        n = uniq.get(key)
+        if n is None:
+            n = len(var)
+            var.append(v)
+            low.append(lo)
+            high.append(hi)
+            uniq[key] = n
+        return n
+
+    def and_(a: int, b: int) -> int:
+        if a < 2:
+            return b if a else 0
+        if b < 2:
+            return a if b else 0
+        if a == b:
+            return a
+        key = a << 32 | b if a < b else b << 32 | a
+        r = and_cache.get(key)
+        if r is not None:
+            return r
+        va = var[a]
+        vb = var[b]
+        if va == vb:
+            v = va
+            lo = and_(low[a], low[b])
+            hi = and_(high[a], high[b])
+        elif va < vb:
+            v = va
+            lo = and_(low[a], b)
+            hi = and_(high[a], b)
+        else:
+            v = vb
+            lo = and_(a, low[b])
+            hi = and_(a, high[b])
+        if lo == hi:
+            r = lo
+        else:
+            ukey = (lo << 32 | hi) << vshift | v
+            r = uniq.get(ukey)
+            if r is None:
+                r = len(var)
+                var.append(v)
+                low.append(lo)
+                high.append(hi)
+                uniq[ukey] = r
+        and_cache[key] = r
+        return r
+
+    def or_(a: int, b: int) -> int:
+        if a < 2:
+            return 1 if a else b
+        if b < 2:
+            return 1 if b else a
+        if a == b:
+            return a
+        key = a << 32 | b if a < b else b << 32 | a
+        r = or_cache.get(key)
+        if r is not None:
+            return r
+        va = var[a]
+        vb = var[b]
+        if va == vb:
+            v = va
+            lo = or_(low[a], low[b])
+            hi = or_(high[a], high[b])
+        elif va < vb:
+            v = va
+            lo = or_(low[a], b)
+            hi = or_(high[a], b)
+        else:
+            v = vb
+            lo = or_(a, low[b])
+            hi = or_(a, high[b])
+        if lo == hi:
+            r = lo
+        else:
+            ukey = (lo << 32 | hi) << vshift | v
+            r = uniq.get(ukey)
+            if r is None:
+                r = len(var)
+                var.append(v)
+                low.append(lo)
+                high.append(hi)
+                uniq[ukey] = r
+        or_cache[key] = r
+        return r
+
+    def not_(a: int) -> int:
+        if a < 2:
+            return 1 - a
+        r = not_cache.get(a)
+        if r is None:
+            r = mk(var[a], not_(low[a]), not_(high[a]))
+            not_cache[a] = r
+            not_cache[r] = a
+        return r
+
+    def exists(a: int, vars_fs: frozenset[int], vmax: int, cache: dict[int, int]) -> int:
+        if a < 2:
+            return a
+        v = var[a]
+        if v > vmax:
+            return a
+        r = cache.get(a)
+        if r is None:
+            lo = exists(low[a], vars_fs, vmax, cache)
+            hi = exists(high[a], vars_fs, vmax, cache)
+            r = or_(lo, hi) if v in vars_fs else mk(v, lo, hi)
+            cache[a] = r
+        return r
+
+    return mk, and_, or_, not_, exists
 
 
 class FormulaStore:
@@ -149,99 +305,28 @@ class FormulaStore:
         self._var = [self.nbits, self.nbits]
         self._lo = [0, 1]
         self._hi = [0, 1]
-        self._uniq: dict[tuple[int, int, int], int] = {}
-        self._and_cache: dict[tuple[int, int], int] = {}
-        self._or_cache: dict[tuple[int, int], int] = {}
-        self._not_cache: dict[int, int] = {}
-        self._quant_cache: dict[tuple[int, frozenset[int]], int] = {}
+        self._mk, self._and, self._or, self._not, self._exists = _kernel(
+            self._var, self._lo, self._hi
+        )
+        # (field, keep the field?) -> (quantified vars, their max, cache)
+        self._quants: dict[tuple[str, bool], tuple[frozenset[int], int, dict[int, int]]] = {}
+        self._quant_caches: dict[frozenset[int], dict[int, int]] = {}
         self._atom_cache: dict[tuple, int] = {}
+        # Guard -> Formula, filled by netmodel.guard_to_formula
+        self.guard_formulas: dict = {}
         self.false = Formula(self, 0)
         self.true = Formula(self, 1)
 
-    # -- node construction ------------------------------------------------
-
-    def _mk(self, var: int, lo: int, hi: int) -> int:
-        if lo == hi:
-            return lo
-        key = (var, lo, hi)
-        n = self._uniq.get(key)
-        if n is None:
-            n = len(self._var)
-            self._var.append(var)
-            self._lo.append(lo)
-            self._hi.append(hi)
-            self._uniq[key] = n
-        return n
-
-    def _and(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if a == 1:
-            return b
-        if b == 1 or a == b:
-            return a
-        key = (a, b) if a < b else (b, a)
-        r = self._and_cache.get(key)
-        if r is None:
-            va, vb = self._var[a], self._var[b]
-            v = min(va, vb)
-            la, ha = (self._lo[a], self._hi[a]) if va == v else (a, a)
-            lb, hb = (self._lo[b], self._hi[b]) if vb == v else (b, b)
-            r = self._mk(v, self._and(la, lb), self._and(ha, hb))
-            self._and_cache[key] = r
-        return r
-
-    def _or(self, a: int, b: int) -> int:
-        if a == 1 or b == 1:
-            return 1
-        if a == 0:
-            return b
-        if b == 0 or a == b:
-            return a
-        key = (a, b) if a < b else (b, a)
-        r = self._or_cache.get(key)
-        if r is None:
-            va, vb = self._var[a], self._var[b]
-            v = min(va, vb)
-            la, ha = (self._lo[a], self._hi[a]) if va == v else (a, a)
-            lb, hb = (self._lo[b], self._hi[b]) if vb == v else (b, b)
-            r = self._mk(v, self._or(la, lb), self._or(ha, hb))
-            self._or_cache[key] = r
-        return r
-
-    def _not(self, a: int) -> int:
-        if a < 2:
-            return 1 - a
-        r = self._not_cache.get(a)
-        if r is None:
-            r = self._mk(self._var[a], self._not(self._lo[a]), self._not(self._hi[a]))
-            self._not_cache[a] = r
-            self._not_cache[r] = a
-        return r
-
-    def _exists(self, a: int, vars_fs: frozenset[int], vmax: int) -> int:
-        if a < 2:
-            return a
-        v = self._var[a]
-        if v > vmax:
-            return a
-        key = (a, vars_fs)
-        r = self._quant_cache.get(key)
-        if r is None:
-            lo = self._exists(self._lo[a], vars_fs, vmax)
-            hi = self._exists(self._hi[a], vars_fs, vmax)
-            if v in vars_fs:
-                r = self._or(lo, hi)
-            else:
-                r = self._mk(v, lo, hi)
-            self._quant_cache[key] = r
-        return r
-
-    def _exists_vars(self, a: int, variables) -> int:
-        fs = frozenset(variables)
-        if not fs:
-            return a
-        return self._exists(a, fs, max(fs))
+    def _quantify(self, a: int, field: str, keep: bool) -> int:
+        """Existentially quantify the field's variables, or, when ``keep``,
+        every variable outside the field."""
+        q = self._quants.get((field, keep))
+        if q is None:
+            inside = set(self.layout.field_vars(field))
+            vs = frozenset(set(range(self.nbits)) - inside if keep else inside)
+            cache = self._quant_caches.setdefault(vs, {})
+            q = self._quants[(field, keep)] = (vs, max(vs, default=-1), cache)
+        return self._exists(a, *q)
 
     # -- range atoms -------------------------------------------------------
 
@@ -270,12 +355,12 @@ class FormulaStore:
     def atom(self, fvs: FieldValueSet) -> Formula:
         """Formula holding exactly when the field value lies in (or outside,
         if negated) the range union."""
-        off = self.layout.offset(fvs.field)
-        w = self.layout.width(fvs.field)
-        limit = (1 << w) - 1
         key = (fvs.field, fvs.ranges, fvs.negated)
         node = self._atom_cache.get(key)
         if node is None:
+            off = self.layout.offset(fvs.field)
+            w = self.layout.width(fvs.field)
+            limit = (1 << w) - 1
             node = 0
             for lo, hi in fvs.ranges:
                 if hi > limit:
@@ -352,15 +437,12 @@ class Formula:
 
     def exists_field(self, field: str) -> "Formula":
         """Existentially quantify the field's bits; result is independent of it."""
-        node = self.store._exists_vars(self.node, self.store.layout.field_vars(field))
-        return Formula(self.store, node)
+        return Formula(self.store, self.store._quantify(self.node, field, False))
 
     def extract_field(self, field: str) -> "Formula":
         """Project onto one field: the set of that field's values occurring in
         the denotation, all other fields unconstrained."""
-        keep = set(self.store.layout.field_vars(field))
-        drop = [v for v in range(self.store.nbits) if v not in keep]
-        return Formula(self.store, self.store._exists_vars(self.node, drop))
+        return Formula(self.store, self.store._quantify(self.node, field, True))
 
     def overwrite_field(self, field: str, values: FieldValueSet) -> "Formula":
         """Replace the field with a fresh value drawn from ``values``.
@@ -426,8 +508,12 @@ class Formula:
 
     def field_ranges(self, field: str) -> tuple[tuple[int, int], ...]:
         """The projected field value set as merged inclusive ranges."""
+        return self.extract_field(field).projection_ranges(field)
+
+    def projection_ranges(self, field: str) -> tuple[tuple[int, int], ...]:
+        """Merged inclusive ranges of a formula that constrains no variable
+        outside ``field``, such as an ``extract_field`` result."""
         store = self.store
-        proj = self.extract_field(field).node
         off = store.layout.offset(field)
         w = store.layout.width(field)
         memo: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
@@ -461,7 +547,7 @@ class Formula:
                 memo[key] = r
             return r
 
-        return rec(proj, 0)
+        return rec(self.node, 0)
 
     def is_field_product(self) -> bool:
         """True when the formula equals the conjunction of its per-field

@@ -86,8 +86,9 @@ def formula_fields(formula: Formula, layout: HeaderLayout) -> tuple[dict, dict]:
     sets: dict[str, Ranges] = {}
     exact: dict[str, bool] = {}
     for name, _ in layout.fields:
-        sets[name] = formula.field_ranges(name)
-        exact[name] = formula == (formula.extract_field(name) & formula.exists_field(name))
+        proj = formula.extract_field(name)
+        sets[name] = proj.projection_ranges(name)
+        exact[name] = formula == (proj & formula.exists_field(name))
     return sets, exact
 
 

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -165,6 +169,51 @@ def test_unknown_flag_exits_2():
 def test_missing_file_exits_2(capsys):
     assert main(["validate", "--network", "/nonexistent.json"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def _fig1_small_with(edit) -> bytes:
+    cfg = json.loads(fixture_text("fig1-small.json"))
+    edit(cfg)
+    return json.dumps(cfg).encode()
+
+
+def _set_widths(value):
+    # every field, so that a truncated float still gives a valid layout
+    return lambda cfg: [entry.update(width=value) for entry in cfg["layout"]]
+
+
+def _first_firewall(key, value):
+    return lambda cfg: cfg["firewalls"][0].update({key: value})
+
+
+def _prepend_filter_entry(cfg):
+    cfg["firewalls"][0]["filter"].insert(0, "x")
+
+
+@pytest.mark.parametrize("document", [
+    pytest.param(_fig1_small_with(_first_firewall("interfaces", 5)), id="interfaces-int"),
+    pytest.param(_fig1_small_with(_prepend_filter_entry), id="filter-entry-str"),
+    pytest.param(_fig1_small_with(_first_firewall("dnat", [5])), id="dnat-entry-int"),
+    pytest.param(_fig1_small_with(_first_firewall("routing", [])), id="routing-array"),
+    pytest.param(_fig1_small_with(_set_widths("abc")), id="width-str"),
+    pytest.param(_fig1_small_with(_set_widths(4.5)), id="width-float"),
+    pytest.param(b'{"schema": 1, "layout": "addr2\xff"}', id="not-utf8"),
+    pytest.param(b"[" * 100_000, id="deep-nesting"),
+])
+def test_malformed_config_exits_2_without_traceback(tmp_path, document):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(document)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pktflow", "validate", "--network", str(bad)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("pktflow: error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_analyze_text_matches_published_block(fig3, capsys):

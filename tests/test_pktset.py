@@ -315,3 +315,78 @@ def test_wide_layout_smoke():
     assert f.field_ranges("s") == ((0x0AC01D01, 0x0AC01DFF),)
     assert f.count() == 255
     assert (f & ~a).is_empty()
+
+
+# ---------------------------------------------------------------- wider layout
+
+T3X3 = HeaderLayout((("a", 3), ("b", 3), ("c", 3)))  # 512 headers
+T3X3_FIELDS = ["a", "b", "c"]
+
+range3 = st.tuples(st.integers(0, 7), st.integers(0, 7)).map(lambda t: (min(t), max(t)))
+value_sets3 = st.builds(
+    lambda field, ranges, neg: FieldValueSet(field, tuple(ranges), neg),
+    st.sampled_from(T3X3_FIELDS),
+    st.lists(range3, min_size=1, max_size=3),
+    st.booleans(),
+)
+chain_ops = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["and", "or"]), value_sets3),
+        st.tuples(st.just("not")),
+        st.tuples(st.just("exists"), st.sampled_from(T3X3_FIELDS)),
+        st.tuples(st.just("overwrite"), st.sampled_from(T3X3_FIELDS), range3),
+    ),
+    max_size=8,
+)
+
+
+def run_chain(store, start, ops):
+    """Apply ``ops`` to the atom ``start``, symbolically and on brute sets."""
+    f = store.atom(start)
+    want = headers_where(T3X3, lambda h: in_value_set(T3X3, h, start))
+    for op in ops:
+        if op[0] in ("and", "or"):
+            g = store.atom(op[1])
+            g_set = headers_where(T3X3, lambda h: in_value_set(T3X3, h, op[1]))
+            f, want = (f & g, want & g_set) if op[0] == "and" else (f | g, want | g_set)
+        elif op[0] == "not":
+            f, want = ~f, set(all_headers(T3X3)) - want
+        elif op[0] == "exists":
+            full = FieldValueSet(op[1], ((0, 7),))
+            f, want = f.exists_field(op[1]), brute_overwrite(T3X3, want, op[1], full)
+        else:
+            values = FieldValueSet(op[1], (op[2],))
+            f = f.overwrite_field(op[1], values)
+            want = brute_overwrite(T3X3, want, op[1], values)
+    return f, want
+
+
+def formula_of_set(store, headers):
+    """The formula of a header set, built independently of any chain: one
+    product term per (a, b) pair present."""
+    by_ab: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for h in headers:
+        a, b, c = (T3X3.extract_value(h, n) for n in T3X3_FIELDS)
+        by_ab.setdefault((a, b), []).append((c, c))
+    f = store.false
+    for (a, b), cs in by_ab.items():
+        f = f | (store.atom(fvs("a", (a, a))) & store.atom(fvs("b", (b, b)))
+                 & store.atom(FieldValueSet("c", tuple(cs))))
+    return f
+
+
+@settings(max_examples=80, deadline=None)
+@given(value_sets3, chain_ops, value_sets3, chain_ops)
+def test_operation_chains_on_wider_layout(start1, ops1, start2, ops2):
+    store = FormulaStore(T3X3)
+    f, f_set = run_chain(store, start1, ops1)
+    g, g_set = run_chain(store, start2, ops2)
+    for h, h_set in ((f, f_set), (g, g_set)):
+        assert formula_set(h) == h_set
+        assert h.count() == len(h_set)
+        for name in T3X3_FIELDS:
+            got = [v for lo, hi in h.field_ranges(name) for v in range(lo, hi + 1)]
+            assert got == sorted({T3X3.extract_value(x, name) for x in h_set})
+        # canonicity: one node per denotation
+        assert formula_of_set(store, h_set).node == h.node
+    assert (f.node == g.node) == (f_set == g_set)
