@@ -35,6 +35,10 @@ PRESET_LAYOUTS = {
 
 SCHEMA_VERSION = 1
 
+# The formula kernel recurses once per header variable, so a wider header
+# would overflow Python's default recursion limit.
+MAX_HEADER_BITS = 512
+
 
 class ConfigError(ValueError):
     """Configuration parse or validation failure."""
@@ -342,6 +346,11 @@ def _parse_layout(raw) -> HeaderLayout:
             f"layout: width of field {entry['name']!r} must be an integer",
         )
         fields.append((str(entry["name"]), width))
+    total = sum(w for _, w in fields)
+    _require(
+        total <= MAX_HEADER_BITS,
+        f"layout: {total}-bit headers exceed the limit of {MAX_HEADER_BITS} bits",
+    )
     try:
         return HeaderLayout(tuple(fields))
     except PktsetError as e:
@@ -371,12 +380,14 @@ class _RuleIds:
     def claim(self, raw: dict, ctx: str) -> dict:
         slot = {"ctx": ctx, "id": None}
         if "id" in raw:
-            try:
-                slot["id"] = int(raw["id"])
-            except (TypeError, ValueError):
-                raise ConfigError(f"{ctx}: rule id must be an integer") from None
-            _require(slot["id"] >= 0, f"{ctx}: rule ids must be non-negative")
-            self.explicit.append(slot["id"])
+            rid = raw["id"]
+            _require(
+                isinstance(rid, int) and not isinstance(rid, bool),
+                f"{ctx}: rule id must be an integer",
+            )
+            _require(rid >= 0, f"{ctx}: rule ids must be non-negative")
+            slot["id"] = rid
+            self.explicit.append(rid)
         self.pending.append(slot)
         return slot
 

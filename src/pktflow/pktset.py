@@ -28,6 +28,10 @@ Kernel invariants (``FormulaStore``):
 * The unique table and the ``&``/``|`` computed tables key on one packed
   int (a node pair as ``small << 32 | large``), which assumes fewer than
   2**32 nodes per store.  Quantification caches are kept per variable set.
+* The summary caches (``projection_ranges`` results by (node, field), and
+  ``field_summaries``, which ``render.formula_fields`` fills by node) are
+  keyed by node id and never invalidated: they rely on nodes never being
+  freed or renumbered, so a future store reset must clear them too.
 """
 
 from __future__ import annotations
@@ -314,6 +318,10 @@ class FormulaStore:
         self._atom_cache: dict[tuple, int] = {}
         # Guard -> Formula, filled by netmodel.guard_to_formula
         self.guard_formulas: dict = {}
+        # (node, field) -> Formula.projection_ranges result
+        self._projections: dict[tuple[int, str], tuple[tuple[int, int], ...]] = {}
+        # node -> per-field (ranges, exact flags), filled by render.formula_fields
+        self.field_summaries: dict[int, tuple[tuple, tuple]] = {}
         self.false = Formula(self, 0)
         self.true = Formula(self, 1)
 
@@ -512,8 +520,13 @@ class Formula:
 
     def projection_ranges(self, field: str) -> tuple[tuple[int, int], ...]:
         """Merged inclusive ranges of a formula that constrains no variable
-        outside ``field``, such as an ``extract_field`` result."""
+        outside ``field``, such as an ``extract_field`` result.  Cached in the
+        store by (node, field)."""
         store = self.store
+        cache_key = (self.node, field)
+        cached = store._projections.get(cache_key)
+        if cached is not None:
+            return cached
         off = store.layout.offset(field)
         w = store.layout.width(field)
         memo: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
@@ -547,7 +560,8 @@ class Formula:
                 memo[key] = r
             return r
 
-        return rec(self.node, 0)
+        ranges = store._projections[cache_key] = rec(self.node, 0)
+        return ranges
 
     def is_field_product(self) -> bool:
         """True when the formula equals the conjunction of its per-field

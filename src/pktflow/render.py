@@ -82,14 +82,24 @@ def formula_fields(formula: Formula, layout: HeaderLayout) -> tuple[dict, dict]:
 
     A field is exact when the formula does not correlate it with the other
     fields, i.e. the formula equals (projection onto the field) AND (rest).
+    When the formula is the product of its projections every field is exact,
+    so the per-field test runs only for correlated formulas.  The summary is
+    computed once per node and kept in the formula's store; each call
+    returns fresh dicts.
     """
-    sets: dict[str, Ranges] = {}
-    exact: dict[str, bool] = {}
-    for name, _ in layout.fields:
-        proj = formula.extract_field(name)
-        sets[name] = proj.projection_ranges(name)
-        exact[name] = formula == (proj & formula.exists_field(name))
-    return sets, exact
+    names = layout.names()
+    summaries = formula.store.field_summaries
+    summary = summaries.get(formula.node)
+    if summary is None:
+        projs = [formula.extract_field(name) for name in names]
+        ranges = tuple(proj.projection_ranges(name) for proj, name in zip(projs, names))
+        if formula.is_field_product():
+            exact = (True,) * len(names)
+        else:
+            exact = tuple(formula == (proj & formula.exists_field(name))
+                          for proj, name in zip(projs, names))
+        summary = summaries[formula.node] = (ranges, exact)
+    return dict(zip(names, summary[0])), dict(zip(names, summary[1]))
 
 
 def render_value(value: AbstractValue, variant: str, net: Network) -> list[RenderedPacket]:

@@ -171,6 +171,17 @@ def test_missing_file_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _run_cli(*args: str) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    return subprocess.run(
+        [sys.executable, "-m", "pktflow", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 def _fig1_small_with(edit) -> bytes:
     cfg = json.loads(fixture_text("fig1-small.json"))
     edit(cfg)
@@ -190,6 +201,11 @@ def _prepend_filter_entry(cfg):
     cfg["firewalls"][0]["filter"].insert(0, "x")
 
 
+def _set_rule_id(value):
+    # F2's first filter rule has the explicit id 1
+    return lambda cfg: cfg["firewalls"][1]["filter"][0].update(id=value)
+
+
 @pytest.mark.parametrize("document", [
     pytest.param(_fig1_small_with(_first_firewall("interfaces", 5)), id="interfaces-int"),
     pytest.param(_fig1_small_with(_prepend_filter_entry), id="filter-entry-str"),
@@ -197,22 +213,32 @@ def _prepend_filter_entry(cfg):
     pytest.param(_fig1_small_with(_first_firewall("routing", [])), id="routing-array"),
     pytest.param(_fig1_small_with(_set_widths("abc")), id="width-str"),
     pytest.param(_fig1_small_with(_set_widths(4.5)), id="width-float"),
+    pytest.param(_fig1_small_with(_set_widths(1000)), id="width-2x1000"),
+    pytest.param(_fig1_small_with(_set_rule_id(True)), id="rule-id-bool"),
+    pytest.param(_fig1_small_with(_set_rule_id(1.5)), id="rule-id-float"),
     pytest.param(b'{"schema": 1, "layout": "addr2\xff"}', id="not-utf8"),
     pytest.param(b"[" * 100_000, id="deep-nesting"),
 ])
 def test_malformed_config_exits_2_without_traceback(tmp_path, document):
     bad = tmp_path / "bad.json"
     bad.write_bytes(document)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pktflow", "validate", "--network", str(bad)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = _run_cli("validate", "--network", str(bad))
     assert proc.returncode == 2
     assert proc.stderr.startswith("pktflow: error:")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--origin", "Z1"],
+    ["policy", "--zone", "Z1"],
+    ["testgen", "--origin", "Z1"],
+])
+def test_layout_at_header_width_limit_runs(tmp_path, command):
+    # 2 x 256 bits is exactly MAX_HEADER_BITS, the widest accepted layout
+    net = tmp_path / "wide.json"
+    net.write_bytes(_fig1_small_with(_set_widths(256)))
+    proc = _run_cli(*command, "--network", str(net))
+    assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -21,6 +21,7 @@ from pktflow.pktset import (
     StoreMismatchError,
     UnknownFieldError,
 )
+from pktflow.render import formula_fields
 
 T2X2 = HeaderLayout((("f1", 2), ("f2", 2)))
 
@@ -390,3 +391,45 @@ def test_operation_chains_on_wider_layout(start1, ops1, start2, ops2):
         # canonicity: one node per denotation
         assert formula_of_set(store, h_set).node == h.node
     assert (f.node == g.node) == (f_set == g_set)
+
+
+def brute_fields(headers: set[int]) -> tuple[dict, dict]:
+    """Per-field merged value ranges and exactness flags of a header set, by
+    enumeration: a field is exact when the set equals the product of its
+    values in the field and its projection onto the other fields."""
+    ranges, exact = {}, {}
+    for name in T3X3_FIELDS:
+        values = sorted({T3X3.extract_value(h, name) for h in headers})
+        runs: list[tuple[int, int]] = []
+        for v in values:
+            if runs and v == runs[-1][1] + 1:
+                runs[-1] = (runs[-1][0], v)
+            else:
+                runs.append((v, v))
+        ranges[name] = tuple(runs)
+        rest = brute_overwrite(T3X3, headers, name, FieldValueSet(name, ((0, 7),)))
+        exact[name] = headers == {h for h in rest if T3X3.extract_value(h, name) in values}
+    return ranges, exact
+
+
+@settings(max_examples=80, deadline=None)
+@given(value_sets3, chain_ops, value_sets3, chain_ops)
+def test_formula_fields_summary_matches_brute_force(start1, ops1, start2, ops2):
+    store = FormulaStore(T3X3)
+    chains = [run_chain(store, start1, ops1), run_chain(store, start2, ops2)]
+    for f, f_set in chains:
+        want = brute_fields(f_set)
+        first = formula_fields(f, T3X3)
+        assert first == want
+        assert formula_fields(f, T3X3) == want  # from the store's cache
+        # a product of per-field sets: the shortcut's case, exact everywhere
+        product = {h for h in all_headers(T3X3) if all(
+            any(lo <= T3X3.extract_value(h, n) <= hi for lo, hi in want[0][n])
+            for n in T3X3_FIELDS)}
+        assert f.is_field_product() == (f_set == product)
+        if f.is_field_product():
+            assert all(want[1].values())
+        # callers own the returned dicts
+        first[0]["a"] = ()
+        first[1]["a"] = not first[1]["a"]
+        assert formula_fields(f, T3X3) == want
