@@ -22,10 +22,12 @@ from .netmodel import ConfigError, Network, load_network_file, network_from_conf
 from .oracle import WidthGuardExceeded, compare
 from .policy import PolicyError, generate_test_packets, infer_policy, overlap_report
 from .render import (
-    format_field_data,
+    bracket,
+    data_sets,
     format_field_display,
     formula_fields,
     formula_to_text,
+    header_fields,
     result_to_json,
     result_to_text,
 )
@@ -38,12 +40,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, origin_flag=True):
+    def common(p):
         p.add_argument("--network", required=True, help="network configuration file")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", help="write output to a file instead of stdout")
-        if origin_flag:
-            p.add_argument("--origin", required=True, help="originating zone")
+        p.add_argument("--origin", required=True, help="originating zone")
         p.add_argument(
             "--variant",
             choices=("v1", "v2", "ia"),
@@ -91,22 +92,6 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _header_fields(h: int, net: Network) -> dict[str, str]:
-    layout = net.layout
-    return {
-        name: format_field_data(((layout.extract_value(h, name),) * 2,), width)
-        for name, width in layout.fields
-    }
-
-
-def _header_text(h: int, net: Network) -> str:
-    layout = net.layout
-    return "[" + " : ".join(
-        format_field_display(((layout.extract_value(h, name),) * 2,), width)
-        for name, width in layout.fields
-    ) + "]"
-
-
 def _cmd_validate(args) -> int:
     net = load_network_file(args.network)
     rules = sum(len(f.dnat) + len(f.filter) + len(f.snat) for f in net.firewalls)
@@ -134,10 +119,7 @@ def _cmd_policy(args) -> int:
     layout = net.layout
     if args.format == "json":
         def sets(formula):
-            return {
-                name: format_field_data(formula.field_ranges(name), width)
-                for name, width in layout.fields
-            }
+            return data_sets(formula_fields(formula, layout)[0], layout)
 
         doc = {
             "schema": "pktflow-policy-1",
@@ -189,6 +171,8 @@ def _check_one(net: Network, origin: str, variant: str, max_width: int):
 
 def _cmd_check(args) -> int:
     if args.trials is not None:
+        if args.trials < 1:
+            raise ConfigError(f"--trials must be at least 1, got {args.trials}")
         failures = []
         lines = []
         for i in range(args.trials):
@@ -251,6 +235,7 @@ def _cmd_testgen(args) -> int:
     if args.variant != "v2":
         raise ConfigError("testgen needs the v2 variant (original-form tracking)")
     witnesses = generate_test_packets(net, args.origin, args.per_pair)
+    layout = net.layout
     if args.format == "json":
         doc = {
             "schema": "pktflow-testgen-1",
@@ -259,8 +244,8 @@ def _cmd_testgen(args) -> int:
             "witnesses": [
                 {
                     "zone": w.zone,
-                    "orig": _header_fields(w.orig, net),
-                    "curr": _header_fields(w.curr, net),
+                    "orig": data_sets(header_fields(w.orig, layout), layout),
+                    "curr": data_sets(header_fields(w.curr, layout), layout),
                 }
                 for w in witnesses
             ],
@@ -268,7 +253,8 @@ def _cmd_testgen(args) -> int:
         _emit(json.dumps(doc, indent=1) + "\n", args.out)
     else:
         lines = [
-            f"{w.zone}: orig={_header_text(w.orig, net)} arrival={_header_text(w.curr, net)}"
+            f"{w.zone}: orig={bracket(header_fields(w.orig, layout), layout)} "
+            f"arrival={bracket(header_fields(w.curr, layout), layout)}"
             for w in witnesses
         ]
         lines.append(f"{len(witnesses)} witnesses")

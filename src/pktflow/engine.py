@@ -19,6 +19,9 @@ is finite (fixed header width), so the fixpoint is reached without widening.
 
 Joined values are canonical (v2 packets sorted by their unique (orig, nated)
 key, formulas compared by store node), so value equality is plain ``==``.
+That sort is by orig node id, and ``testgen`` prints witnesses in packet
+order, so its output follows node numbering: a change in the order of BDD
+operations can reorder it even when every fact is the same.
 The survivors of each firewall's latest expansion feed the no-route
 diagnostic: every accepted update re-queues the firewall and an expansion
 never changes the expanding node's own value, so the latest expansion saw
@@ -75,12 +78,6 @@ class _Lattice:
         self.store = net.store
         self.layout = net.layout
 
-    def guard_formula(self, guard: Guard) -> Formula:
-        return guard_to_formula(guard, self.store)
-
-    def _field_nated(self, name: str, mask: int) -> bool:
-        return bool((mask >> self.layout.index(name)) & 1)
-
     def curr_of(self, p) -> Formula:
         return p.curr
 
@@ -100,11 +97,11 @@ class V1Lattice(_Lattice):
         return [AbstractPacket(zone_departure_formula(self.net, zone_name))]
 
     def refine_match(self, p: AbstractPacket, guard: Guard):
-        c = p.curr & self.guard_formula(guard)
+        c = p.curr & guard_to_formula(guard, self.store)
         return None if c.is_empty() else AbstractPacket(c)
 
     def refine_unmatch(self, p: AbstractPacket, guard: Guard):
-        c = p.curr & ~self.guard_formula(guard)
+        c = p.curr & ~guard_to_formula(guard, self.store)
         return [] if c.is_empty() else [AbstractPacket(c)]
 
     def apply_nat(self, p: AbstractPacket, rule) -> AbstractPacket:
@@ -138,15 +135,15 @@ class V2Lattice(_Lattice):
         return [AbstractPacket(f, f, 0)]
 
     def refine_match(self, p: AbstractPacket, guard: Guard):
-        c = p.curr & self.guard_formula(guard)
+        c = p.curr & guard_to_formula(guard, self.store)
         if c.is_empty():
             return None
         reduced = reduce_guard(guard, p.nated, self.layout)
-        o = p.orig & self.guard_formula(reduced)
+        o = p.orig & guard_to_formula(reduced, self.store)
         return AbstractPacket(c, o, p.nated)
 
     def refine_unmatch(self, p: AbstractPacket, guard: Guard):
-        gf = self.guard_formula(guard)
+        gf = guard_to_formula(guard, self.store)
         if (p.curr & ~gf).is_empty():
             return []
         reduced = reduce_guard(guard, p.nated, self.layout)
@@ -156,11 +153,12 @@ class V2Lattice(_Lattice):
         if not reduced.atoms:
             # guard only constrains NATed fields: says nothing about orig
             return [AbstractPacket(p.curr & ~gf, p.orig, p.nated)]
+        nated_names = self.layout.mask_names(p.nated)
         pieces = []
         prefix_c, prefix_o = p.curr, p.orig
         for name, fvs in guard.atoms:
             atom = self.store.atom(fvs)
-            nated = self._field_nated(name, p.nated)
+            nated = name in nated_names
             c = prefix_c & ~atom
             if not c.is_empty():
                 o = prefix_o if nated else prefix_o & ~atom

@@ -12,6 +12,7 @@ recognized by name.  SNAT rules may write s/sp, DNAT rules d/dp.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass, field as dc_field, replace
@@ -191,10 +192,8 @@ def guard_to_formula(guard: Guard, store: FormulaStore) -> Formula:
 
 def reduce_guard(guard: Guard, nated_mask: int, layout: HeaderLayout) -> Guard:
     """Drop every atom whose field has its mask bit set; empty result is true."""
-    kept = tuple(
-        (f, v) for f, v in guard.atoms if not (nated_mask >> layout.index(f)) & 1
-    )
-    return Guard(kept)
+    nated = layout.mask_names(nated_mask)
+    return Guard(tuple((f, v) for f, v in guard.atoms if f not in nated))
 
 
 @dataclass(frozen=True)
@@ -370,37 +369,18 @@ def _parse_guard(raw, layout: HeaderLayout, ctx: str) -> Guard:
     return Guard(tuple(atoms))
 
 
-class _RuleIds:
-    """Explicit ids win; the rest are numbered after the largest explicit id."""
-
-    def __init__(self):
-        self.explicit: list[int] = []
-        self.pending: list[dict] = []
-
-    def claim(self, raw: dict, ctx: str) -> dict:
-        slot = {"ctx": ctx, "id": None}
-        if "id" in raw:
-            rid = raw["id"]
-            _require(
-                isinstance(rid, int) and not isinstance(rid, bool),
-                f"{ctx}: rule id must be an integer",
-            )
-            _require(rid >= 0, f"{ctx}: rule ids must be non-negative")
-            slot["id"] = rid
-            self.explicit.append(rid)
-        self.pending.append(slot)
-        return slot
-
-    def assign(self):
-        _require(
-            len(set(self.explicit)) == len(self.explicit),
-            "duplicate explicit rule ids",
-        )
-        nxt = max(self.explicit, default=0) + 1
-        for slot in self.pending:
-            if slot["id"] is None:
-                slot["id"] = nxt
-                nxt += 1
+def _explicit_rule_id(raw: dict, ctx: str) -> int | None:
+    """The rule's own ``id``, or None when it has none.  Rules without one
+    are numbered after the largest explicit id, in declaration order."""
+    if "id" not in raw:
+        return None
+    rid = raw["id"]
+    _require(
+        isinstance(rid, int) and not isinstance(rid, bool),
+        f"{ctx}: rule id must be an integer",
+    )
+    _require(rid >= 0, f"{ctx}: rule ids must be non-negative")
+    return rid
 
 
 def network_from_config(cfg: dict) -> Network:
@@ -441,6 +421,7 @@ def network_from_config(cfg: dict) -> Network:
             rest_zone_raw = zraw
             zones.append(None)  # placeholder to keep declaration order
             continue
+        _require("addr" in zraw, f"{ctx}: needs addr (or rest: true)")
         addr = parse_value_set(zraw["addr"], "s", addr_width, f"{ctx}.addr")
         _require(not addr.negated, f"{ctx}: zone addr must be a positive range set")
         _require(bool(addr.ranges), f"{ctx}: zone addr must be non-empty")
@@ -475,7 +456,6 @@ def network_from_config(cfg: dict) -> Network:
             seen.append((lo, hi, z.name))
 
     # firewalls
-    ids = _RuleIds()
     fw_specs = []
     for fraw in cfg["firewalls"]:
         ctx = f"firewalls[{fraw.get('name', '?')}]"
@@ -500,7 +480,7 @@ def network_from_config(cfg: dict) -> Network:
                     f"{rctx}: NAT action must be a positive, non-empty range set",
                 )
                 guard = _parse_guard(rraw.get("guard", {}), layout, rctx)
-                rules.append((ids.claim(rraw, rctx), guard, fname, action))
+                rules.append((_explicit_rule_id(rraw, rctx), guard, fname, action))
             return rules
 
         dnat = nat_rules("dnat", ("d", "dp"))
@@ -511,7 +491,7 @@ def network_from_config(cfg: dict) -> Network:
             action = rraw.get("action")
             _require(action in (DROP, ACCEPT), f"{rctx}: action must be DROP or ACCEPT")
             guard = _parse_guard(rraw.get("guard", {}), layout, rctx)
-            filt.append((ids.claim(rraw, rctx), guard, action))
+            filt.append((_explicit_rule_id(rraw, rctx), guard, action))
         _require(bool(filt), f"{ctx}: filter table must be non-empty")
         _require(filt[-1][1].is_true(), f"{ctx}: missing default rule (last guard must be true)")
 
@@ -526,20 +506,23 @@ def network_from_config(cfg: dict) -> Network:
 
         fw_specs.append((str(fraw["name"]), interfaces, dnat, filt, snat, tuple(routing)))
 
-    ids.assign()
+    explicit = [rid for _, _, dnat, filt, snat, _ in fw_specs
+                for rid, *_ in (*dnat, *filt, *snat) if rid is not None]
+    _require(len(set(explicit)) == len(explicit), "duplicate explicit rule ids")
+    auto_ids = itertools.count(max(explicit, default=0) + 1)
 
-    def materialize_nat(rules):
-        return tuple(
-            NatRule(guard, fname, action, slot["id"]) for slot, guard, fname, action in rules
-        )
+    def rule_id(rid: int | None) -> int:
+        return next(auto_ids) if rid is None else rid
 
+    # built in declaration order (dnat, filter, snat per firewall), which
+    # numbers the rules without an explicit id
     firewalls = tuple(
         Firewall(
             name,
             interfaces,
-            materialize_nat(dnat),
-            tuple(FilterRule(g, a, slot["id"]) for slot, g, a in filt),
-            materialize_nat(snat),
+            tuple(NatRule(g, f, a, rule_id(rid)) for rid, g, f, a in dnat),
+            tuple(FilterRule(g, a, rule_id(rid)) for rid, g, a in filt),
+            tuple(NatRule(g, f, a, rule_id(rid)) for rid, g, f, a in snat),
             routing,
         )
         for name, interfaces, dnat, filt, snat, routing in fw_specs

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field as dc_field
 
 from .engine import AbstractValue, AnalysisResult, analyze, get_lattice
 from .netmodel import DROP, Network
-from .pktset import FieldValueSet
 
 DEFAULT_WIDTH_GUARD = 12
 
@@ -92,11 +91,8 @@ def simulate(
     ``max_hops`` bounds the number of link traversals per flow (used to show
     what bounded unrolling misses); None explores to closure.
     """
+    _enumeration_cap(net, max_width)
     layout = net.layout
-    if layout.total_bits > max_width:
-        raise WidthGuardExceeded(
-            f"layout has {layout.total_bits} header bits, guard allows {max_width}"
-        )
 
     peers_of: dict[str, list[str]] = {}
     for i1, i2 in net.links:
@@ -208,23 +204,25 @@ def concretize_pairs(
     """Concrete (curr, orig) pairs of a variant-2 value.
 
     Within one packet, curr and orig agree on every field outside the
-    packet's NAT mask; the pair set is the product filtered accordingly.
+    packet's NAT mask; the pair set is the product filtered accordingly:
+    origs are grouped by their bits outside the mask, and each curr pairs
+    with the group its own bits there select.
     """
     cap = _enumeration_cap(net, max_width)
     layout = net.layout
-    store = net.store
     pairs: set[tuple[int, int]] = set()
     for p in value.packets:
         if p.orig is None:
             raise ValueError("pair concretization needs variant-2 packets")
-        free = [name for i, (name, _) in enumerate(layout.fields) if not (p.nated >> i) & 1]
-        for c2 in p.curr.enumerate(cap):
-            pinned = p.orig
-            for name in free:
-                v = layout.extract_value(c2, name)
-                pinned = pinned & store.atom(FieldValueSet(name, ((v, v),)))
-            for c1 in pinned.enumerate(cap):
-                pairs.add((c2, c1))
+        agree = (1 << layout.total_bits) - 1  # header bits outside the mask
+        for name in layout.mask_names(p.nated):
+            agree = layout.with_value(agree, name, 0)
+        origs: dict[int, list[int]] = {}
+        for o in p.orig.enumerate(cap):
+            origs.setdefault(o & agree, []).append(o)
+        for c in p.curr.enumerate(cap):
+            for o in origs.get(c & agree, ()):
+                pairs.add((c, o))
     return pairs
 
 
@@ -284,13 +282,8 @@ def compare(
     nodes: list[NodeDiff] = []
     ok = True
     for name in net.node_names():
-        value = result.facts[name]
-        if variant == "v2":
-            got = concretize_pairs(value, net, max_width=max_width)
-            want = exact.pairs(name)
-        else:
-            got = concretize_currs(value, variant, net, max_width=max_width)
-            want = exact.currs(name)
+        got = concretize(result.facts[name], variant, net, max_width=max_width)
+        want = exact.pairs(name) if variant == "v2" else exact.currs(name)
         missing = sorted(want - got)
         extra = sorted(got - want)
         if variant == "ia":

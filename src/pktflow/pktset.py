@@ -5,6 +5,11 @@ Formulas denote subsets of the 2**total_bits possible headers and are kept
 canonical in a per-layout store (reduced ordered BDDs with hash-consing), so
 equality and emptiness tests on handles are O(1).
 
+A field mask, such as the NAT mask ``nated`` of a variant-2 packet, is an int
+whose bit i stands for layout field i.  ``HeaderLayout.mask_names`` is the one
+decoder: it gives the masked field names in layout order, and
+``mask_names(~mask)`` gives the other fields.
+
 Variable order is field-major in layout declaration order, most-significant
 bit first within a field.  Headers are plain ints: variable i is bit
 (total_bits - 1 - i) of the header value, so enumeration order is ascending.
@@ -64,6 +69,7 @@ class HeaderLayout:
     # name -> (index, offset, width, shift, mask), built once per layout;
     # shift and mask locate the field inside a header int
     _slots: dict = dc_field(init=False, repr=False, compare=False)
+    _masks: dict = dc_field(init=False, repr=False, compare=False)  # mask_names cache
 
     def __post_init__(self):
         if not self.fields:
@@ -82,6 +88,7 @@ class HeaderLayout:
             off += width
         object.__setattr__(self, "total_bits", total)
         object.__setattr__(self, "_slots", slots)
+        object.__setattr__(self, "_masks", {})
 
     @property
     def field_count(self) -> int:
@@ -113,6 +120,16 @@ class HeaderLayout:
     def field_vars(self, name: str) -> range:
         _, off, w, _, _ = self._slot(name)
         return range(off, off + w)
+
+    def mask_names(self, mask: int) -> tuple[str, ...]:
+        """Names of the fields whose bit is set in a field mask (bit i is
+        field i), in layout order; ``mask_names(~mask)`` gives the others."""
+        names = self._masks.get(mask)
+        if names is None:
+            names = self._masks[mask] = tuple(
+                name for i, (name, _) in enumerate(self.fields) if mask >> i & 1
+            )
+        return names
 
     def extract_value(self, header: int, name: str) -> int:
         """Field value inside a concrete header int."""
@@ -475,22 +492,25 @@ class Formula:
         """Up to ``limit`` satisfying headers, ascending."""
         if limit < 1:
             raise PktsetError("enumeration limit must be >= 1")
-        store = self.store
-        n = store.nbits
+        var, low, high = self.store._var, self.store._lo, self.store._hi
         out: list[int] = []
 
-        def rec(node: int, var: int, prefix: int):
-            if len(out) >= limit or node == 0:
+        def rec(node: int, v: int, prefix: int):
+            # ``prefix`` fixes the variables before v; the variables from v
+            # up to the node's own are free, so loop over their completions
+            if node == 0 or len(out) >= limit:
                 return
-            if var == n:
-                out.append(prefix)
+            top = var[node]
+            base = prefix << (top - v)
+            if node == 1:
+                out.extend(range(base, base + min(1 << (top - v), limit - len(out))))
                 return
-            if node != 1 and store._var[node] == var:
-                rec(store._lo[node], var + 1, prefix << 1)
-                rec(store._hi[node], var + 1, (prefix << 1) | 1)
-            else:
-                rec(node, var + 1, prefix << 1)
-                rec(node, var + 1, (prefix << 1) | 1)
+            for k in range(1 << (top - v)):
+                p = (base | k) << 1
+                rec(low[node], top + 1, p)
+                rec(high[node], top + 1, p | 1)
+                if len(out) >= limit:
+                    return
 
         rec(self.node, 0, 0)
         return out

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .engine import AnalysisResult, analyze
 from .netmodel import Network
 from .pktset import FieldValueSet, Formula
+from .render import formula_fields
 
 
 class PolicyError(ValueError):
@@ -65,8 +66,8 @@ def overlap_report(summary: PolicySummary) -> list[tuple[str, tuple[tuple[int, i
     list when the overlap is empty."""
     if summary.overlap.is_empty():
         return []
-    layout = summary.overlap.store.layout
-    return [(name, summary.overlap.field_ranges(name)) for name, _ in layout.fields]
+    sets, _ = formula_fields(summary.overlap, summary.overlap.store.layout)
+    return list(sets.items())
 
 
 def generate_test_packets(
@@ -97,12 +98,9 @@ def generate_test_packets(
         if z.name == origin:
             continue
         for p in result.facts[z.name].packets:
-            free = [
-                name for i, (name, _) in enumerate(layout.fields) if not (p.nated >> i) & 1
-            ]
             for o in p.orig.enumerate(per_pair):
                 compatible = p.curr
-                for name in free:
+                for name in layout.mask_names(~p.nated):
                     v = layout.extract_value(o, name)
                     compatible = compatible & store.atom(FieldValueSet(name, ((v, v),)))
                 arrivals = compatible.enumerate(1)

@@ -113,23 +113,28 @@ def render_value(value: AbstractValue, variant: str, net: Network) -> list[Rende
         orig_sets = orig_exact = None
         if orig is not None:
             orig_sets, orig_exact = formula_fields(orig, layout)
-        mask = lattice.nated_of(p)
-        nated = tuple(name for i, (name, _) in enumerate(layout.fields) if (mask >> i) & 1)
+        nated = layout.mask_names(lattice.nated_of(p))
         rendered.append(RenderedPacket(curr, curr_exact, orig_sets, orig_exact, nated))
     rendered.sort(key=lambda r: (str(r.orig), r.nated, str(r.curr)))
     return rendered
 
 
-def _bracket(sets: dict[str, Ranges], layout: HeaderLayout) -> str:
+def header_fields(header: int, layout: HeaderLayout) -> dict[str, Ranges]:
+    """Per-field view of one concrete header: a single value per field."""
+    return {name: ((layout.extract_value(header, name),) * 2,) for name in layout.names()}
+
+
+def bracket(sets: dict[str, Ranges], layout: HeaderLayout) -> str:
+    """Text form of per-field sets: ``[<set> : <set> : ...]``."""
     return "[" + " : ".join(
         format_field_display(sets[name], width) for name, width in layout.fields
     ) + "]"
 
 
 def packet_to_text(p: RenderedPacket, layout: HeaderLayout) -> str:
-    body = _bracket(p.curr, layout)
+    body = bracket(p.curr, layout)
     if p.orig is not None:
-        body += " " + _bracket(p.orig, layout)
+        body += " " + bracket(p.orig, layout)
     text = "<" + body + ">"
     approx = p.approx_fields()
     if approx:
@@ -144,8 +149,7 @@ def value_to_text(value: AbstractValue, variant: str, net: Network) -> str:
 
 
 def formula_to_text(formula: Formula, layout: HeaderLayout) -> str:
-    sets, _ = formula_fields(formula, layout)
-    return _bracket(sets, layout)
+    return bracket(formula_fields(formula, layout)[0], layout)
 
 
 def result_to_text(result: AnalysisResult, net: Network) -> str:
@@ -167,7 +171,8 @@ def result_to_text(result: AnalysisResult, net: Network) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _data_sets(sets: dict[str, Ranges], layout: HeaderLayout) -> dict[str, str]:
+def data_sets(sets: dict[str, Ranges], layout: HeaderLayout) -> dict[str, str]:
+    """Structured form of per-field sets, in the value-set grammar."""
     return {name: format_field_data(sets[name], width) for name, width in layout.fields}
 
 
@@ -177,9 +182,9 @@ def result_to_json(result: AnalysisResult, net: Network, network_name: str) -> d
     for node in net.node_names():
         packets = []
         for p in render_value(result.facts[node], result.variant, net):
-            entry = {"curr": _data_sets(p.curr, layout), "curr_exact": p.curr_exact}
+            entry = {"curr": data_sets(p.curr, layout), "curr_exact": p.curr_exact}
             if p.orig is not None:
-                entry["orig"] = _data_sets(p.orig, layout)
+                entry["orig"] = data_sets(p.orig, layout)
                 entry["orig_exact"] = p.orig_exact
                 entry["nated"] = list(p.nated)
             packets.append(entry)
@@ -188,15 +193,15 @@ def result_to_json(result: AnalysisResult, net: Network, network_name: str) -> d
     ledger_exact = {}
     for rid, formula in result.ledger.items():
         sets, exact = formula_fields(formula, layout)
-        ledger[str(rid)] = _data_sets(sets, layout)
+        ledger[str(rid)] = data_sets(sets, layout)
         ledger_exact[str(rid)] = exact
     diagnostics = {
         "misdelivered": {
-            z: _data_sets(formula_fields(f, layout)[0], layout)
+            z: data_sets(formula_fields(f, layout)[0], layout)
             for z, f in sorted(result.misdelivered.items())
         },
         "no_route": {
-            n: _data_sets(formula_fields(f, layout)[0], layout)
+            n: data_sets(formula_fields(f, layout)[0], layout)
             for n, f in sorted(result.no_route.items())
         },
     }

@@ -61,9 +61,8 @@ def update_original(p: AbstractPacket, rule: NatRule, layout) -> AbstractPacket:
     copying the field's value set from curr into orig.
     """
     proj = p.curr
-    for i, (name, _) in enumerate(layout.fields):
-        if (p.nated >> i) & 1:
-            proj = proj.exists_field(name)
+    for name in layout.mask_names(p.nated):
+        proj = proj.exists_field(name)
     return AbstractPacket(p.curr, p.orig & proj, p.nated)
 
 

@@ -201,6 +201,10 @@ def _prepend_filter_entry(cfg):
     cfg["firewalls"][0]["filter"].insert(0, "x")
 
 
+def _drop_zone_addr(cfg):
+    del cfg["zones"][0]["addr"]
+
+
 def _set_rule_id(value):
     # F2's first filter rule has the explicit id 1
     return lambda cfg: cfg["firewalls"][1]["filter"][0].update(id=value)
@@ -216,6 +220,7 @@ def _set_rule_id(value):
     pytest.param(_fig1_small_with(_set_widths(1000)), id="width-2x1000"),
     pytest.param(_fig1_small_with(_set_rule_id(True)), id="rule-id-bool"),
     pytest.param(_fig1_small_with(_set_rule_id(1.5)), id="rule-id-float"),
+    pytest.param(_fig1_small_with(_drop_zone_addr), id="zone-no-addr"),
     pytest.param(b'{"schema": 1, "layout": "addr2\xff"}', id="not-utf8"),
     pytest.param(b"[" * 100_000, id="deep-nesting"),
 ])
@@ -382,6 +387,14 @@ def test_check_width_guard(capsys):
 def test_check_trials(capsys):
     assert main(["check", "--trials", "5", "--seed", "1000", "--variant", "v2"]) == 0
     assert "5 trials (v2): all OK" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_check_trials_below_one_exits_2(trials, capsys):
+    assert main(["check", "--trials", trials, "--seed", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--trials must be at least 1" in captured.err
 
 
 def test_check_json(capsys):

@@ -433,3 +433,18 @@ def test_formula_fields_summary_matches_brute_force(start1, ops1, start2, ops2):
         first[0]["a"] = ()
         first[1]["a"] = not first[1]["a"]
         assert formula_fields(f, T3X3) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(value_sets3, chain_ops, st.integers(1, 520))
+def test_enumerate_is_the_ascending_prefix(start, ops, k):
+    store = FormulaStore(T3X3)
+    f, f_set = run_chain(store, start, ops)
+    assert f.enumerate(k) == sorted(f_set)[:k]
+
+
+def test_mask_names_decode_field_bits():
+    assert T3X3.mask_names(0) == ()
+    assert T3X3.mask_names(0b101) == ("a", "c")
+    assert T3X3.mask_names(~0b101) == ("b",)
+    assert T3X3.mask_names(~0) == ("a", "b", "c")
