@@ -11,6 +11,12 @@ Three variants share one propagation loop:
   correlation dropped, guard negation handled exactly only for single-field
   guards and approximated as true otherwise.
 
+``analyze_relations`` runs ``v2`` on the same loop with ``RelationalLattice``:
+one relation between current and original headers per NAT mask, in a
+private store.  It serves the set-level outputs (``policy.infer_policy``);
+``analyze`` keeps the packet lattice, whose per-packet splitting its text
+and ``testgen`` print.
+
 Propagation: the origin zone emits its departure value once; whenever a
 firewall's value grows it is re-queued.  Each expansion runs the firewall's
 DNAT, filter, and SNAT tables once and hands the survivors to the routing
@@ -30,12 +36,13 @@ the final value.
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 
 from .netmodel import Guard, Network, guard_to_formula, reduce_guard, zone_departure_formula
-from .pktset import Formula
+from .pktset import Formula, FormulaStore, HeaderLayout
 from .xfer import (
     AbstractPacket,
     DropLedger,
@@ -191,6 +198,94 @@ class V2Lattice(_Lattice):
         return AbstractValue(tuple(merged))
 
 
+class RelationalLattice(_Lattice):
+    """``v2`` as one relation per NAT mask, in a private store.
+
+    The store's layout puts a shadow field ``f~`` right after each field
+    ``f`` that some DNAT or SNAT rule rewrites.  A packet holds a relation
+    in ``curr`` and its NAT mask in ``nated``: a field outside the mask has
+    one value, both current and original, on its own variables; a field in
+    the mask has its current value on ``f`` and its original on ``f~``.
+    Shadows of fields outside the mask are unconstrained.
+
+    Guards conjoin on the current variables as they stand.  The first NAT
+    of ``f`` renames ``f`` onto ``f~`` (order-preserving, since ``f~``
+    follows ``f`` and is free) and conjoins the action; a later one
+    quantifies ``f`` and conjoins it.  A join ORs the relations of each
+    mask.  The original view quantifies the NATed current fields and maps
+    every ``f`` and ``f~`` onto ``f`` of the network's store.  This is the
+    relational product of Burch, Clarke, McMillan et al. (1990).
+    """
+
+    variant = "v2"
+
+    def __init__(self, net: Network):
+        super().__init__(net)
+        rewritten = {r.nat_field for fw in net.firewalls for r in (*fw.dnat, *fw.snat)}
+        names = set(self.layout.names())
+        fields, shadows = [], {}
+        for name, width in self.layout.fields:
+            fields.append((name, width))
+            if name in rewritten:
+                shadow = name + "~"
+                while shadow in names:
+                    shadow += "~"
+                shadows[name] = shadow
+                fields.append((shadow, width))
+        self.store = FormulaStore(HeaderLayout(tuple(fields)))
+        rel = self.store.layout
+        base = {name: name for name in names}
+        base.update((shadow, name) for name, shadow in shadows.items())
+        # a field and its shadow both land on the field of the network's store
+        self._to_net = tuple(self.layout.offset(base[name]) + i
+                             for name, width in rel.fields for i in range(width))
+        self._from_net = tuple(rel.offset(name) + i
+                               for name, width in self.layout.fields for i in range(width))
+        self._to_shadow = {}
+        for name in shadows:
+            off, width = rel.offset(name), rel.width(name)
+            self._to_shadow[name] = tuple(v + width if off <= v < off + width else v
+                                          for v in range(rel.total_bits))
+
+    def initial(self, zone_name: str) -> list[AbstractPacket]:
+        f = zone_departure_formula(self.net, zone_name).relabel(self._from_net, self.store)
+        return [AbstractPacket(f, None, 0)]
+
+    def refine_match(self, p: AbstractPacket, guard: Guard):
+        r = p.curr & guard_to_formula(guard, self.store)
+        return None if r.is_empty() else AbstractPacket(r, None, p.nated)
+
+    def refine_unmatch(self, p: AbstractPacket, guard: Guard):
+        r = p.curr & ~guard_to_formula(guard, self.store)
+        return [] if r.is_empty() else [AbstractPacket(r, None, p.nated)]
+
+    def apply_nat(self, p: AbstractPacket, rule) -> AbstractPacket:
+        name = rule.nat_field
+        bit = 1 << self.layout.index(name)
+        if p.nated & bit:
+            r = p.curr.overwrite_field(name, rule.action)
+        else:
+            r = p.curr.relabel(self._to_shadow[name]) & self.store.atom(rule.action)
+        return AbstractPacket(r, None, p.nated | bit)
+
+    def orig_of(self, p: AbstractPacket) -> Formula:
+        """The original headers of a relation, in the network's store."""
+        r = p.curr
+        for name in self.layout.mask_names(p.nated):
+            r = r.exists_field(name)
+        return r.relabel(self._to_net, self.net.store)
+
+    def ledger_form(self, p: AbstractPacket) -> Formula:
+        return self.orig_of(p)
+
+    def join(self, packets) -> AbstractValue:
+        groups: dict[int, Formula] = {}
+        for p in packets:
+            cur = groups.get(p.nated)
+            groups[p.nated] = p.curr if cur is None else cur | p.curr
+        return AbstractValue(tuple(AbstractPacket(groups[m], None, m) for m in sorted(groups)))
+
+
 class IALattice(_Lattice):
     """Per-field formula vector; sound over-approximation of v1."""
 
@@ -320,16 +415,59 @@ def analyze(
     lattice = get_lattice(variant, net)
     ceiling = max_iterations if max_iterations is not None else default_iteration_ceiling(net)
     started = time.perf_counter()
-
-    facts: dict[str, AbstractValue] = {n: BOTTOM for n in net.node_names()}
     ledger = DropLedger(net.store)
     stats = AnalysisStats()
-
+    arrivals: dict[str, Formula] = {z.name: net.store.false for z in net.zones}
     initial_packets = lattice.initial(origin) if _initial is None else list(_initial)
+    facts, survivors = _propagate(
+        net, lattice, origin, initial_packets, ledger, stats,
+        worklist=worklist, ceiling=ceiling, observer=observer, arrivals=arrivals,
+    )
+    stats.wall_time_s = time.perf_counter() - started
+    return AnalysisResult(
+        net, origin, lattice.variant, facts, ledger, stats,
+        misdelivered=_misdelivery(net, arrivals),
+        no_route=_no_route(net, lattice, survivors),
+    )
+
+
+def analyze_relations(net: Network, origin: str):
+    """Run ``v2`` from ``origin`` as one relation per NAT mask.
+
+    Returns ``(lattice, facts, ledger)``: the ``RelationalLattice`` whose
+    private store holds the relations, the per-node values, and the drop
+    ledger of original headers in ``net.store``.  ``lattice.orig_of`` copies
+    a relation's original view into ``net.store``.  No diagnostics are
+    computed.
+    """
+    if not net.is_zone(origin):
+        raise EngineError(f"origin {origin!r} is not a zone of the network")
+    lattice = RelationalLattice(net)
+    ledger = DropLedger(net.store)
+    # a relation over curr and shadow variables may test twice as many
+    # variables as the header has, and the kernel recurses once per variable
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, lattice.store.nbits + 1000))
+    try:
+        facts, _ = _propagate(
+            net, lattice, origin, lattice.initial(origin), ledger, AnalysisStats(),
+            worklist="fifo", ceiling=default_iteration_ceiling(net), observer=None,
+            arrivals=None,
+        )
+    finally:
+        sys.setrecursionlimit(limit)
+    return lattice, facts, ledger
+
+
+def _propagate(net, lattice, origin, initial_packets, ledger, stats, *,
+               worklist, ceiling, observer, arrivals):
+    """The worklist loop shared by every lattice; returns the per-node values
+    and each firewall's latest table survivors.  ``arrivals``, when given,
+    collects per zone the OR of the current forms that reach it."""
+    facts: dict[str, AbstractValue] = {n: BOTTOM for n in net.node_names()}
     facts[origin] = lattice.join(initial_packets)
     stats.joins += 1
 
-    arrivals: dict[str, Formula] = {z.name: net.store.false for z in net.zones}
     survivors: dict[str, list] = {}  # firewall -> table survivors, latest expansion
     queue: deque[str] = deque([origin])
     queued = {origin}
@@ -338,7 +476,7 @@ def analyze(
         if stats.iterations > ceiling:
             raise IterationCeilingExceeded(
                 f"no fixpoint within {ceiling} node expansions "
-                f"(origin {origin!r}, variant {variant!r})"
+                f"(origin {origin!r}, variant {lattice.variant!r})"
             )
         m = queue.popleft() if worklist == "fifo" else queue.pop()
         queued.discard(m)
@@ -349,7 +487,7 @@ def analyze(
             out = link_tf(net, m, own_iface, packets, lattice)
             if not out:
                 continue
-            if net.is_zone(peer):
+            if arrivals is not None and net.is_zone(peer):
                 for p in out:
                     arrivals[peer] = arrivals[peer] | lattice.curr_of(p)
             new_value = lattice.join([*facts[peer].packets, *out])
@@ -363,13 +501,7 @@ def analyze(
             if not net.is_zone(peer) and peer not in queued:
                 queue.append(peer)
                 queued.add(peer)
-
-    stats.wall_time_s = time.perf_counter() - started
-    return AnalysisResult(
-        net, origin, lattice.variant, facts, ledger, stats,
-        misdelivered=_misdelivery(net, arrivals),
-        no_route=_no_route(net, lattice, survivors),
-    )
+    return facts, survivors
 
 
 def _misdelivery(net: Network, arrivals: dict[str, Formula]) -> dict[str, Formula]:

@@ -34,13 +34,26 @@ Kernel invariants (``FormulaStore``):
   int (a node pair as ``small << 32 | large``), which assumes fewer than
   2**32 nodes per store.  Quantification caches are kept per variable set.
 * The summary caches (``projection_ranges`` results by (node, field), and
-  ``field_summaries``, which ``render.formula_fields`` fills by node) are
-  keyed by node id and never invalidated: they rely on nodes never being
-  freed or renumbered, so a future store reset must clear them too.
+  ``field_summaries``, which ``render.formula_fields`` fills by node) and
+  the ``relabel`` memos are keyed by node id and never invalidated: they
+  rely on nodes never being freed or renumbered, so a future store reset
+  must clear them too.
+
+Relabelling (``Formula.relabel``) is Bryant's order-preserving ``replace``:
+it rebuilds a formula with every variable v renamed to ``varmap[v]``, in the
+same store or into another one, in one memoized pass per (target, varmap).
+The source store keeps that memo, and holds the target only weakly.
+Its precondition is that ``varmap`` keeps the order of the variables the
+formula depends on (x < y implies varmap[x] < varmap[y]), so each rebuilt
+node still tests a smaller variable than its children; the map need not be
+injective elsewhere.  The relational ``v2`` engine uses it to move a field
+onto its shadow copy and to copy original-header views back into the
+network's store.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field as dc_field
 
 
@@ -339,6 +352,9 @@ class FormulaStore:
         self._projections: dict[tuple[int, str], tuple[tuple[int, int], ...]] = {}
         # node -> per-field (ranges, exact flags), filled by render.formula_fields
         self.field_summaries: dict[int, tuple[tuple, tuple]] = {}
+        # target store -> varmap -> node memo of Formula.relabel; weak, so
+        # that a copy into a short-lived store does not keep it alive
+        self._relabels: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self.false = Formula(self, 0)
         self.true = Formula(self, 1)
 
@@ -486,7 +502,60 @@ class Formula:
         self._peer(src)
         return self.exists_field(field) & src.extract_field(field)
 
+    def relabel(self, varmap: tuple[int, ...], target: FormulaStore | None = None) -> "Formula":
+        """The formula with each variable v renamed to ``varmap[v]``, built in
+        ``target`` (default: this store).  ``varmap`` must keep the order of
+        the variables the formula depends on; see the module docstring."""
+        src = self.store
+        target = src if target is None else target
+        memos = src._relabels.setdefault(target, {})
+        memo = memos.get(varmap)
+        if memo is None:
+            memo = memos[varmap] = {0: 0, 1: 1}
+        var, low, high, mk = src._var, src._lo, src._hi, target._mk
+
+        def rec(a: int) -> int:
+            r = memo.get(a)
+            if r is None:
+                r = memo[a] = mk(varmap[var[a]], rec(low[a]), rec(high[a]))
+            return r
+
+        return Formula(target, rec(self.node))
+
     # -- concretization -----------------------------------------------------
+
+    def smallest_agreeing(self, header: int, keep: int) -> int | None:
+        """The smallest header in the set that agrees with ``header`` on every
+        bit set in ``keep``, or None.  A cofactor walk: it creates no node."""
+        var, low, high = self.store._var, self.store._lo, self.store._hi
+        top = self.store.nbits - 1
+        sat: dict[int, bool] = {0: False, 1: True}
+
+        def feasible(node: int) -> bool:
+            r = sat.get(node)
+            if r is None:
+                shift = top - var[node]
+                if keep >> shift & 1:
+                    r = feasible(high[node] if header >> shift & 1 else low[node])
+                else:
+                    r = feasible(low[node]) or feasible(high[node])
+                sat[node] = r
+            return r
+
+        if not feasible(self.node):
+            return None
+        out = header & keep  # the free bits the walk never tests stay 0
+        node = self.node
+        while node > 1:
+            shift = top - var[node]
+            if keep >> shift & 1:
+                node = high[node] if header >> shift & 1 else low[node]
+            elif feasible(low[node]):
+                node = low[node]
+            else:
+                out |= 1 << shift
+                node = high[node]
+        return out
 
     def enumerate(self, limit: int) -> list[int]:
         """Up to ``limit`` satisfying headers, ascending."""

@@ -3,20 +3,24 @@
 A zone's high-level policy is the pair of formulas over original (pre-NAT)
 headers: ``accept`` — what leaves the zone and reaches some other zone, and
 ``reject`` — what leaves the zone and gets discarded by a DROP rule.  Both
-come straight out of a variant-2 run with the zone as origin: accept is the
-union of the orig components recorded at every other zone; reject is the
-union of the drop ledger.  A non-empty overlap means the fate of a packet
-depends on nondeterministic routing or NAT choices — worth an operator's
-attention.
+are sets, so ``infer_policy`` computes them with the relational ``v2``
+engine (``engine.analyze_relations``: one BDD per NAT mask, no packet
+splitting) with the zone as origin: accept is the union of the original
+views of the relations at every other zone; reject is the union of the drop
+ledger.  Given a packet ``v2`` result instead, it takes the same unions over
+the packets' orig components; both ways give the same formulas.  A
+non-empty overlap means the fate of a packet depends on nondeterministic
+routing or NAT choices — worth an operator's attention.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
+from operator import attrgetter
 
-from .engine import AnalysisResult, analyze
+from .engine import AnalysisResult, analyze, analyze_relations
 from .netmodel import Network
-from .pktset import FieldValueSet, Formula
+from .pktset import Formula
 from .render import formula_fields
 
 
@@ -30,7 +34,16 @@ class PolicySummary:
     accept: Formula  # over original-header space
     reject: Formula  # over original-header space
     overlap: Formula  # accept AND reject
-    result: AnalysisResult  # the variant-2 run the summary came from
+    net: Network = dc_field(repr=False, compare=False)
+    _result: AnalysisResult | None = dc_field(default=None, repr=False, compare=False)
+
+    @property
+    def result(self) -> AnalysisResult:
+        """The packet variant-2 run from the zone: the one the summary was
+        given, or else one run on first access."""
+        if self._result is None:
+            object.__setattr__(self, "_result", analyze(self.net, self.zone, "v2"))
+        return self._result
 
 
 @dataclass(frozen=True)
@@ -41,24 +54,29 @@ class TestPacket:
 
 
 def infer_policy(net: Network, zone: str, *, result: AnalysisResult | None = None) -> PolicySummary:
-    """Infer the accept/reject policy of ``zone`` (runs a variant-2 analysis
-    with ``zone`` as origin unless one is supplied)."""
+    """Infer the accept/reject policy of ``zone``: from the given variant-2
+    ``result``, or else from a relational variant-2 run with ``zone`` as
+    origin."""
     if result is None:
-        result = analyze(net, zone, "v2")
-    if result.variant != "v2":
-        raise PolicyError("policy inference needs a variant-2 analysis (orig tracking)")
-    if result.origin != zone:
-        raise PolicyError(f"analysis origin {result.origin!r} does not match zone {zone!r}")
+        lattice, facts, ledger = analyze_relations(net, zone)
+        orig_of = lattice.orig_of
+    else:
+        if result.variant != "v2":
+            raise PolicyError("policy inference needs a variant-2 analysis (orig tracking)")
+        if result.origin != zone:
+            raise PolicyError(f"analysis origin {result.origin!r} does not match zone {zone!r}")
+        facts, ledger = result.facts, result.ledger
+        orig_of = attrgetter("orig")
     accept = net.store.false
     for z in net.zones:
         if z.name == zone:
             continue
-        for p in result.facts[z.name].packets:
-            accept = accept | p.orig
+        for p in facts[z.name].packets:
+            accept = accept | orig_of(p)
     reject = net.store.false
-    for _, dropped in result.ledger.items():
+    for _, dropped in ledger.items():
         reject = reject | dropped
-    return PolicySummary(zone, accept, reject, accept & reject, result)
+    return PolicySummary(zone, accept, reject, accept & reject, net, result)
 
 
 def overlap_report(summary: PolicySummary) -> list[tuple[str, tuple[tuple[int, int], ...]]]:
@@ -92,18 +110,16 @@ def generate_test_packets(
     if result.variant != "v2":
         raise PolicyError("test-packet generation needs a variant-2 analysis")
     layout = net.layout
-    store = net.store
     out: list[TestPacket] = []
     for z in net.zones:
         if z.name == origin:
             continue
         for p in result.facts[z.name].packets:
+            keep = 0  # the header bits of the fields the packet has not NATed
+            for name in layout.mask_names(~p.nated):
+                keep = layout.with_value(keep, name, (1 << layout.width(name)) - 1)
             for o in p.orig.enumerate(per_pair):
-                compatible = p.curr
-                for name in layout.mask_names(~p.nated):
-                    v = layout.extract_value(o, name)
-                    compatible = compatible & store.atom(FieldValueSet(name, ((v, v),)))
-                arrivals = compatible.enumerate(1)
-                if arrivals:
-                    out.append(TestPacket(z.name, o, arrivals[0]))
+                arrival = p.curr.smallest_agreeing(o, keep)
+                if arrival is not None:
+                    out.append(TestPacket(z.name, o, arrival))
     return out

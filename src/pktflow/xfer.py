@@ -24,7 +24,8 @@ from .pktset import Formula, FormulaStore
 @dataclass(frozen=True)
 class AbstractPacket:
     """Symbolic packet summary: current header forms, and (variant 2 only)
-    the pre-NAT original forms plus the bitmask of fields rewritten so far."""
+    the pre-NAT original forms plus the bitmask of fields rewritten so far.
+    The relational lattice keeps its relation in ``curr`` and no ``orig``."""
 
     curr: Formula
     orig: Formula | None = None

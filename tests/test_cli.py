@@ -247,6 +247,21 @@ def test_layout_at_header_width_limit_runs(tmp_path, command):
     assert "Traceback" not in proc.stderr
 
 
+def _dnat_d(cfg):
+    cfg["firewalls"][0]["dnat"] = [{"guard": {"d": "3-4"}, "field": "d", "to": "2"}]
+
+
+def test_policy_at_header_width_limit_nats_both_fields(tmp_path):
+    # F1 DNATs d and F2 SNATs s, so the relational policy store gives both
+    # 256-bit fields a shadow: 1024 variables
+    net = tmp_path / "wide.json"
+    net.write_bytes(_fig1_small_with(lambda cfg: (_set_widths(256)(cfg), _dnat_d(cfg))))
+    proc = _run_cli("policy", "--zone", "Z1", "--network", str(net))
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.splitlines()[0] == "accept(Z1) = [1 : 2-4]"
+
+
 def test_analyze_text_matches_published_block(fig3, capsys):
     assert main(["analyze", "--network", FIG3, "--origin", "Z1", "--variant", "v2"]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -448,3 +451,63 @@ def test_mask_names_decode_field_bits():
     assert T3X3.mask_names(0b101) == ("a", "c")
     assert T3X3.mask_names(~0b101) == ("b",)
     assert T3X3.mask_names(~0) == ("a", "b", "c")
+
+
+# ---------------------------------------------------------------- relabel
+
+# T3X3 with a 3-bit field x between a and b: the target of a store copy
+T4X3 = HeaderLayout((("a", 3), ("x", 3), ("b", 3), ("c", 3)))
+A_ONTO_B = (3, 4, 5, 3, 4, 5, 6, 7, 8)  # a's variables onto b's; b is free
+INTO_T4X3 = (0, 1, 2, 6, 7, 8, 9, 10, 11)
+
+
+@settings(max_examples=80, deadline=None)
+@given(value_sets3, chain_ops)
+def test_relabel_in_store_matches_brute_force(start, ops):
+    store = FormulaStore(T3X3)
+    f, _ = run_chain(store, start, ops)
+    f = f.exists_field("b")  # the map keeps order only on a and c
+    f_set = formula_set(f)
+    moved = f.relabel(A_ONTO_B)
+    assert moved.store is store
+    assert formula_set(moved) == headers_where(
+        T3X3, lambda h: T3X3.with_value(h, "a", T3X3.extract_value(h, "b")) in f_set)
+    assert moved.relabel(A_ONTO_B) == moved  # the same memo, nothing to move
+
+
+@settings(max_examples=40, deadline=None)
+@given(value_sets3, chain_ops)
+def test_relabel_into_another_store_round_trips(start, ops):
+    store, wide = FormulaStore(T3X3), FormulaStore(T4X3)
+    f, f_set = run_chain(store, start, ops)
+    copy = f.relabel(INTO_T4X3, wide)
+    assert copy.store is wide
+
+    def narrow(h):  # drop x
+        return sum(T4X3.extract_value(h, n) << 3 * (2 - i) for i, n in enumerate(T3X3_FIELDS))
+
+    assert formula_set(copy) == {h for h in all_headers(T4X3) if narrow(h) in f_set}
+    back = tuple(INTO_T4X3.index(v) if v in INTO_T4X3 else 0 for v in range(12))
+    assert copy.relabel(back, store) == f
+
+
+@settings(max_examples=80, deadline=None)
+@given(value_sets3, chain_ops, st.integers(0, 511), st.integers(0, 511))
+def test_smallest_agreeing_matches_brute_force_and_adds_no_node(start, ops, header, keep):
+    store = FormulaStore(T3X3)
+    f, f_set = run_chain(store, start, ops)
+    nodes = store.node_count()
+    agreeing = [h for h in sorted(f_set) if h & keep == header & keep]
+    assert f.smallest_agreeing(header, keep) == (agreeing[0] if agreeing else None)
+    assert store.node_count() == nodes
+
+
+def test_relabel_memo_does_not_keep_its_target_alive():
+    store = FormulaStore(T3X3)
+    target = FormulaStore(T4X3)
+    copy = store.atom(fvs("a", (1, 2))).relabel(INTO_T4X3, target)
+    assert copy.count() == 2 * 2**9
+    ref = weakref.ref(target)
+    del target, copy
+    gc.collect()
+    assert ref() is None

@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from pktflow.engine import analyze
-from pktflow.gen import fixture_text, random_network
+from pktflow.engine import RelationalLattice, analyze
+from pktflow.gen import FIXTURES, fixture_text, random_network
 from pktflow.netmodel import load_network, network_from_config, parse_value_set
 from pktflow.oracle import simulate
 from pktflow.policy import (
@@ -221,3 +221,53 @@ def test_witnesses_realizable_on_random_nets(seed):
     sim = simulate(net, origin)
     for w in generate_test_packets(net, origin, 3):
         assert (w.curr, w.orig) in sim.pairs(w.zone), (seed, w)
+
+
+# ------------------------------------------------------ relational engine
+
+def test_summary_result_runs_packet_analysis_on_first_access(small3):
+    summary = infer_policy(small3, "Z1")
+    assert summary._result is None
+    res = summary.result
+    assert res.variant == "v2" and res.origin == "Z1"
+    assert summary.result is res
+    expected = analyze(small3, "Z1", "v2")
+    assert {n: v.packets for n, v in res.facts.items()} == {
+        n: v.packets for n, v in expected.facts.items()}
+    given = infer_policy(small3, "Z1", result=expected)
+    assert given.result is expected
+
+
+def agreement_cases():
+    for name in FIXTURES:
+        yield name, load_network(fixture_text(name))
+    for seed in range(300):
+        yield f"random-{seed}", network_from_config(random_network(seed)[0])
+
+
+def test_relational_policy_equals_packet_policy():
+    # the relational engine against the packet engine, as formulas, on every
+    # zone; this also covers v2 at widths the oracle cannot run
+    cases = 0
+    for name, net in agreement_cases():
+        for zone in net.zones:
+            relational = infer_policy(net, zone.name)
+            packets = infer_policy(net, zone.name, result=analyze(net, zone.name, "v2"))
+            assert relational.accept == packets.accept, (name, zone.name)
+            assert relational.reject == packets.reject, (name, zone.name)
+            cases += 1
+    assert cases == 773
+
+
+def test_relational_store_shadows_only_rewritten_fields(fig3):
+    lattice = RelationalLattice(fig3)
+    assert fig3.layout.names() == ("s", "d")  # fig3 rewrites only s
+    assert lattice.store.layout.fields == (("s", 32), ("s~", 32), ("d", 32))
+
+
+def test_testgen_adds_no_store_node(fig3):
+    res = analyze(fig3, "Z1", "v2")
+    nodes = fig3.store.node_count()
+    witnesses = generate_test_packets(fig3, "Z1", 3, result=res)
+    assert len(witnesses) == 6
+    assert fig3.store.node_count() == nodes
