@@ -32,6 +32,15 @@ The survivors of each firewall's latest expansion feed the no-route
 diagnostic: every accepted update re-queues the firewall and an expansion
 never changes the expanding node's own value, so the latest expansion saw
 the final value.
+
+``v1`` and the relational lattice filter with each table's compiled accept
+region (``xfer.accept_region``) and record no ledger while propagating.
+When the worklist is empty, each expanded firewall runs its DNAT once on
+its final value and ``xfer.filter_table_drops`` records what each DROP rule
+discards from it, inside ``stats.wall_time_s``.  That equals the union over
+all expansions: each expansion's value is contained in the final one, which
+the latest expansion saw, and DNAT and the drop sets distribute over union.
+``v2`` packets and ``ia`` record the ledger rule by rule as they propagate.
 """
 
 from __future__ import annotations
@@ -47,9 +56,11 @@ from .xfer import (
     AbstractPacket,
     DropLedger,
     VectorPacket,
+    filter_table_drops,
     firewall_tf,
     link_tf,
     nat_packet,
+    nat_table_tf,
     update_original,
 )
 
@@ -79,6 +90,9 @@ BOTTOM = AbstractValue()
 
 class _Lattice:
     variant = "?"
+    # True when a guard refines a packet by plain conjunction on ``curr``,
+    # so a filter table is one fixed header set (``xfer.accept_region``)
+    compiles_filters = False
 
     def __init__(self, net: Network):
         self.net = net
@@ -99,6 +113,7 @@ class V1Lattice(_Lattice):
     """Single relational formula over the whole header."""
 
     variant = "v1"
+    compiles_filters = True
 
     def initial(self, zone_name: str) -> list[AbstractPacket]:
         return [AbstractPacket(zone_departure_formula(self.net, zone_name))]
@@ -218,6 +233,7 @@ class RelationalLattice(_Lattice):
     """
 
     variant = "v2"
+    compiles_filters = True
 
     def __init__(self, net: Network):
         super().__init__(net)
@@ -462,13 +478,16 @@ def analyze_relations(net: Network, origin: str):
 def _propagate(net, lattice, origin, initial_packets, ledger, stats, *,
                worklist, ceiling, observer, arrivals):
     """The worklist loop shared by every lattice; returns the per-node values
-    and each firewall's latest table survivors.  ``arrivals``, when given,
-    collects per zone the OR of the current forms that reach it."""
+    and each firewall's latest table survivors, and fills ``ledger``.
+    ``arrivals``, when given, collects per zone the OR of the current forms
+    that reach it."""
     facts: dict[str, AbstractValue] = {n: BOTTOM for n in net.node_names()}
     facts[origin] = lattice.join(initial_packets)
     stats.joins += 1
 
     survivors: dict[str, list] = {}  # firewall -> table survivors, latest expansion
+    # a compiling lattice records its ledger once, at the fixpoint
+    live_ledger = None if lattice.compiles_filters else ledger
     queue: deque[str] = deque([origin])
     queued = {origin}
     while queue:
@@ -482,7 +501,7 @@ def _propagate(net, lattice, origin, initial_packets, ledger, stats, *,
         queued.discard(m)
         packets = facts[m].packets
         if not net.is_zone(m):
-            packets = survivors[m] = firewall_tf(net.firewall(m), packets, ledger, lattice)
+            packets = survivors[m] = firewall_tf(net.firewall(m), packets, live_ledger, lattice)
         for own_iface, _, peer in net.out_links(m):
             out = link_tf(net, m, own_iface, packets, lattice)
             if not out:
@@ -501,6 +520,11 @@ def _propagate(net, lattice, origin, initial_packets, ledger, stats, *,
             if not net.is_zone(peer) and peer not in queued:
                 queue.append(peer)
                 queued.add(peer)
+    if lattice.compiles_filters:
+        for name in survivors:
+            fw = net.firewall(name)
+            dnat = nat_table_tf(fw.dnat, facts[name].packets, lattice)
+            filter_table_drops(fw.filter, lattice.join(dnat).packets, ledger, lattice)
     return facts, survivors
 
 

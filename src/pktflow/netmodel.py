@@ -181,13 +181,13 @@ class Guard:
 def guard_to_formula(guard: Guard, store: FormulaStore) -> Formula:
     """The conjunction of the guard's atoms, built once per store and guard
     value."""
-    f = store.guard_formulas.get(guard)
-    if f is None:
+    node = store.guard_formulas.get(guard)
+    if node is None:
         f = store.true
         for _, fvs in guard.atoms:
             f = f & store.atom(fvs)
-        store.guard_formulas[guard] = f
-    return f
+        node = store.guard_formulas[guard] = f.node
+    return Formula(store, node)
 
 
 def reduce_guard(guard: Guard, nated_mask: int, layout: HeaderLayout) -> Guard:

@@ -48,6 +48,8 @@ class ExactResult:
     no_route: set[tuple[str, int, int]]  # (node, curr, orig)
     initial: set[int]
     states_explored: int = 0
+    # rule id -> current headers, as the rule saw them
+    per_rule_dropped_curr: dict[int, set[int]] = dc_field(default_factory=dict)
 
     def states(self, node: str) -> set[tuple[int, int, int]]:
         return self.per_node.get(node, set())
@@ -126,6 +128,7 @@ def simulate(
             if r.guard.matches(layout, c):
                 if r.action == DROP:
                     result.per_rule_dropped.setdefault(r.rule_id, set()).add(o)
+                    result.per_rule_dropped_curr.setdefault(r.rule_id, set()).add(c)
                     return False
                 return True
         return True  # unreachable: tables end with a default rule

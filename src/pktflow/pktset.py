@@ -34,10 +34,15 @@ Kernel invariants (``FormulaStore``):
   int (a node pair as ``small << 32 | large``), which assumes fewer than
   2**32 nodes per store.  Quantification caches are kept per variable set.
 * The summary caches (``projection_ranges`` results by (node, field), and
-  ``field_summaries``, which ``render.formula_fields`` fills by node) and
-  the ``relabel`` memos are keyed by node id and never invalidated: they
-  rely on nodes never being freed or renumbered, so a future store reset
-  must clear them too.
+  ``field_summaries``, which ``render.formula_fields`` fills by node), the
+  ``relabel`` memos, and the guard and accept-region memos
+  (``guard_formulas``, filled by ``netmodel.guard_to_formula``, and
+  ``accept_regions``, filled by ``xfer.accept_region``, which hold node
+  ids) are never invalidated: they rely on nodes never being freed or
+  renumbered, so a future store reset must clear them too.
+* A store holds no ``Formula``: ``store.false`` and ``store.true`` build
+  their handles on demand and the memos hold node ids, so a store is in no
+  reference cycle and reference counting frees it.
 
 Relabelling (``Formula.relabel``) is Bryant's order-preserving ``replace``:
 it rebuilds a formula with every variable v renamed to ``varmap[v]``, in the
@@ -346,8 +351,11 @@ class FormulaStore:
         self._quants: dict[tuple[str, bool], tuple[frozenset[int], int, dict[int, int]]] = {}
         self._quant_caches: dict[frozenset[int], dict[int, int]] = {}
         self._atom_cache: dict[tuple, int] = {}
-        # Guard -> Formula, filled by netmodel.guard_to_formula
+        # Guard -> node, filled by netmodel.guard_to_formula
         self.guard_formulas: dict = {}
+        # filter table -> node of the headers it accepts, filled by
+        # xfer.accept_region
+        self.accept_regions: dict = {}
         # (node, field) -> Formula.projection_ranges result
         self._projections: dict[tuple[int, str], tuple[tuple[int, int], ...]] = {}
         # node -> per-field (ranges, exact flags), filled by render.formula_fields
@@ -355,8 +363,16 @@ class FormulaStore:
         # target store -> varmap -> node memo of Formula.relabel; weak, so
         # that a copy into a short-lived store does not keep it alive
         self._relabels: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-        self.false = Formula(self, 0)
-        self.true = Formula(self, 1)
+
+    # handles are built on demand: a store that held a Formula would be in a
+    # reference cycle with it, and only the cyclic collector could free it
+    @property
+    def false(self) -> "Formula":
+        return Formula(self, 0)
+
+    @property
+    def true(self) -> "Formula":
+        return Formula(self, 1)
 
     def _quantify(self, a: int, field: str, keep: bool) -> int:
         """Existentially quantify the field's variables, or, when ``keep``,

@@ -11,13 +11,23 @@ matched branch's target field.  A firewall transfer pushes a value through
 the firewall's DNAT, filter, and SNAT tables in that order, once per
 expansion; a link transfer then keeps what the emitting interface's routing
 guard admits.  Routing misses are not rule drops and never reach the ledger.
+
+A lattice that refines by plain conjunction on ``curr`` (``v1``, and the
+relational ``v2`` in its own store; ``lat.compiles_filters``) sees a filter
+table as a fixed header set.  ``accept_region`` compiles it once per store,
+folding the rules backwards, and ``filter_region_tf`` filters each packet
+with one ``&``.  Such a run records no ledger while it propagates:
+``filter_table_drops`` gives the same entries from the final values, and
+the engine calls it once at the fixpoint.  ``v2`` packets and ``ia`` keep
+the rule-by-rule ``filter_table_tf`` (the ``v2`` goldens pin its order of
+operations, and ``ia``'s negation is approximate).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .netmodel import DROP, Firewall, FilterRule, NatRule, Network
+from .netmodel import DROP, Firewall, FilterRule, NatRule, Network, guard_to_formula
 from .pktset import Formula, FormulaStore
 
 
@@ -124,6 +134,57 @@ def filter_table_tf(table, pset, ledger: DropLedger | None, lat):
     return accepted
 
 
+def accept_region(table, store: FormulaStore) -> Formula:
+    """The headers a filter table accepts, compiled once per store and table.
+
+    The rules fold backwards from false: an ACCEPT rule gives ``g | R`` and
+    a DROP rule ``~g & R``, so ``R`` holds what first-match semantics accepts
+    from that rule on.  The memo holds the node id, not a handle, so the
+    store holds no reference to itself.
+    """
+    node = store.accept_regions.get(table)
+    if node is None:
+        region = store.false
+        for rule in reversed(table):
+            g = guard_to_formula(rule.guard, store)
+            region = ~g & region if rule.action == DROP else g | region
+        node = store.accept_regions[table] = region.node
+    return Formula(store, node)
+
+
+def filter_region_tf(table, pset, lat):
+    """Filter packets of a lattice that refines by conjunction on ``curr``:
+    one ``&`` with the table's accept region per packet.  Equal to the
+    union of ``filter_table_tf``'s pieces; records no ledger."""
+    region = accept_region(table, lat.store)
+    out = []
+    for p in pset:
+        c = p.curr & region
+        if not c.is_empty():
+            out.append(AbstractPacket(c, None, p.nated))
+    return out
+
+
+def filter_table_drops(table, pset, ledger: DropLedger, lat) -> None:
+    """Record in ``ledger`` what each DROP rule of a filter table discards
+    from ``pset``, for a lattice that refines by conjunction on ``curr``:
+    rule i drops ``p & g_i & ~g_j`` for every earlier rule j.  Equal to the
+    ledger ``filter_table_tf`` records for the same packets."""
+    store = lat.store
+    for i, rule in enumerate(table):
+        if rule.action != DROP:
+            continue
+        g = guard_to_formula(rule.guard, store)
+        for p in pset:
+            c = p.curr & g
+            for earlier in table[:i]:
+                if c.is_empty():
+                    break
+                c = c & ~guard_to_formula(earlier.guard, store)
+            if not c.is_empty():
+                ledger.record(rule.rule_id, lat.ledger_form(AbstractPacket(c, None, p.nated)))
+
+
 def nat_rule_tf(rule: NatRule, p, lat):
     """Split ``p`` on a NAT rule; the matched branch is rewritten and leaves
     the table, the unmatched branches continue to later rules."""
@@ -148,9 +209,14 @@ def nat_table_tf(table, pset, lat):
 
 def firewall_tf(fw: Firewall, pset, ledger: DropLedger | None, lat):
     """Run a packet set through the firewall's DNAT, filter, and SNAT tables;
-    returns the survivors, before routing."""
+    returns the survivors, before routing.  With no ledger to record, a
+    lattice that refines by conjunction (``lat.compiles_filters``) filters
+    with the table's accept region instead of rule by rule."""
     s = nat_table_tf(fw.dnat, pset, lat)
-    s = filter_table_tf(fw.filter, s, ledger, lat)
+    if ledger is None and lat.compiles_filters:
+        s = filter_region_tf(fw.filter, s, lat)
+    else:
+        s = filter_table_tf(fw.filter, s, ledger, lat)
     return nat_table_tf(fw.snat, s, lat)
 
 

@@ -233,8 +233,9 @@ def test_random_trials_all_variants(seed):
 
 @pytest.mark.parametrize("seed", range(100))
 def test_random_diagnostics_match_oracle(seed):
-    """No-route leftovers (v1, v2) and v2 ledger entries enumerate to exactly
-    what the exhaustive simulation observed."""
+    """No-route leftovers (v1, v2) and ledger entries (v2 original headers,
+    v1 current headers) enumerate to exactly what the exhaustive simulation
+    observed."""
     cfg, origin = random_network(seed)
     net = network_from_config(cfg)
     sim = simulate(net, origin)
@@ -248,6 +249,8 @@ def test_random_diagnostics_match_oracle(seed):
         assert got == no_route, f"{variant} no-route differs on seed {seed}"
     dropped = {rid: set(f.enumerate(cap)) for rid, f in results["v2"].ledger.items()}
     assert dropped == sim.per_rule_dropped, f"v2 ledger differs on seed {seed}"
+    dropped = {rid: set(f.enumerate(cap)) for rid, f in results["v1"].ledger.items()}
+    assert dropped == sim.per_rule_dropped_curr, f"v1 ledger differs on seed {seed}"
 
 
 # ------------------------------------------------------------- other origins

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from pktflow.engine import RelationalLattice, analyze
@@ -263,6 +266,32 @@ def test_relational_store_shadows_only_rewritten_fields(fig3):
     lattice = RelationalLattice(fig3)
     assert fig3.layout.names() == ("s", "d")  # fig3 rewrites only s
     assert lattice.store.layout.fields == (("s", 32), ("s~", 32), ("d", 32))
+
+
+def test_stores_are_freed_by_reference_counting(monkeypatch):
+    # no store is in a reference cycle with its own handles or memos, so
+    # both die as soon as the last outside reference goes, with no collector
+    stores = []
+    init = RelationalLattice.__init__
+
+    def recording_init(self, net):
+        init(self, net)
+        stores.append(weakref.ref(self.store))
+
+    monkeypatch.setattr(RelationalLattice, "__init__", recording_init)
+    net = load_network(fixture_text("fig3.json"))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        summary = infer_policy(net, "Z1")
+        assert not summary.reject.is_empty()
+        assert len(stores) == 1 and stores[0]() is None
+        net_store = weakref.ref(net.store)
+        del net, summary
+        assert net_store() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_testgen_adds_no_store_node(fig3):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from helpers import concrete_filter, concrete_nat, guard_of
-from pktflow.engine import get_lattice
+from pktflow.engine import RelationalLattice, get_lattice
 from pktflow.gen import fixture_text
 from pktflow.netmodel import (
     ACCEPT,
@@ -20,7 +20,10 @@ from pktflow.netmodel import (
 from pktflow.pktset import FieldValueSet
 from pktflow.xfer import (
     DropLedger,
+    accept_region,
+    filter_region_tf,
     filter_rule_tf,
+    filter_table_drops,
     filter_table_tf,
     firewall_tf,
     link_tf,
@@ -432,3 +435,71 @@ def test_v2_tables_concretely_exact_on_pairs(seed):
             for c2 in concrete_nat(snat, layout, c1):
                 want.add((c2, o))
     assert got == want
+
+
+# ------------------------------------------------- compiled accept regions
+
+def random_table(rng, layout):
+    rules = [
+        FilterRule(random_guard(rng, layout), rng.choice([DROP, ACCEPT]), i)
+        for i in range(rng.randint(0, 5))
+    ]
+    rules.append(FilterRule(Guard(), rng.choice([DROP, ACCEPT]), 99))
+    return tuple(rules)
+
+
+def compiled_equals_fold(table, pset, lat, ledger_store):
+    """The region filter and the deferred drops against ``filter_table_tf``:
+    the same accepted headers per NAT mask, the same ledger.  Returns the
+    deferred ledger."""
+    folded = DropLedger(ledger_store)
+    pieces = filter_table_tf(table, pset, folded, lat)
+    compiled = filter_region_tf(table, pset, lat)
+    assert lat.join(compiled) == lat.join(pieces)
+    region = accept_region(table, lat.store)
+    assert [q.curr for q in compiled] == [
+        p.curr & region for p in pset if not (p.curr & region).is_empty()]
+    deferred = DropLedger(ledger_store)
+    filter_table_drops(table, pset, deferred, lat)
+    assert deferred.items() == folded.items()
+    return deferred
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_accept_region_equals_rule_fold_v1(seed):
+    rng = random.Random(500 + seed)
+    net = small_net()
+    lat = get_lattice("v1", net)
+    table = random_table(rng, net.layout)
+    p = random_packet(rng, net, lat)
+    deferred = compiled_equals_fold(table, [p], lat, net.store)
+    for rule in table:  # each drop entry by brute force: first match is the rule
+        want = {h for h in _headers(p.curr, net)
+                if next(r for r in table if r.guard.matches(net.layout, h)) is rule
+                and rule.action == DROP}
+        assert _headers(deferred.dropped(rule.rule_id), net) == want
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_accept_region_equals_rule_fold_relational(seed):
+    rng = random.Random(600 + seed)
+    net = load_network(fixture_text("fig3-small.json"))
+    lat = RelationalLattice(net)
+    p = lat.initial("Z1")[0]
+    p = lat.refine_match(p, random_guard(rng, net.layout)) or p
+    # relations without and with s in the NAT mask (F1's SNAT rewrites s)
+    pset = lat.join([p, *nat_table_tf(net.firewall("F1").snat, [p], lat)]).packets
+    assert [q.nated for q in pset] == [0, 1]
+    compiled_equals_fold(random_table(rng, net.layout), pset, lat, net.store)
+
+
+def test_firewall_tf_compiles_only_without_a_ledger(fig3):
+    v1 = get_lattice("v1", fig3)
+    fw = fig3.firewall("F1")
+    p = v1.initial("Z1")[0]
+    ledger = DropLedger(fig3.store)
+    rule_by_rule = firewall_tf(fw, [p], ledger, v1)
+    assert ledger.rule_ids() == [1]
+    compiled = firewall_tf(fw, [p], None, v1)
+    assert v1.join(compiled) == v1.join(rule_by_rule)
+    assert fw.filter in fig3.store.accept_regions
