@@ -91,8 +91,8 @@ class DropLedger:
     def record(self, rule_id: int, form: Formula) -> None:
         if form.is_empty():
             return
-        prev = self._dropped.get(rule_id, self.store.false)
-        self._dropped[rule_id] = prev | form
+        prev = self._dropped.get(rule_id)
+        self._dropped[rule_id] = form if prev is None else prev | form
 
     def dropped(self, rule_id: int) -> Formula:
         return self._dropped.get(rule_id, self.store.false)
@@ -169,7 +169,10 @@ def filter_table_drops(table, pset, ledger: DropLedger, lat) -> None:
     """Record in ``ledger`` what each DROP rule of a filter table discards
     from ``pset``, for a lattice that refines by conjunction on ``curr``:
     rule i drops ``p & g_i & ~g_j`` for every earlier rule j.  Equal to the
-    ledger ``filter_table_tf`` records for the same packets."""
+    ledger ``filter_table_tf`` records for the same packets, at about half
+    its cost on a final value: the fold takes two ``&`` of the whole packet
+    per rule, while this form starts from the DROP rule's small ``p & g_i``
+    and touches no ACCEPT rule's match."""
     store = lat.store
     for i, rule in enumerate(table):
         if rule.action != DROP:
@@ -209,11 +212,12 @@ def nat_table_tf(table, pset, lat):
 
 def firewall_tf(fw: Firewall, pset, ledger: DropLedger | None, lat):
     """Run a packet set through the firewall's DNAT, filter, and SNAT tables;
-    returns the survivors, before routing.  With no ledger to record, a
-    lattice that refines by conjunction (``lat.compiles_filters``) filters
-    with the table's accept region instead of rule by rule."""
+    returns the survivors, before routing.  A lattice that refines by
+    conjunction (``lat.compiles_filters``) filters with the table's accept
+    region instead of rule by rule and takes no ledger: the engine records
+    its drops once, at the fixpoint (``filter_table_drops``)."""
     s = nat_table_tf(fw.dnat, pset, lat)
-    if ledger is None and lat.compiles_filters:
+    if lat.compiles_filters:
         s = filter_region_tf(fw.filter, s, lat)
     else:
         s = filter_table_tf(fw.filter, s, ledger, lat)

@@ -491,15 +491,3 @@ def test_accept_region_equals_rule_fold_relational(seed):
     pset = lat.join([p, *nat_table_tf(net.firewall("F1").snat, [p], lat)]).packets
     assert [q.nated for q in pset] == [0, 1]
     compiled_equals_fold(random_table(rng, net.layout), pset, lat, net.store)
-
-
-def test_firewall_tf_compiles_only_without_a_ledger(fig3):
-    v1 = get_lattice("v1", fig3)
-    fw = fig3.firewall("F1")
-    p = v1.initial("Z1")[0]
-    ledger = DropLedger(fig3.store)
-    rule_by_rule = firewall_tf(fw, [p], ledger, v1)
-    assert ledger.rule_ids() == [1]
-    compiled = firewall_tf(fw, [p], None, v1)
-    assert v1.join(compiled) == v1.join(rule_by_rule)
-    assert fw.filter in fig3.store.accept_regions
