@@ -19,13 +19,13 @@ import sys
 from .engine import EngineError, analyze
 from .gen import random_network
 from .netmodel import ConfigError, Network, load_network_file, network_from_config
-from .oracle import WidthGuardExceeded, compare
+from .oracle import DEFAULT_WIDTH_GUARD, MAX_WIDTH_GUARD, WidthGuardExceeded, compare
 from .policy import PolicyError, generate_test_packets, infer_policy, overlap_report
 from .render import (
     bracket,
     data_sets,
     format_field_display,
-    formula_fields,
+    field_sets,
     formula_to_text,
     header_fields,
     result_to_json,
@@ -74,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("v1", "v2", "ia"), default="v2")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out")
-    p.add_argument("--max-width", type=int, default=12, help="oracle width guard in bits")
+    p.add_argument("--max-width", type=int, default=DEFAULT_WIDTH_GUARD,
+                   help=f"oracle width guard in bits, at most {MAX_WIDTH_GUARD}")
     p.add_argument("--trials", type=int, help="number of generated trial networks")
     p.add_argument("--seed", type=int, default=0, help="first trial seed")
 
@@ -119,7 +120,7 @@ def _cmd_policy(args) -> int:
     layout = net.layout
     if args.format == "json":
         def sets(formula):
-            return data_sets(formula_fields(formula, layout)[0], layout)
+            return data_sets(field_sets(formula, layout), layout)
 
         doc = {
             "schema": "pktflow-policy-1",

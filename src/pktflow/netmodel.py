@@ -117,7 +117,10 @@ def _parse_item(item: str, width: int, ctx: str) -> tuple[int, int]:
 
 def parse_value_set(text: str, field: str, width: int, ctx: str = "value set") -> FieldValueSet:
     """Parse 'a.b.c.d', 'a.b.c.d-e', dotted ranges, CIDR, ints, comma unions,
-    '*' and a leading '!' for complement into a FieldValueSet."""
+    '*' and a leading '!' for complement into a FieldValueSet.
+
+    ``width`` is the field's width: an integer past it is rejected, and
+    dotted literals are accepted on 32-bit fields only."""
     if not isinstance(text, str) or not text.strip():
         raise ConfigError(f"{ctx}: empty value set")
     text = text.strip()
@@ -573,17 +576,10 @@ def network_from_config(cfg: dict) -> Network:
             f"zone {z.name!r} must appear in exactly one link",
         )
 
-    net = Network(layout, tuple(zones), firewalls, tuple(links), FormulaStore(layout))
-
-    # late width validation of every parsed value set against the store
-    for fw in firewalls:
-        for rule in (*fw.dnat, *fw.snat):
-            net.store.atom(rule.action)
-        for iface, guard in fw.routing:
-            guard_to_formula(guard, net.store)
-        for rule in fw.filter:
-            guard_to_formula(rule.guard, net.store)
-    return net
+    # Every value set was checked against its own field's width when
+    # parse_value_set read it, so loading builds no formula: the store stays
+    # empty until an analysis asks for a guard or an atom.
+    return Network(layout, tuple(zones), firewalls, tuple(links), FormulaStore(layout))
 
 
 def load_network(text: str) -> Network:

@@ -5,7 +5,9 @@ pushes each one breadth-first through the network, branching over every NAT
 rewrite value and every matching routing interface; a visited-state set makes
 it terminate through cycles.  It works purely on concrete headers and rule
 range checks — none of the symbolic formula machinery is involved — so it can
-independently certify the abstract engine at small header widths.
+independently certify the abstract engine at small header widths.  Every
+entry point takes a width guard (``max_width``, default 12 bits) and refuses
+a wider layout; a guard above ``MAX_WIDTH_GUARD`` (16 bits) is refused too.
 
 Concretization maps abstract values back to concrete header sets.  Variant-2
 packets concretize to (curr, orig) pairs that agree on every field not yet
@@ -24,6 +26,10 @@ from .engine import AbstractValue, AnalysisResult, analyze, get_lattice
 from .netmodel import DROP, Network
 
 DEFAULT_WIDTH_GUARD = 12
+# The largest guard any caller may ask for.  The oracle visits all 2**width
+# headers of the layout and keeps every reachable state, so a much wider
+# layout would run for hours or exhaust memory; it is refused instead.
+MAX_WIDTH_GUARD = 16
 
 
 class WidthGuardExceeded(ValueError):
@@ -182,6 +188,10 @@ def simulate(
 # ------------------------------------------------------------ concretization
 
 def _enumeration_cap(net: Network, max_width: int) -> int:
+    if max_width > MAX_WIDTH_GUARD:
+        raise WidthGuardExceeded(
+            f"width guard {max_width} exceeds the oracle's ceiling of {MAX_WIDTH_GUARD} bits"
+        )
     if net.layout.total_bits > max_width:
         raise WidthGuardExceeded(
             f"layout has {net.layout.total_bits} header bits, guard allows {max_width}"
@@ -279,6 +289,7 @@ def compare(
     ia: the abstract set must cover the oracle; a strict superset is reported
     but allowed.
     """
+    _enumeration_cap(net, max_width)  # before the analysis, which may be long
     if result is None:
         result = analyze(net, origin, variant)
     exact = simulate(net, origin, max_width=max_width)

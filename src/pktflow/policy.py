@@ -21,7 +21,7 @@ from operator import attrgetter
 from .engine import AnalysisResult, analyze, analyze_relations
 from .netmodel import Network
 from .pktset import Formula
-from .render import formula_fields
+from .render import field_sets
 
 
 class PolicyError(ValueError):
@@ -84,8 +84,7 @@ def overlap_report(summary: PolicySummary) -> list[tuple[str, tuple[tuple[int, i
     list when the overlap is empty."""
     if summary.overlap.is_empty():
         return []
-    sets, _ = formula_fields(summary.overlap, summary.overlap.store.layout)
-    return list(sets.items())
+    return list(field_sets(summary.overlap, summary.overlap.store.layout).items())
 
 
 def generate_test_packets(

@@ -77,8 +77,15 @@ class RenderedPacket:
         return tuple(bad)
 
 
+def field_sets(formula: Formula, layout: HeaderLayout) -> dict[str, Ranges]:
+    """Per-field range projections alone, for output that prints no
+    exactness flags: ledger lines, diagnostics and policies."""
+    return {name: formula.field_ranges(name) for name in layout.names()}
+
+
 def formula_fields(formula: Formula, layout: HeaderLayout) -> tuple[dict, dict]:
-    """Per-field range projections plus per-field exactness flags.
+    """Per-field range projections plus per-field exactness flags, for fact
+    packets and the JSON ledger, which print the flags.
 
     A field is exact when the formula does not correlate it with the other
     fields, i.e. the formula equals (projection onto the field) AND (rest).
@@ -149,7 +156,7 @@ def value_to_text(value: AbstractValue, variant: str, net: Network) -> str:
 
 
 def formula_to_text(formula: Formula, layout: HeaderLayout) -> str:
-    return bracket(formula_fields(formula, layout)[0], layout)
+    return bracket(field_sets(formula, layout), layout)
 
 
 def result_to_text(result: AnalysisResult, net: Network) -> str:
@@ -197,11 +204,11 @@ def result_to_json(result: AnalysisResult, net: Network, network_name: str) -> d
         ledger_exact[str(rid)] = exact
     diagnostics = {
         "misdelivered": {
-            z: data_sets(formula_fields(f, layout)[0], layout)
+            z: data_sets(field_sets(f, layout), layout)
             for z, f in sorted(result.misdelivered.items())
         },
         "no_route": {
-            n: data_sets(formula_fields(f, layout)[0], layout)
+            n: data_sets(field_sets(f, layout), layout)
             for n, f in sorted(result.no_route.items())
         },
     }

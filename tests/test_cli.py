@@ -13,6 +13,7 @@ from pktflow.cli import main
 from pktflow.engine import analyze, get_lattice
 from pktflow.gen import fixture_path, fixture_text
 from pktflow.netmodel import load_network, network_from_config, parse_value_set
+from pktflow.oracle import MAX_WIDTH_GUARD
 from pktflow.render import (
     format_field_data,
     format_field_display,
@@ -171,14 +172,14 @@ def test_missing_file_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def _run_cli(*args: str) -> subprocess.CompletedProcess:
+def _run_cli(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
     return subprocess.run(
         [sys.executable, "-m", "pktflow", *args],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 
@@ -230,6 +231,51 @@ def test_malformed_config_exits_2_without_traceback(tmp_path, document):
     proc = _run_cli("validate", "--network", str(bad))
     assert proc.returncode == 2
     assert proc.stderr.startswith("pktflow: error:")
+    assert "Traceback" not in proc.stderr
+
+
+# One value set per parse site of fig1-small.json (4-bit s and d), as the
+# field's largest value and a writer of a value there; the ports site adds a
+# 3-bit sp field.
+def _write_ports(cfg, value):
+    cfg["layout"].insert(1, {"name": "sp", "width": 3})
+    cfg["zones"][0]["ports"] = value
+
+
+VALUE_SET_SITES = {
+    "filter-guard": (15, lambda cfg, v: cfg["firewalls"][1]["filter"][0]
+                     .update(guard={"d": v})),
+    "routing-guard": (15, lambda cfg, v: cfg["firewalls"][0]["routing"]
+                      .update({"f1-f2r": {"s": v}})),
+    "dnat-guard": (15, lambda cfg, v: cfg["firewalls"][0]
+                   .update(dnat=[{"guard": {"d": v}, "field": "d", "to": "2"}])),
+    "snat-to": (15, lambda cfg, v: cfg["firewalls"][1]["snat"][0].update(to=v)),
+    "zone-addr": (15, lambda cfg, v: cfg["zones"][1].update(addr=v)),
+    "zone-ports": (7, _write_ports),
+}
+
+
+@pytest.mark.parametrize("site", sorted(VALUE_SET_SITES))
+def test_value_past_field_width_exits_2(tmp_path, site):
+    top, write = VALUE_SET_SITES[site]
+    # the field's largest value loads, so the case differs in that value only
+    load_network(_fig1_small_with(lambda cfg: write(cfg, str(top))))
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(_fig1_small_with(lambda cfg: write(cfg, str(top + 1))))
+    proc = _run_cli("validate", "--network", str(bad))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("pktflow: error:")
+    assert "exceeds" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_check_refuses_a_width_guard_above_the_ceiling():
+    # a guard of 64 would let the oracle enumerate all 2**64 fig1 headers
+    proc = _run_cli("check", "--network", FIG1, "--origin", "Z1", "--max-width", "64",
+                    timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("pktflow: error:")
+    assert f"ceiling of {MAX_WIDTH_GUARD} bits" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

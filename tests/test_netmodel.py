@@ -6,7 +6,7 @@ import pytest
 
 from helpers import guard_of
 from pktflow.engine import initial_value
-from pktflow.gen import fixture_text, random_network
+from pktflow.gen import FIXTURES, fixture_text, random_network
 from pktflow.netmodel import (
     ConfigError,
     Guard,
@@ -221,6 +221,17 @@ def test_random_net_roundtrip(seed):
     net = network_from_config(cfg)
     rendered = network_to_config(net)
     assert network_to_config(network_from_config(rendered)) == rendered
+
+
+@pytest.mark.parametrize("config", [
+    *(pytest.param(lambda name=name: fixture_text(name), id=name) for name in FIXTURES),
+    pytest.param(lambda: json.dumps(random_network(7)[0]), id="random-7"),
+])
+def test_loading_builds_no_formula(config):
+    # value sets are width-checked as they are parsed; guards and atoms are
+    # built on first use by an analysis
+    net = load_network(config())
+    assert net.store.node_count() == 2
 
 
 # ------------------------------------------------------------- guards

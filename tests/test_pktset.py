@@ -24,7 +24,7 @@ from pktflow.pktset import (
     StoreMismatchError,
     UnknownFieldError,
 )
-from pktflow.render import formula_fields
+from pktflow.render import field_sets, formula_fields
 
 T2X2 = HeaderLayout((("f1", 2), ("f2", 2)))
 
@@ -422,6 +422,7 @@ def test_formula_fields_summary_matches_brute_force(start1, ops1, start2, ops2):
     chains = [run_chain(store, start1, ops1), run_chain(store, start2, ops2)]
     for f, f_set in chains:
         want = brute_fields(f_set)
+        assert field_sets(f, T3X3) == want[0]  # the ranges-only path
         first = formula_fields(f, T3X3)
         assert first == want
         assert formula_fields(f, T3X3) == want  # from the store's cache
