@@ -2,14 +2,15 @@
 
 Three variants share one propagation loop:
 
-* ``v1`` — one relational formula per node (current header forms).
+* ``v1`` — one relational formula per node (current header forms).  The
+  relational ``v2`` and ``ia`` below subclass its lattice.
 * ``v2`` — sets of (curr, orig, nated) packets tracking pre-NAT originals;
   values are normalized by merging packets that share (orig, nated), OR-ing
   their curr formulas.  Keying on the NAT mask as well as orig keeps guard
   reduction correct for merged packets.
-* ``ia`` — independent-attribute: one formula per field, cross-field
-  correlation dropped, guard negation handled exactly only for single-field
-  guards and approximated as true otherwise.
+* ``ia`` — independent attributes: the product of per-field sets, held as
+  one formula; guard negation is exact only for single-field guards and
+  approximated as true otherwise.
 
 ``analyze_relations`` runs ``v2`` on the same loop with ``RelationalLattice``:
 one relation between current and original headers per NAT mask, in a
@@ -55,7 +56,6 @@ from .pktset import Formula, FormulaStore, HeaderLayout
 from .xfer import (
     AbstractPacket,
     DropLedger,
-    VectorPacket,
     filter_table_drops,
     firewall_tf,
     link_tf,
@@ -103,14 +103,12 @@ class _Lattice:
         return p.curr
 
     def orig_of(self, p) -> Formula | None:
-        return getattr(p, "orig", None)
-
-    def nated_of(self, p) -> int:
-        return getattr(p, "nated", 0)
+        return p.orig
 
 
 class V1Lattice(_Lattice):
-    """Single relational formula over the whole header."""
+    """One formula per NAT mask, refined by conjunction on ``curr``; ``v1``
+    sets no mask bit, so it holds one packet per node."""
 
     variant = "v1"
     compiles_filters = True
@@ -120,11 +118,11 @@ class V1Lattice(_Lattice):
 
     def refine_match(self, p: AbstractPacket, guard: Guard):
         c = p.curr & guard_to_formula(guard, self.store)
-        return None if c.is_empty() else AbstractPacket(c)
+        return None if c.is_empty() else AbstractPacket(c, None, p.nated)
 
     def refine_unmatch(self, p: AbstractPacket, guard: Guard):
         c = p.curr & ~guard_to_formula(guard, self.store)
-        return [] if c.is_empty() else [AbstractPacket(c)]
+        return [] if c.is_empty() else [AbstractPacket(c, None, p.nated)]
 
     def apply_nat(self, p: AbstractPacket, rule) -> AbstractPacket:
         return AbstractPacket(p.curr.overwrite_field(rule.nat_field, rule.action))
@@ -133,10 +131,12 @@ class V1Lattice(_Lattice):
         return p.curr
 
     def join(self, packets) -> AbstractValue:
-        acc = self.store.false
+        groups: dict[int, Formula] = {}
         for p in packets:
-            acc = acc | p.curr
-        return BOTTOM if acc.is_empty() else AbstractValue((AbstractPacket(acc),))
+            cur = groups.get(p.nated)
+            groups[p.nated] = p.curr if cur is None else cur | p.curr
+        return AbstractValue(tuple(AbstractPacket(groups[m], None, m)
+                                   for m in sorted(groups) if not groups[m].is_empty()))
 
 
 class V2Lattice(_Lattice):
@@ -213,7 +213,7 @@ class V2Lattice(_Lattice):
         return AbstractValue(tuple(merged))
 
 
-class RelationalLattice(_Lattice):
+class RelationalLattice(V1Lattice):
     """``v2`` as one relation per NAT mask, in a private store.
 
     The store's layout puts a shadow field ``f~`` right after each field
@@ -233,7 +233,6 @@ class RelationalLattice(_Lattice):
     """
 
     variant = "v2"
-    compiles_filters = True
 
     def __init__(self, net: Network):
         super().__init__(net)
@@ -265,15 +264,7 @@ class RelationalLattice(_Lattice):
 
     def initial(self, zone_name: str) -> list[AbstractPacket]:
         f = zone_departure_formula(self.net, zone_name).relabel(self._from_net, self.store)
-        return [AbstractPacket(f, None, 0)]
-
-    def refine_match(self, p: AbstractPacket, guard: Guard):
-        r = p.curr & guard_to_formula(guard, self.store)
-        return None if r.is_empty() else AbstractPacket(r, None, p.nated)
-
-    def refine_unmatch(self, p: AbstractPacket, guard: Guard):
-        r = p.curr & ~guard_to_formula(guard, self.store)
-        return [] if r.is_empty() else [AbstractPacket(r, None, p.nated)]
+        return [AbstractPacket(f)]
 
     def apply_nat(self, p: AbstractPacket, rule) -> AbstractPacket:
         name = rule.nat_field
@@ -294,74 +285,27 @@ class RelationalLattice(_Lattice):
     def ledger_form(self, p: AbstractPacket) -> Formula:
         return self.orig_of(p)
 
-    def join(self, packets) -> AbstractValue:
-        groups: dict[int, Formula] = {}
-        for p in packets:
-            cur = groups.get(p.nated)
-            groups[p.nated] = p.curr if cur is None else cur | p.curr
-        return AbstractValue(tuple(AbstractPacket(groups[m], None, m) for m in sorted(groups)))
 
-
-class IALattice(_Lattice):
-    """Per-field formula vector; sound over-approximation of v1."""
+class IALattice(V1Lattice):
+    """``curr`` is a product of per-field sets; a sound over-approximation
+    of ``v1``.  A guard or a NAT keeps a product, and a join keeps the
+    product of the per-field unions."""
 
     variant = "ia"
+    compiles_filters = False  # the negation below is no fixed header set
 
-    def initial(self, zone_name: str) -> list[VectorPacket]:
-        zone = self.net.zone(zone_name)
-        vec = []
-        for name, _ in self.layout.fields:
-            if name == "s":
-                vec.append(self.store.atom(zone.addr))
-            elif name == "sp" and zone.ports is not None:
-                vec.append(self.store.atom(zone.ports))
-            else:
-                vec.append(self.store.true)
-        return [VectorPacket(tuple(vec))]
-
-    def curr_of(self, p: VectorPacket) -> Formula:
-        prod = self.store.true
-        for f in p.vec:
-            prod = prod & f
-        return prod
-
-    def refine_match(self, p: VectorPacket, guard: Guard):
-        vec = list(p.vec)
-        for name, fvs in guard.atoms:
-            i = self.layout.index(name)
-            vec[i] = vec[i] & self.store.atom(fvs)
-            if vec[i].is_empty():
-                return None
-        return VectorPacket(tuple(vec))
-
-    def refine_unmatch(self, p: VectorPacket, guard: Guard):
-        if guard.is_true():
-            return []
-        if len(guard.atoms) == 1:
-            name, fvs = guard.atoms[0]
-            i = self.layout.index(name)
-            vec = list(p.vec)
-            vec[i] = vec[i] & ~self.store.atom(fvs)
-            return [] if vec[i].is_empty() else [VectorPacket(tuple(vec))]
-        # negation of a multi-field guard is approximated as true
-        return [p]
-
-    def apply_nat(self, p: VectorPacket, rule) -> VectorPacket:
-        vec = list(p.vec)
-        vec[self.layout.index(rule.nat_field)] = self.store.atom(rule.action)
-        return VectorPacket(tuple(vec))
-
-    def ledger_form(self, p: VectorPacket) -> Formula:
-        return self.curr_of(p)
+    def refine_unmatch(self, p: AbstractPacket, guard: Guard):
+        # the negation of a multi-field guard is approximated as true
+        return [p] if len(guard.atoms) > 1 else super().refine_unmatch(p, guard)
 
     def join(self, packets) -> AbstractValue:
-        packets = list(packets)
-        if not packets:
-            return BOTTOM
-        vec = list(packets[0].vec)
-        for p in packets[1:]:
-            vec = [a | b for a, b in zip(vec, p.vec)]
-        return AbstractValue((VectorPacket(tuple(vec)),))
+        union = self.store.false
+        for p in packets:
+            union = union | p.curr
+        prod = self.store.true
+        for name in self.layout.names():
+            prod = prod & union.extract_field(name)
+        return BOTTOM if prod.is_empty() else AbstractValue((AbstractPacket(prod),))
 
 
 _LATTICES = {"v1": V1Lattice, "v2": V2Lattice, "ia": IALattice}

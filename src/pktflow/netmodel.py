@@ -323,6 +323,12 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
+def _string(raw, ctx: str) -> str:
+    """A name from the configuration; only a JSON string is one."""
+    _require(isinstance(raw, str), f"{ctx}: expected a string, got {json.dumps(raw)}")
+    return raw
+
+
 def _objects(raw, ctx: str) -> list[dict]:
     _require(
         isinstance(raw, list) and all(isinstance(e, dict) for e in raw),
@@ -347,7 +353,7 @@ def _parse_layout(raw) -> HeaderLayout:
             isinstance(width, int) and not isinstance(width, bool),
             f"layout: width of field {entry['name']!r} must be an integer",
         )
-        fields.append((str(entry["name"]), width))
+        fields.append((_string(entry["name"], "layout: field name"), width))
     total = sum(w for _, w in fields)
     _require(
         total <= MAX_HEADER_BITS,
@@ -388,7 +394,8 @@ def _explicit_rule_id(raw: dict, ctx: str) -> int | None:
 
 def network_from_config(cfg: dict) -> Network:
     _require(isinstance(cfg, dict), "top level must be an object")
-    _require(cfg.get("schema", SCHEMA_VERSION) == SCHEMA_VERSION, "unsupported schema version")
+    schema = cfg.get("schema", SCHEMA_VERSION)
+    _require(type(schema) is int and schema == SCHEMA_VERSION, "unsupported schema version")
     for key in ("layout", "zones", "firewalls", "links"):
         _require(key in cfg, f"missing top-level key {key!r}")
 
@@ -414,14 +421,19 @@ def network_from_config(cfg: dict) -> Network:
 
     # zones
     zones: list[Zone] = []
-    rest_zone_raw = None
+    rest_zone = None
     for zraw in cfg["zones"]:
         ctx = f"zones[{zraw.get('name', '?')}]"
         _require("name" in zraw and "interface" in zraw, f"{ctx}: needs name and interface")
-        if zraw.get("rest"):
-            _require(rest_zone_raw is None, "only one rest-of-addresses zone allowed")
+        name = _string(zraw["name"], f"{ctx}.name")
+        interface = _string(zraw["interface"], f"{ctx}.interface")
+        rest = zraw.get("rest", False)
+        _require(isinstance(rest, bool), f"{ctx}: rest must be true or false")
+        if rest:
+            _require(rest_zone is None, "only one rest-of-addresses zone allowed")
             _require("addr" not in zraw, f"{ctx}: rest zone must not declare addr")
-            rest_zone_raw = zraw
+            _require("ports" not in zraw, f"{ctx}: rest zone must not declare ports")
+            rest_zone = (name, interface)
             zones.append(None)  # placeholder to keep declaration order
             continue
         _require("addr" in zraw, f"{ctx}: needs addr (or rest: true)")
@@ -432,17 +444,17 @@ def network_from_config(cfg: dict) -> Network:
         if "ports" in zraw:
             _require("sp" in layout.names(), f"{ctx}: ports given but layout has no sp field")
             ports = parse_value_set(zraw["ports"], "sp", layout.width("sp"), f"{ctx}.ports")
-        zones.append(Zone(str(zraw["name"]), str(zraw["interface"]), addr, ports))
-    if rest_zone_raw is not None:
+            empty = ports.negated and ports.ranges == ((0, (1 << layout.width("sp")) - 1),)
+            _require(not empty, f"{ctx}: zone ports must be non-empty")
+        zones.append(Zone(name, interface, addr, ports))
+    if rest_zone is not None:
         others = [r for z in zones if z is not None for r in z.addr.ranges]
         rest_addr = FieldValueSet("s", tuple(others), negated=True)
         limit = (1 << addr_width) - 1
         covered = sum(hi - lo + 1 for lo, hi in rest_addr.ranges)
         _require(covered <= limit, "rest zone would be empty: other zones cover all addresses")
         idx = zones.index(None)
-        zones[idx] = Zone(
-            str(rest_zone_raw["name"]), str(rest_zone_raw["interface"]), rest_addr, None, rest=True
-        )
+        zones[idx] = Zone(*rest_zone, rest_addr, None, rest=True)
     _require(len({z.name for z in zones}) == len(zones), "duplicate zone names")
 
     # non-rest zone address sets must be pairwise disjoint
@@ -463,8 +475,9 @@ def network_from_config(cfg: dict) -> Network:
     for fraw in cfg["firewalls"]:
         ctx = f"firewalls[{fraw.get('name', '?')}]"
         _require("name" in fraw and "interfaces" in fraw, f"{ctx}: needs name and interfaces")
+        name = _string(fraw["name"], f"{ctx}.name")
         _require(isinstance(fraw["interfaces"], list), f"{ctx}: interfaces must be an array")
-        interfaces = tuple(str(i) for i in fraw["interfaces"])
+        interfaces = tuple(_string(i, f"{ctx}.interfaces") for i in fraw["interfaces"])
         _require(len(set(interfaces)) == len(interfaces), f"{ctx}: duplicate interfaces")
 
         def nat_rules(key: str, writable: tuple[str, ...]):
@@ -505,9 +518,9 @@ def network_from_config(cfg: dict) -> Network:
         _require(isinstance(routing_raw, dict), f"{ctx}: routing must be an object")
         for iface, graw in routing_raw.items():
             _require(iface in interfaces, f"{ctx}: routing for unknown interface {iface!r}")
-            routing.append((str(iface), _parse_guard(graw, layout, f"{ctx}.routing[{iface}]")))
+            routing.append((iface, _parse_guard(graw, layout, f"{ctx}.routing[{iface}]")))
 
-        fw_specs.append((str(fraw["name"]), interfaces, dnat, filt, snat, tuple(routing)))
+        fw_specs.append((name, interfaces, dnat, filt, snat, tuple(routing)))
 
     explicit = [rid for _, _, dnat, filt, snat, _ in fw_specs
                 for rid, *_ in (*dnat, *filt, *snat) if rid is not None]
@@ -555,7 +568,7 @@ def network_from_config(cfg: dict) -> Network:
             isinstance(pair, list) and len(pair) == 2,
             f"links[{k}]: expected a 2-element interface pair",
         )
-        i1, i2 = str(pair[0]), str(pair[1])
+        i1, i2 = (_string(i, f"links[{k}]") for i in pair)
         _require(i1 in owner and i2 in owner, f"links[{k}]: unknown interface")
         _require(i1 != i2, f"links[{k}]: link must join two distinct interfaces")
         n1, n2 = owner[i1], owner[i2]

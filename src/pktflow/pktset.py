@@ -484,9 +484,6 @@ class Formula:
     def is_empty(self) -> bool:
         return self.node == 0
 
-    def equals(self, other: "Formula") -> bool:
-        return self.node == self._peer(other)
-
     def implies(self, other: "Formula") -> bool:
         return (self & ~other).is_empty()
 
@@ -511,12 +508,6 @@ class Formula:
         if values.field != field:
             values = FieldValueSet(field, values.ranges, values.negated)
         return self.exists_field(field) & self.store.atom(values)
-
-    def copy_field_from(self, src: "Formula", field: str) -> "Formula":
-        """Overwrite the field with ``src``'s projected value set for it;
-        all other fields of ``self`` are undisturbed."""
-        self._peer(src)
-        return self.exists_field(field) & src.extract_field(field)
 
     def relabel(self, varmap: tuple[int, ...], target: FormulaStore | None = None) -> "Formula":
         """The formula with each variable v renamed to ``varmap[v]``, built in

@@ -120,7 +120,7 @@ def render_value(value: AbstractValue, variant: str, net: Network) -> list[Rende
         orig_sets = orig_exact = None
         if orig is not None:
             orig_sets, orig_exact = formula_fields(orig, layout)
-        nated = layout.mask_names(lattice.nated_of(p))
+        nated = layout.mask_names(p.nated)
         rendered.append(RenderedPacket(curr, curr_exact, orig_sets, orig_exact, nated))
     rendered.sort(key=lambda r: (str(r.orig), r.nated, str(r.curr)))
     return rendered

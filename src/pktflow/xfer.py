@@ -33,21 +33,15 @@ from .pktset import Formula, FormulaStore
 
 @dataclass(frozen=True)
 class AbstractPacket:
-    """Symbolic packet summary: current header forms, and (variant 2 only)
-    the pre-NAT original forms plus the bitmask of fields rewritten so far.
-    The relational lattice keeps its relation in ``curr`` and no ``orig``."""
+    """Symbolic packet summary: the current header forms, the pre-NAT
+    original forms (``v2`` packets only), and the bitmask of fields
+    rewritten so far.  ``v1`` holds any header set in ``curr``, ``ia`` the
+    product of per-field sets, and the relational ``v2`` its relation
+    between current and original headers; none of them keeps an ``orig``."""
 
     curr: Formula
     orig: Formula | None = None
     nated: int = 0
-
-
-@dataclass(frozen=True)
-class VectorPacket:
-    """Independent-attribute summary: one formula per header field, each
-    constraining only its own field's bits."""
-
-    vec: tuple[Formula, ...]
 
 
 def nat_packet(p: AbstractPacket, rule: NatRule) -> AbstractPacket:

@@ -34,12 +34,3 @@ def brute_overwrite(layout: HeaderLayout, headers: set[int], field: str,
             out.add(layout.with_value(h, field, v))
     return out
 
-
-def brute_copy(layout: HeaderLayout, dst: set[int], src: set[int],
-               field: str) -> set[int]:
-    allowed = {layout.extract_value(h, field) for h in src}
-    out = set()
-    for h in dst:
-        for v in allowed:
-            out.add(layout.with_value(h, field, v))
-    return out

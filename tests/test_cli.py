@@ -206,6 +206,51 @@ def _drop_zone_addr(cfg):
     del cfg["zones"][0]["addr"]
 
 
+def _set_schema(cfg):
+    # True == 1 in Python, but it is not the schema version
+    cfg["schema"] = True
+
+
+def _rest_zone(**extra):
+    def edit(cfg):
+        del cfg["zones"][1]["addr"]
+        cfg["zones"][1].update(extra)
+    return edit
+
+
+def _layout_name_int(cfg):
+    cfg["layout"].append({"name": 5, "width": 2})
+
+
+def _zone_name_list(cfg):
+    cfg["zones"][0]["name"] = ["x"]
+
+
+def _firewall_name_int(cfg):
+    cfg["firewalls"][0]["name"] = 5
+
+
+def _zone_interface_int(cfg):
+    # the link names it the same way, so only the type is wrong
+    cfg["zones"][0]["interface"] = 7
+    cfg["links"][0][0] = 7
+
+
+def _firewall_interface_int(cfg):
+    cfg["firewalls"][1]["interfaces"][0] = 7
+    cfg["links"][2][1] = "7"
+
+
+def _link_endpoint_int(cfg):
+    cfg["zones"][0]["interface"] = "7"
+    cfg["links"][0][0] = 7
+
+
+def _empty_zone_ports(cfg):
+    cfg["layout"].insert(1, {"name": "sp", "width": 3})
+    cfg["zones"][0]["ports"] = "!*"
+
+
 def _set_rule_id(value):
     # F2's first filter rule has the explicit id 1
     return lambda cfg: cfg["firewalls"][1]["filter"][0].update(id=value)
@@ -222,6 +267,16 @@ def _set_rule_id(value):
     pytest.param(_fig1_small_with(_set_rule_id(True)), id="rule-id-bool"),
     pytest.param(_fig1_small_with(_set_rule_id(1.5)), id="rule-id-float"),
     pytest.param(_fig1_small_with(_drop_zone_addr), id="zone-no-addr"),
+    pytest.param(_fig1_small_with(_set_schema), id="schema-bool"),
+    pytest.param(_fig1_small_with(_rest_zone(rest="no")), id="rest-str"),
+    pytest.param(_fig1_small_with(_rest_zone(rest=True, ports="1")), id="rest-zone-ports"),
+    pytest.param(_fig1_small_with(_layout_name_int), id="layout-name-int"),
+    pytest.param(_fig1_small_with(_zone_name_list), id="zone-name-list"),
+    pytest.param(_fig1_small_with(_firewall_name_int), id="firewall-name-int"),
+    pytest.param(_fig1_small_with(_zone_interface_int), id="zone-interface-int"),
+    pytest.param(_fig1_small_with(_firewall_interface_int), id="firewall-interface-int"),
+    pytest.param(_fig1_small_with(_link_endpoint_int), id="link-endpoint-int"),
+    pytest.param(_fig1_small_with(_empty_zone_ports), id="zone-ports-empty"),
     pytest.param(b'{"schema": 1, "layout": "addr2\xff"}', id="not-utf8"),
     pytest.param(b"[" * 100_000, id="deep-nesting"),
 ])

@@ -79,10 +79,10 @@ def test_ia_join_is_per_field_or(fig3):
     p2 = lat.refine_match(lat.initial("Z2")[0], guard_of(fig3.layout, d="2.2.2.2"))
     v = lat.join([p1, p2])
     (p,) = v.packets
-    assert p.vec[fig3.layout.index("s")] == (
+    assert p.curr.extract_field("s") == (
         atom(fig3, "s", "10.192.29.1-255") | atom(fig3, "s", "10.192.28.1-255")
     )
-    assert p.vec[fig3.layout.index("d")] == (
+    assert p.curr.extract_field("d") == (
         atom(fig3, "d", "1.1.1.1") | atom(fig3, "d", "2.2.2.2")
     )
 

@@ -7,6 +7,12 @@ replaces it with one from a pool of wrong-typed and malformed values.
 ``load_network`` must then return a ``Network`` or raise ``ConfigError``,
 which the CLI reports with exit status 2; any other exception is a loader
 bug that would end in a traceback.
+
+Few of those documents load, so ``revalued_configs`` mutates inside the
+grammar instead: it gives a guard entry, a NAT ``to`` or a zone address
+another valid value set of the same width, or flips a filter rule other
+than the default between ACCEPT and DROP.  Every such document loads, and
+the analyses on it must agree with each other from every zone.
 """
 
 from __future__ import annotations
@@ -17,8 +23,10 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pktflow.engine import analyze
 from pktflow.gen import FIXTURES, fixture_text, random_network
-from pktflow.netmodel import ConfigError, Network, load_network
+from pktflow.netmodel import ConfigError, Network, load_network, parse_value_set
+from pktflow.policy import infer_policy
 
 BASES = [json.loads(fixture_text(name)) for name in FIXTURES] + [
     random_network(seed)[0] for seed in range(12)
@@ -72,3 +80,83 @@ def test_mutated_config_loads_or_raises_config_error(doc):
     except ConfigError:
         return
     assert isinstance(net, Network)
+
+
+def value_sites(doc, layout):
+    """``(container, key, width, positive)`` for every guard entry and NAT
+    ``to`` of a configuration; ``positive`` when the set may not be negated."""
+    sites = []
+    for fw in doc["firewalls"]:
+        guards = [rule.get("guard", {}) for table in ("dnat", "filter", "snat")
+                  for rule in fw.get(table, [])] + list(fw.get("routing", {}).values())
+        sites += [(g, name, layout.width(name), False) for g in guards for name in g]
+        sites += [(rule, "to", layout.width(rule["field"]), True)
+                  for table in ("dnat", "snat") for rule in fw.get(table, [])]
+    return sites
+
+
+def random_value_sets(width: int, positive: bool):
+    top = (1 << width) - 1
+    item = st.tuples(st.integers(0, top), st.integers(0, top)).map(
+        lambda t: f"{min(t)}-{max(t)}")
+    union = st.lists(item, min_size=1, max_size=2).map(",".join)
+    if positive:
+        return union
+    return st.just("*") | st.tuples(st.booleans(), union).map(
+        lambda t: ("!" if t[0] else "") + t[1])
+
+
+@st.composite
+def revalued_configs(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(BASES)))
+    layout = load_network(json.dumps(doc)).layout
+    sites = value_sites(doc, layout)
+    zones = [z for z in doc["zones"] if "addr" in z]
+    # every value set in the document, by the width of its field
+    pool: dict[int, list[str]] = {}
+    for container, key, width, _ in sites:
+        pool.setdefault(width, []).append(container[key])
+    pool.setdefault(layout.width("s"), []).extend(z["addr"] for z in zones)
+    rules = [rule for fw in doc["firewalls"] for rule in fw["filter"][:-1]]
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["value", "action", "addr"]))
+        if kind == "value" and sites:
+            container, key, width, positive = draw(st.sampled_from(sites))
+            known = [v for v in pool[width] if not (positive and v.strip().startswith("!"))]
+            container[key] = draw(st.sampled_from(known) | random_value_sets(width, positive))
+        elif kind == "action" and rules:
+            rule = draw(st.sampled_from(rules))
+            rule["action"] = "DROP" if rule["action"] == "ACCEPT" else "ACCEPT"
+        elif kind == "addr":
+            # swapping two zones' addresses or shrinking one keeps them disjoint
+            a, b = draw(st.sampled_from(zones)), draw(st.sampled_from(zones))
+            if a is not b:
+                a["addr"], b["addr"] = b["addr"], a["addr"]
+            else:
+                lo, hi = parse_value_set(a["addr"], "s", layout.width("s")).ranges[0]
+                new_lo = draw(st.integers(lo, hi))
+                a["addr"] = f"{new_lo}-{draw(st.integers(new_lo, hi))}"
+    return doc
+
+
+def union_of_currs(store, value):
+    acc = store.false
+    for p in value.packets:
+        acc = acc | p.curr
+    return acc
+
+
+@settings(max_examples=300, deadline=None)
+@given(revalued_configs())
+def test_revalued_config_variants_agree(doc):
+    net = load_network(json.dumps(doc))
+    for zone in net.zones:
+        v1, v2, ia = (analyze(net, zone.name, v) for v in ("v1", "v2", "ia"))
+        for node in net.node_names():
+            exact = union_of_currs(net.store, v1.facts[node])
+            assert exact == union_of_currs(net.store, v2.facts[node]), node
+            assert exact.implies(union_of_currs(net.store, ia.facts[node])), node
+            assert all(p.curr.is_field_product() for p in ia.facts[node].packets), node
+        relational = infer_policy(net, zone.name)
+        packets = infer_policy(net, zone.name, result=v2)
+        assert (relational.accept, relational.reject) == (packets.accept, packets.reject)

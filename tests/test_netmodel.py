@@ -290,9 +290,9 @@ def test_initial_value_variants(fig3):
     assert p.curr == z1_atom and p.orig == z1_atom and p.nated == 0
 
     ia = initial_value(fig3, "Z1", "ia")
-    vec = ia.packets[0].vec
-    assert vec[fig3.layout.index("s")] == z1_atom
-    assert vec[fig3.layout.index("d")] == store.true
+    curr = ia.packets[0].curr
+    assert curr.extract_field("s") == z1_atom
+    assert curr.extract_field("d") == store.true
 
 
 def test_initial_value_full_space_zone():

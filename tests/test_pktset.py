@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from brute import (
     all_headers,
-    brute_copy,
     brute_overwrite,
     formula_set,
     headers_where,
@@ -131,8 +130,6 @@ def test_store_mismatch_raises(store):
     other = FormulaStore(T2X2)
     with pytest.raises(StoreMismatchError):
         store.true & other.true
-    with pytest.raises(StoreMismatchError):
-        store.true.equals(other.true)
     assert store.true != other.true  # == is total: distinct stores never equal
 
 
@@ -169,7 +166,6 @@ def test_de_morgan(f, g):
 @given(formulas(), formulas())
 def test_equality_agrees_with_enumeration(f, g):
     assert (f == g) == (formula_set(f) == formula_set(g))
-    assert f.equals(g) == (formula_set(f) == formula_set(g))
 
 
 @settings(max_examples=60, deadline=None)
@@ -214,23 +210,6 @@ def test_overwrite_empty_and_errors(store):
         store.true.overwrite_field("f1", fvs("f1", (1, 2), negated=True))
 
 
-def test_copy_field_worked_example(store):
-    dst = store.atom(fvs("f2", (0, 0)))  # f1 free
-    src = two_field_curr(store)
-    out = dst.copy_field_from(src, "f1")
-    assert out == store.atom(fvs("f1", (2, 3))) & store.atom(fvs("f2", (0, 0)))
-
-
-def test_copy_field_self_idempotent_on_products(store):
-    d = store.atom(fvs("f1", (1, 2))) & store.atom(fvs("f2", (0, 1)))
-    assert d.copy_field_from(d, "f1") == d
-    # relational formula: result only grows
-    rel = (store.atom(fvs("f1", (0, 0))) & store.atom(fvs("f2", (0, 0)))) | (
-        store.atom(fvs("f1", (1, 1))) & store.atom(fvs("f2", (1, 1)))
-    )
-    assert rel.implies(rel.copy_field_from(rel, "f1"))
-
-
 @settings(max_examples=60, deadline=None)
 @given(formulas(), st.sampled_from(["f1", "f2"]))
 def test_quantifiers_commute_with_or(f, field):
@@ -251,14 +230,6 @@ def test_overwrite_matches_brute_force(f, field, rng):
     v = FieldValueSet(field, (rng,))
     got = formula_set(f.overwrite_field(field, v))
     want = brute_overwrite(T2X2, formula_set(f), field, v)
-    assert got == want
-
-
-@settings(max_examples=50, deadline=None)
-@given(formulas(), formulas(), st.sampled_from(["f1", "f2"]))
-def test_copy_matches_brute_force(dst, src, field):
-    got = formula_set(dst.copy_field_from(src, field))
-    want = brute_copy(T2X2, formula_set(dst), formula_set(src), field)
     assert got == want
 
 
