@@ -172,6 +172,11 @@ def _check_one(net: Network, origin: str, variant: str, max_width: int):
 
 def _cmd_check(args) -> int:
     if args.trials is not None:
+        if args.network is not None or args.origin is not None:
+            raise ConfigError(
+                "--trials checks generated networks; it cannot be combined with"
+                " --network or --origin"
+            )
         if args.trials < 1:
             raise ConfigError(f"--trials must be at least 1, got {args.trials}")
         failures = []

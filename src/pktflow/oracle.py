@@ -9,6 +9,26 @@ independently certify the abstract engine at small header widths.  Every
 entry point takes a width guard (``max_width``, default 12 bits) and refuses
 a wider layout; a guard above ``MAX_WIDTH_GUARD`` (16 bits) is refused too.
 
+``simulate`` compiles its network once per call, and the tables and memos
+die with the call:
+
+* Lookup tables.  Each guard atom, the origin zone's ``s``/``sp`` test and
+  each zone's own-address test on ``d`` becomes ``(shift, mask, table)``:
+  a header h passes iff ``table[h >> shift & mask]`` is 1.  The table spans
+  the field's 2**width values and is filled range by range (and inverted
+  for a negated set), never value by value.
+* One memo per node.  A state is (node, c, o, k): current header, original
+  header and NAT mask.  A firewall's DNAT, filter, SNAT and routing read only
+  c; o is carried along unchanged and k is only OR-ed with the bits of the
+  NAT rules that fire.  So the step from c (its drops, its deliveries with
+  the NAT bits they add, its no-route headers) is the same for every (o, k),
+  and it is computed once per (firewall, c) and replayed for each state.
+
+The visited set and ``max_hops`` still apply per state, so the states
+explored and the breadth-first order are those of ``reference_simulate`` in
+``tests/brute.py``, which matches every guard rule by rule on each queued
+state and is the semantic definition ``simulate`` is tested against.
+
 Concretization maps abstract values back to concrete header sets.  Variant-2
 packets concretize to (curr, orig) pairs that agree on every field not yet
 NATed (fields outside the packet's mask are never rewritten, so differing
@@ -23,7 +43,8 @@ from collections import deque
 from dataclasses import dataclass, field as dc_field
 
 from .engine import AbstractValue, AnalysisResult, analyze, get_lattice
-from .netmodel import DROP, Network
+from .netmodel import DROP, Firewall, Guard, Network
+from .pktset import FieldValueSet, HeaderLayout
 
 DEFAULT_WIDTH_GUARD = 12
 # The largest guard any caller may ask for.  The oracle visits all 2**width
@@ -73,18 +94,107 @@ class ExactResult:
         return {o for _, o, _ in self.states(node)}
 
 
+# A lookup over one field: header h has the field's value in the set iff
+# table[h >> shift & mask] is 1.
+Lookup = tuple[int, int, bytes]
+
+_NEGATE = bytes([1, 0]) + bytes(254)  # bytes.translate table: 0 <-> 1
+
+
+def _lookup(layout: HeaderLayout, field: str, fvs: FieldValueSet) -> Lookup:
+    """``fvs.contains`` on ``field`` as a table over the field's 2**width
+    values, filled range by range."""
+    width = layout.width(field)
+    shift = layout.total_bits - layout.offset(field) - width
+    mask = (1 << width) - 1
+    table = bytearray(mask + 1)
+    for lo, hi in fvs.ranges:
+        hi = min(hi, mask)
+        if lo <= hi:
+            table[lo : hi + 1] = b"\1" * (hi - lo + 1)
+    if fvs.negated:
+        table = table.translate(_NEGATE)
+    return shift, mask, bytes(table)
+
+
+def _guard_lookups(layout: HeaderLayout, guard: Guard) -> tuple[Lookup, ...]:
+    return tuple(_lookup(layout, f, v) for f, v in guard.atoms)
+
+
+def _matches(lookups: tuple[Lookup, ...], h: int) -> bool:
+    for shift, mask, table in lookups:
+        if not table[h >> shift & mask]:
+            return False
+    return True
+
+
 def _initial_headers(net: Network, origin: str) -> list[int]:
     zone = net.zone(origin)
     layout = net.layout
-    ports = zone.ports
-    out = []
-    for h in range(1 << layout.total_bits):
-        if not zone.addr.contains(layout.extract_value(h, "s")):
-            continue
-        if ports is not None and not ports.contains(layout.extract_value(h, "sp")):
-            continue
-        out.append(h)
-    return out
+    tests = [_lookup(layout, "s", zone.addr)]
+    if zone.ports is not None:
+        tests.append(_lookup(layout, "sp", zone.ports))
+    return [h for h in range(1 << layout.total_bits) if _matches(tests, h)]
+
+
+# What a node does to one current header c, whatever o and k are:
+# drops [(rule id, c1)], outs [(peer, c2, NAT bits added, misdelivered)] and
+# no-route [c2].  ``misdelivered`` is None when the peer is a firewall.
+Step = tuple[list[tuple[int, int]], list[tuple[str, int, int, bool | None]], list[int]]
+
+
+def _firewall_step(net: Network, fw: Firewall, links, arrival):
+    """The firewall's DNAT -> filter -> SNAT -> routing transfer on one
+    concrete header, first match per table, over compiled guards."""
+    layout = net.layout
+
+    def nat_rules(rules):
+        out = []
+        for r in rules:
+            width = layout.width(r.nat_field)
+            shift = layout.total_bits - layout.offset(r.nat_field) - width
+            out.append((
+                _guard_lookups(layout, r.guard),
+                ~(((1 << width) - 1) << shift),
+                [v << shift for v in r.action.values()],
+                1 << layout.index(r.nat_field),
+            ))
+        return out
+
+    dnat, snat = nat_rules(fw.dnat), nat_rules(fw.snat)
+    filt = [(_guard_lookups(layout, r.guard), r.action == DROP, r.rule_id) for r in fw.filter]
+    routes = [(_guard_lookups(layout, guard), links.get(iface, ())) for iface, guard in fw.routing]
+
+    def nat(rules, c: int, bits: int) -> list[tuple[int, int]]:
+        for lookups, clear, values, bit in rules:
+            if _matches(lookups, c):
+                kept = c & clear
+                return [(kept | v, bits | bit) for v in values]
+        return [(c, bits)]
+
+    def step(c: int) -> Step:
+        drops, outs, lost = [], [], []
+        for c1, b1 in nat(dnat, c, 0):
+            dropped = False
+            for lookups, drop, rule_id in filt:
+                if _matches(lookups, c1):
+                    if drop:
+                        drops.append((rule_id, c1))
+                        dropped = True
+                    break
+            if dropped:
+                continue
+            for c2, b2 in nat(snat, c1, b1):
+                routed = False
+                for lookups, peers in routes:
+                    if _matches(lookups, c2):
+                        routed = True
+                        outs.extend((peer, c2, b2, arrival(peer, c2)) for peer in peers)
+                if not routed:
+                    lost.append(c2)
+        return drops, outs, lost
+
+    return step
 
 
 def simulate(
@@ -102,86 +212,62 @@ def simulate(
     _enumeration_cap(net, max_width)
     layout = net.layout
 
-    peers_of: dict[str, list[str]] = {}
+    links: dict[str, list[str]] = {}  # interface -> peer nodes
     for i1, i2 in net.links:
-        peers_of.setdefault(i1, []).append(net.node_of(i2))
-        peers_of.setdefault(i2, []).append(net.node_of(i1))
-    zone_names = {z.name for z in net.zones}
-    zone_by_name = {z.name: z for z in net.zones}
+        links.setdefault(i1, []).append(net.node_of(i2))
+        links.setdefault(i2, []).append(net.node_of(i1))
+    # zone -> its own addresses on d: an arrival outside them is misdelivered
+    delivered = {z.name: _lookup(layout, "d", z.addr) for z in net.zones}
+
+    def arrival(peer: str, c: int) -> bool | None:
+        lookup = delivered.get(peer)
+        return None if lookup is None else not _matches((lookup,), c)
+
+    steps = {fw.name: _firewall_step(net, fw, links, arrival) for fw in net.firewalls}
+    # the origin's own emission is the identity transfer over its link;
+    # zones never re-emit arrivals
+    origin_peers = links[net.zone(origin).interface]
+    steps[origin] = lambda c: ([], [(p, c, 0, arrival(p, c)) for p in origin_peers], [])
+    memos: dict[str, dict[int, Step]] = {node: {} for node in steps}
 
     result = ExactResult({n: set() for n in net.node_names()}, {}, set(), set(), set())
-
-    def record_arrival(node: str, c: int, o: int, k: int, arrival: bool = True):
-        result.per_node[node].add((c, o, k))
-        if arrival and node in zone_names:
-            zone = zone_by_name[node]
-            dst = layout.extract_value(c, "d")
-            if not zone.addr.contains(dst):
-                result.misdelivered.add((node, c))
-
-    def nat_table(rules, c: int, k: int) -> list[tuple[int, int]]:
-        for r in rules:
-            if r.guard.matches(layout, c):
-                bit = 1 << layout.index(r.nat_field)
-                return [
-                    (layout.with_value(c, r.nat_field, v), k | bit)
-                    for v in r.action.values()
-                ]
-        return [(c, k)]
-
-    def filter_table(rules, c: int, o: int) -> bool:
-        for r in rules:
-            if r.guard.matches(layout, c):
-                if r.action == DROP:
-                    result.per_rule_dropped.setdefault(r.rule_id, set()).add(o)
-                    result.per_rule_dropped_curr.setdefault(r.rule_id, set()).add(c)
-                    return False
-                return True
-        return True  # unreachable: tables end with a default rule
-
+    per_node = result.per_node
+    dropped, dropped_curr = result.per_rule_dropped, result.per_rule_dropped_curr
     queue: deque[tuple[str, int, int, int, int]] = deque()
     seen: set[tuple[str, int, int, int]] = set()
 
     for h in _initial_headers(net, origin):
         result.initial.add(h)
-        record_arrival(origin, h, h, 0, arrival=False)
+        per_node[origin].add((h, h, 0))
         queue.append((origin, h, h, 0, 0))
         seen.add((origin, h, h, 0))
-
-    def deliver(node: str, c: int, o: int, k: int, hops: int):
-        record_arrival(node, c, o, k)
-        if node in zone_names:
-            return  # zones never re-emit arrivals
-        key = (node, c, o, k)
-        if key not in seen:
-            seen.add(key)
-            queue.append((node, c, o, k, hops))
 
     while queue:
         node, c, o, k, hops = queue.popleft()
         result.states_explored += 1
         if max_hops is not None and hops >= max_hops:
             continue
-        if node in zone_names:
-            # the origin's own emission: identity transfer over its link
-            iface = zone_by_name[node].interface
-            for peer in peers_of[iface]:
-                deliver(peer, c, o, k, hops + 1)
-            continue
-        fw = net.firewall(node)
-        for c1, k1 in nat_table(fw.dnat, c, k):
-            if not filter_table(fw.filter, c1, o):
-                continue
-            for c2, k2 in nat_table(fw.snat, c1, k1):
-                routed = False
-                for iface, guard in fw.routing:
-                    if not guard.matches(layout, c2):
-                        continue
-                    routed = True
-                    for peer in peers_of.get(iface, ()):
-                        deliver(peer, c2, o, k2, hops + 1)
-                if not routed:
-                    result.no_route.add((node, c2, o))
+        hops += 1
+        memo = memos[node]
+        entry = memo.get(c)
+        if entry is None:
+            entry = memo[c] = steps[node](c)
+        drops, outs, lost = entry
+        for rule_id, c1 in drops:
+            dropped.setdefault(rule_id, set()).add(o)
+            dropped_curr.setdefault(rule_id, set()).add(c1)
+        for peer, c2, bits, misdelivered in outs:
+            k2 = k | bits
+            per_node[peer].add((c2, o, k2))
+            if misdelivered is None:
+                key = (peer, c2, o, k2)
+                if key not in seen:
+                    seen.add(key)
+                    queue.append((peer, c2, o, k2, hops))
+            elif misdelivered:
+                result.misdelivered.add((peer, c2))
+        for c2 in lost:
+            result.no_route.add((node, c2, o))
     return result
 
 

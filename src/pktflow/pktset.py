@@ -151,10 +151,7 @@ class HeaderLayout:
 
     def extract_value(self, header: int, name: str) -> int:
         """Field value inside a concrete header int."""
-        try:  # the oracle's inner loop: no _slot call
-            _, _, _, shift, mask = self._slots[name]
-        except KeyError:
-            raise UnknownFieldError(f"unknown field {name!r}") from None
+        _, _, _, shift, mask = self._slot(name)
         return (header >> shift) & mask
 
     def with_value(self, header: int, name: str, value: int) -> int:

@@ -6,6 +6,10 @@ touches the symbolic formula machinery, so it can certify it.
 
 from __future__ import annotations
 
+from collections import deque
+
+from pktflow.netmodel import DROP, Network
+from pktflow.oracle import DEFAULT_WIDTH_GUARD, ExactResult, _enumeration_cap
 from pktflow.pktset import FieldValueSet, HeaderLayout
 
 
@@ -34,3 +38,115 @@ def brute_overwrite(layout: HeaderLayout, headers: set[int], field: str,
             out.add(layout.with_value(h, field, v))
     return out
 
+
+# ------------------------------------------------------ reference oracle
+
+def _initial_headers(net: Network, origin: str) -> list[int]:
+    zone = net.zone(origin)
+    layout = net.layout
+    ports = zone.ports
+    out = []
+    for h in range(1 << layout.total_bits):
+        if not zone.addr.contains(layout.extract_value(h, "s")):
+            continue
+        if ports is not None and not ports.contains(layout.extract_value(h, "sp")):
+            continue
+        out.append(h)
+    return out
+
+
+def reference_simulate(
+    net: Network,
+    origin: str,
+    *,
+    max_width: int = DEFAULT_WIDTH_GUARD,
+    max_hops: int | None = None,
+) -> ExactResult:
+    """The semantic definition of ``oracle.simulate``: one breadth-first
+    exploration that matches every guard rule by rule on each queued state.
+    ``oracle.simulate`` must return an equal ``ExactResult``, with the same
+    ``states_explored``."""
+    _enumeration_cap(net, max_width)
+    layout = net.layout
+
+    peers_of: dict[str, list[str]] = {}
+    for i1, i2 in net.links:
+        peers_of.setdefault(i1, []).append(net.node_of(i2))
+        peers_of.setdefault(i2, []).append(net.node_of(i1))
+    zone_names = {z.name for z in net.zones}
+    zone_by_name = {z.name: z for z in net.zones}
+
+    result = ExactResult({n: set() for n in net.node_names()}, {}, set(), set(), set())
+
+    def record_arrival(node: str, c: int, o: int, k: int, arrival: bool = True):
+        result.per_node[node].add((c, o, k))
+        if arrival and node in zone_names:
+            zone = zone_by_name[node]
+            dst = layout.extract_value(c, "d")
+            if not zone.addr.contains(dst):
+                result.misdelivered.add((node, c))
+
+    def nat_table(rules, c: int, k: int) -> list[tuple[int, int]]:
+        for r in rules:
+            if r.guard.matches(layout, c):
+                bit = 1 << layout.index(r.nat_field)
+                return [
+                    (layout.with_value(c, r.nat_field, v), k | bit)
+                    for v in r.action.values()
+                ]
+        return [(c, k)]
+
+    def filter_table(rules, c: int, o: int) -> bool:
+        for r in rules:
+            if r.guard.matches(layout, c):
+                if r.action == DROP:
+                    result.per_rule_dropped.setdefault(r.rule_id, set()).add(o)
+                    result.per_rule_dropped_curr.setdefault(r.rule_id, set()).add(c)
+                    return False
+                return True
+        return True  # unreachable: tables end with a default rule
+
+    queue: deque[tuple[str, int, int, int, int]] = deque()
+    seen: set[tuple[str, int, int, int]] = set()
+
+    for h in _initial_headers(net, origin):
+        result.initial.add(h)
+        record_arrival(origin, h, h, 0, arrival=False)
+        queue.append((origin, h, h, 0, 0))
+        seen.add((origin, h, h, 0))
+
+    def deliver(node: str, c: int, o: int, k: int, hops: int):
+        record_arrival(node, c, o, k)
+        if node in zone_names:
+            return  # zones never re-emit arrivals
+        key = (node, c, o, k)
+        if key not in seen:
+            seen.add(key)
+            queue.append((node, c, o, k, hops))
+
+    while queue:
+        node, c, o, k, hops = queue.popleft()
+        result.states_explored += 1
+        if max_hops is not None and hops >= max_hops:
+            continue
+        if node in zone_names:
+            # the origin's own emission: identity transfer over its link
+            iface = zone_by_name[node].interface
+            for peer in peers_of[iface]:
+                deliver(peer, c, o, k, hops + 1)
+            continue
+        fw = net.firewall(node)
+        for c1, k1 in nat_table(fw.dnat, c, k):
+            if not filter_table(fw.filter, c1, o):
+                continue
+            for c2, k2 in nat_table(fw.snat, c1, k1):
+                routed = False
+                for iface, guard in fw.routing:
+                    if not guard.matches(layout, c2):
+                        continue
+                    routed = True
+                    for peer in peers_of.get(iface, ()):
+                        deliver(peer, c2, o, k2, hops + 1)
+                if not routed:
+                    result.no_route.add((node, c2, o))
+    return result

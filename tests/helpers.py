@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+
+from pktflow.gen import _random_guard, _random_range
 from pktflow.netmodel import DROP, Guard, Network, parse_value_set
 from pktflow.pktset import Formula
 
@@ -84,3 +87,73 @@ def guard_of(layout, **atoms) -> Guard:
         for name, text in atoms.items()
     )
     return Guard(tuple(sorted(parsed, key=lambda a: layout.index(a[0]))))
+
+
+# ---------------------------------------------------------- generated networks
+
+def port_rest_network(seed: int) -> dict:
+    """A ring of 2-3 firewalls over an s/sp/d/dp layout, with the features
+    ``gen.random_network`` never produces: DNAT on d and dp, SNAT on s and
+    sp, zone ports, a rest zone when addresses are left over, and routing
+    guards on dp.  Every zone is a valid origin."""
+    rng = random.Random(seed)
+    addr_w, port_w = rng.choice([2, 3]), rng.choice([1, 2])
+    fields = [("s", addr_w), ("sp", port_w), ("d", addr_w), ("dp", port_w)]
+    n_fw = rng.randint(2, 3)
+    interfaces = [[f"f{i}-prev", f"f{i}-next"] for i in range(n_fw)]
+    links = [[f"f{i}-next", f"f{(i + 1) % n_fw}-prev"] for i in range(n_fw)]
+
+    n_zones = rng.randint(2, min(3, (1 << addr_w) // 2))
+    bounds = sorted(rng.sample(range(1 << addr_w), 2 * n_zones))
+    zones, covered = [], 0
+    for i in range(n_zones):
+        lo = bounds[2 * i]
+        hi = bounds[2 * i + 1] if rng.random() < 0.7 else lo
+        covered += hi - lo + 1
+        zone = {"name": f"Z{i}", "interface": f"z{i}", "addr": f"{lo}-{hi}"}
+        if rng.random() < 0.5:
+            zone["ports"] = _random_range(rng, 1 << port_w)
+        zones.append(zone)
+    if covered < 1 << addr_w:
+        zones.append({"name": "Zrest", "interface": "zrest", "rest": True})
+    for zone in zones:
+        fw = rng.randrange(n_fw)
+        interfaces[fw].append(f"f{fw}-{zone['interface']}")
+        links.append([zone["interface"], f"f{fw}-{zone['interface']}"])
+
+    def nat(targets: tuple[str, str]) -> list[dict]:
+        return [
+            {
+                "guard": _random_guard(rng, fields),
+                "field": (name := rng.choice(targets)),
+                "to": _random_range(rng, 1 << dict(fields)[name], max_span=1),
+            }
+            for _ in range(rng.randint(0, 2))
+        ]
+
+    firewalls = []
+    for i in range(n_fw):
+        routing = {}
+        for iface in interfaces[i]:
+            keys = rng.choice([(), ("d",), ("dp",), ("d", "dp"), None])
+            if keys is not None:
+                routing[iface] = {k: _random_range(rng, 1 << dict(fields)[k]) for k in keys}
+        filt = [
+            {"guard": _random_guard(rng, fields), "action": rng.choice(["DROP", "ACCEPT"])}
+            for _ in range(rng.randint(0, 2))
+        ]
+        firewalls.append({
+            "name": f"F{i}",
+            "interfaces": interfaces[i],
+            "dnat": nat(("d", "dp")),
+            "filter": filt + [{"guard": {}, "action": "ACCEPT"}],
+            "snat": nat(("s", "sp")),
+            "routing": routing,
+        })
+    return {
+        "schema": 1,
+        "layout": [{"name": n, "width": w} for n, w in fields],
+        "zones": zones,
+        "firewalls": firewalls,
+        "links": links,
+    }

@@ -513,6 +513,18 @@ def test_check_trials_below_one_exits_2(trials, capsys):
     assert "--trials must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("given", [
+    ["--network", FIG3_SMALL, "--origin", "Z1"],
+    ["--network", FIG3_SMALL],
+    ["--origin", "Z1"],
+])
+def test_check_trials_with_a_network_exits_2(given, capsys):
+    assert main(["check", *given, "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot be combined with --network or --origin" in captured.err
+
+
 def test_check_json(capsys):
     assert main([
         "check", "--network", FIG3_SMALL, "--origin", "Z1",

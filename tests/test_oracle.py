@@ -2,8 +2,16 @@ from __future__ import annotations
 
 import pytest
 
+from brute import reference_simulate
+from helpers import port_rest_network
 from pktflow.engine import BOTTOM, analyze, get_lattice
-from pktflow.gen import cycle_network, cycle_required_hops, fixture_text, random_network
+from pktflow.gen import (
+    FIXTURES,
+    cycle_network,
+    cycle_required_hops,
+    fixture_text,
+    random_network,
+)
 from pktflow.netmodel import load_network, network_from_config, parse_value_set
 from pktflow.oracle import (
     WidthGuardExceeded,
@@ -220,6 +228,45 @@ def test_cycle_family_fixpoint_matches_oracle(k, variant):
     assert not rep.result.facts["Zout"].is_bottom()
 
 
+# ------------------------------------------------------------- compiled oracle
+
+def assert_same_exploration(net, origin, **kw):
+    """Every ExactResult field, states_explored included, equals the
+    rule-by-rule reference's."""
+    assert vars(simulate(net, origin, **kw)) == vars(reference_simulate(net, origin, **kw)), (
+        origin, kw,
+    )
+
+
+@pytest.mark.parametrize("first", range(0, 100, 20))
+def test_simulate_equals_reference_on_random_networks(first):
+    for seed in range(first, first + 20):
+        net = network_from_config(random_network(seed)[0])
+        for zone in net.zones:
+            for max_hops in (None, 3):
+                assert_same_exploration(net, zone.name, max_hops=max_hops)
+
+
+def test_simulate_equals_reference_on_fixtures():
+    checked = 0
+    for name in FIXTURES:
+        net = load_network(fixture_text(name))
+        if net.layout.total_bits > 12:
+            continue
+        for zone in net.zones:
+            assert_same_exploration(net, zone.name)
+            checked += 1
+        assert net.store.node_count() == 2  # the oracle built no formula
+    assert checked >= 6  # both small fixtures, every zone
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_simulate_equals_reference_on_cycles(k):
+    net = network_from_config(cycle_network(k))
+    for max_hops in (cycle_required_hops(k), cycle_required_hops(k) - 1):
+        assert_same_exploration(net, "Zin", max_hops=max_hops)
+
+
 # ------------------------------------------------------------- random trials
 
 @pytest.mark.parametrize("seed", range(4000, 4020))
@@ -231,26 +278,61 @@ def test_random_trials_all_variants(seed):
         assert rep.ok, f"{variant} failed on seed {seed}"
 
 
+def enumerated(formulas: dict, cap: int) -> dict:
+    return {key: set(f.enumerate(cap)) for key, f in formulas.items()}
+
+
+def grouped(pairs) -> dict:
+    out: dict = {}
+    for key, c in pairs:
+        out.setdefault(key, set()).add(c)
+    return out
+
+
+def assert_diagnostics_match(net, sim, results: dict, label: str):
+    """No-route leftovers and misdelivery (v1, v2) and ledger entries (v2
+    original headers, v1 current headers) enumerate to exactly what the
+    exhaustive simulation observed."""
+    cap = 1 << net.layout.total_bits
+    no_route = grouped((node, c) for node, c, _ in sim.no_route)
+    misdelivered = grouped(sim.misdelivered)
+    for variant, res in results.items():
+        assert enumerated(res.no_route, cap) == no_route, f"{variant} no-route differs on {label}"
+        assert enumerated(res.misdelivered, cap) == misdelivered, (
+            f"{variant} misdelivery differs on {label}"
+        )
+    assert enumerated(dict(results["v2"].ledger.items()), cap) == sim.per_rule_dropped, (
+        f"v2 ledger differs on {label}"
+    )
+    assert enumerated(dict(results["v1"].ledger.items()), cap) == sim.per_rule_dropped_curr, (
+        f"v1 ledger differs on {label}"
+    )
+
+
 @pytest.mark.parametrize("seed", range(100))
 def test_random_diagnostics_match_oracle(seed):
-    """No-route leftovers (v1, v2) and ledger entries (v2 original headers,
-    v1 current headers) enumerate to exactly what the exhaustive simulation
-    observed."""
     cfg, origin = random_network(seed)
     net = network_from_config(cfg)
-    sim = simulate(net, origin)
-    cap = 1 << net.layout.total_bits
-    no_route: dict[str, set[int]] = {}
-    for node, c, _ in sim.no_route:
-        no_route.setdefault(node, set()).add(c)
     results = {variant: analyze(net, origin, variant) for variant in ("v1", "v2")}
-    for variant, res in results.items():
-        got = {fw: set(f.enumerate(cap)) for fw, f in res.no_route.items()}
-        assert got == no_route, f"{variant} no-route differs on seed {seed}"
-    dropped = {rid: set(f.enumerate(cap)) for rid, f in results["v2"].ledger.items()}
-    assert dropped == sim.per_rule_dropped, f"v2 ledger differs on seed {seed}"
-    dropped = {rid: set(f.enumerate(cap)) for rid, f in results["v1"].ledger.items()}
-    assert dropped == sim.per_rule_dropped_curr, f"v1 ledger differs on seed {seed}"
+    assert_diagnostics_match(net, simulate(net, origin), results, f"seed {seed}")
+
+
+@pytest.mark.parametrize("first", range(0, 80, 10))
+def test_port_rest_networks_match_oracle(first):
+    """Port fields, DNAT on d/dp, SNAT on s/sp, zone ports and rest zones,
+    from every zone: v1 and v2 are exact, ia is sound, and the v1/v2
+    diagnostics and ledgers equal the oracle's."""
+    for seed in range(first, first + 10):
+        net = network_from_config(port_rest_network(seed))
+        for zone in net.zones:
+            label = f"seed {seed} from {zone.name}"
+            reports = {v: compare(net, zone.name, v) for v in ("v1", "v2", "ia")}
+            for variant in ("v1", "v2"):
+                rep = reports[variant]
+                assert rep.ok and all(d.status == "equal" for d in rep.nodes), (variant, label)
+            assert reports["ia"].ok, ("ia", label)
+            results = {v: reports[v].result for v in ("v1", "v2")}
+            assert_diagnostics_match(net, reports["v1"].exact, results, label)
 
 
 # ------------------------------------------------------------- other origins
