@@ -19,16 +19,35 @@ private store.  It serves the set-level outputs (``policy.infer_policy``);
 and ``testgen`` print.
 
 Propagation: the origin zone emits its departure value once; whenever a
-firewall's value grows it is re-queued.  Each expansion runs the firewall's
-DNAT, filter, and SNAT tables once and hands the survivors to the routing
-step of every out-link; zones record arrivals but never re-emit.  The lattice
-is finite (fixed header width), so the fixpoint is reached without widening.
+firewall's value grows it is re-queued.  Each expansion hands the survivors
+of the firewall's DNAT, filter, and SNAT tables to the routing step of
+every out-link; zones record arrivals but never re-emit.  The lattice is
+finite (fixed header width), so the fixpoint is reached without widening.
+
+Each firewall keeps a memo from every packet its tables have run to that
+packet's survivors, tagged with the index of the rule that let each one out
+of each table (``xfer.firewall_tf``).  An expansion runs only the packets
+not in the memo, as one batch in rule-major order, and credits each
+survivor to its packet; a repeated packet reuses its entry.  A stable sort
+of the value's entries by their rule indices then gives the list one run
+over the whole value would give, in the same order, and routing, the joins
+and the no-route diagnostic see that list.  So ``stats.joins`` and
+``stats.iterations`` are unchanged: every join and every accepted update is
+the same.  The ledger stays exact: a repeated packet would only record forms
+its earlier run already recorded, and a ledger entry only grows.
 
 Joined values are canonical (v2 packets sorted by their unique (orig, nated)
 key, formulas compared by store node), so value equality is plain ``==``.
 That sort is by orig node id, and ``testgen`` prints witnesses in packet
 order, so its output follows node numbering: a change in the order of BDD
-operations can reorder it even when every fact is the same.
+operations can reorder it even when every fact is the same.  Hence the
+rule for skipping work: skip only an operation whose result node already
+exists, and never reorder one that creates nodes.  An operation whose
+result exists creates none, since every intermediate result of ``&``,
+``|`` and ``~`` is a node of the result.  The memo skips only repeated
+packets' table runs, whose results all exist, and the guard split
+(``refine_unmatch``) skips only conjunctions whose result is ``p.curr``,
+empty, or the matched branch.
 The survivors of each firewall's latest expansion feed the no-route
 diagnostic: every accepted update re-queues the firewall and an expansion
 never changes the expanding node's own value, so the latest expansion saw
@@ -50,6 +69,7 @@ import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field as dc_field
+from operator import itemgetter
 
 from .netmodel import Guard, Network, guard_to_formula, reduce_guard, zone_departure_formula
 from .pktset import Formula, FormulaStore, HeaderLayout
@@ -120,9 +140,14 @@ class V1Lattice(_Lattice):
         c = p.curr & guard_to_formula(guard, self.store)
         return None if c.is_empty() else AbstractPacket(c, None, p.nated)
 
-    def refine_unmatch(self, p: AbstractPacket, guard: Guard):
-        c = p.curr & ~guard_to_formula(guard, self.store)
-        return [] if c.is_empty() else [AbstractPacket(c, None, p.nated)]
+    def refine_unmatch(self, p: AbstractPacket, guard: Guard, matched):
+        # ~g is built even when unused, so that node ids keep their order
+        ngf = ~guard_to_formula(guard, self.store)
+        if matched is None:
+            return [p]
+        if matched.curr == p.curr:
+            return []
+        return [AbstractPacket(p.curr & ngf, None, p.nated)]
 
     def apply_nat(self, p: AbstractPacket, rule) -> AbstractPacket:
         return AbstractPacket(p.curr.overwrite_field(rule.nat_field, rule.action))
@@ -164,29 +189,39 @@ class V2Lattice(_Lattice):
         o = p.orig & guard_to_formula(reduced, self.store)
         return AbstractPacket(c, o, p.nated)
 
-    def refine_unmatch(self, p: AbstractPacket, guard: Guard):
-        gf = guard_to_formula(guard, self.store)
-        if (p.curr & ~gf).is_empty():
+    def refine_unmatch(self, p: AbstractPacket, guard: Guard, matched):
+        # ~g is built even when unused, so that node ids keep their order
+        ngf = ~guard_to_formula(guard, self.store)
+        if matched is None:
+            c = p.curr
+        elif matched.curr == p.curr:
             return []
+        else:
+            c = p.curr & ngf
         reduced = reduce_guard(guard, p.nated, self.layout)
         if len(reduced.atoms) == len(guard.atoms):
             # no atom touches a NATed field: the negation holds on orig too
-            return [AbstractPacket(p.curr & ~gf, p.orig & ~gf, p.nated)]
+            return [AbstractPacket(c, p.orig & ngf, p.nated)]
         if not reduced.atoms:
             # guard only constrains NATed fields: says nothing about orig
-            return [AbstractPacket(p.curr & ~gf, p.orig, p.nated)]
+            return [AbstractPacket(c, p.orig, p.nated)]
         nated_names = self.layout.mask_names(p.nated)
         pieces = []
         prefix_c, prefix_o = p.curr, p.orig
-        for name, fvs in guard.atoms:
+        last = len(guard.atoms) - 1
+        for i, (name, fvs) in enumerate(guard.atoms):
             atom = self.store.atom(fvs)
             nated = name in nated_names
             c = prefix_c & ~atom
             if not c.is_empty():
                 o = prefix_o if nated else prefix_o & ~atom
                 pieces.append(AbstractPacket(c, o, p.nated))
-            prefix_c = prefix_c & atom
-            if not nated:
+            # after the last atom the prefixes are matched.curr (or empty)
+            # and matched.orig; only an orig prefix with no matched branch
+            # may still be a new node
+            if i < last:
+                prefix_c = prefix_c & atom
+            if not nated and (i < last or matched is None):
                 prefix_o = prefix_o & atom
         return pieces
 
@@ -294,9 +329,9 @@ class IALattice(V1Lattice):
     variant = "ia"
     compiles_filters = False  # the negation below is no fixed header set
 
-    def refine_unmatch(self, p: AbstractPacket, guard: Guard):
+    def refine_unmatch(self, p: AbstractPacket, guard: Guard, matched):
         # the negation of a multi-field guard is approximated as true
-        return [p] if len(guard.atoms) > 1 else super().refine_unmatch(p, guard)
+        return [p] if len(guard.atoms) > 1 else super().refine_unmatch(p, guard, matched)
 
     def join(self, packets) -> AbstractValue:
         union = self.store.false
@@ -430,6 +465,9 @@ def _propagate(net, lattice, origin, initial_packets, ledger, stats, *,
     stats.joins += 1
 
     survivors: dict[str, list] = {}  # firewall -> table survivors, latest expansion
+    # firewall -> {packet: [(rule indices, survivor)]}, the tagged
+    # survivors of each packet its tables have run
+    memos: dict[str, dict] = {}
     # a compiling lattice records its ledger once, at the fixpoint
     live_ledger = None if lattice.compiles_filters else ledger
     queue: deque[str] = deque([origin])
@@ -445,7 +483,16 @@ def _propagate(net, lattice, origin, initial_packets, ledger, stats, *,
         queued.discard(m)
         packets = facts[m].packets
         if not net.is_zone(m):
-            packets = survivors[m] = firewall_tf(net.firewall(m), packets, live_ledger, lattice)
+            memo = memos.setdefault(m, {})
+            new = [p for p in packets if p not in memo]
+            for p in new:
+                memo[p] = []
+            for tag, s in firewall_tf(net.firewall(m), new, live_ledger, lattice):
+                memo[tag[-1]].append((tag[:-1], s))
+            # one run's rule-major order: by the rules a survivor left its
+            # tables at, then by input packet (a stable sort), then by piece
+            packets = survivors[m] = [s for _, s in sorted(
+                (e for p in packets for e in memo[p]), key=itemgetter(0))]
         for own_iface, _, peer in net.out_links(m):
             out = link_tf(net, m, own_iface, packets, lattice)
             if not out:
@@ -467,8 +514,9 @@ def _propagate(net, lattice, origin, initial_packets, ledger, stats, *,
     if lattice.compiles_filters:
         for name in survivors:
             fw = net.firewall(name)
-            dnat = nat_table_tf(fw.dnat, facts[name].packets, lattice)
-            filter_table_drops(fw.filter, lattice.join(dnat).packets, ledger, lattice)
+            dnat = nat_table_tf(fw.dnat, [((), p) for p in facts[name].packets], lattice)
+            filter_table_drops(fw.filter, lattice.join(p for _, p in dnat).packets,
+                               ledger, lattice)
     return facts, survivors
 
 

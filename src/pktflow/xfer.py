@@ -3,14 +3,24 @@
 A rule transfer splits an incoming abstract packet into a branch that matches
 the rule's guard and branches that do not; the lattice object supplied by the
 engine owns the packet representation and the per-branch refinement policy,
-so the same table/link plumbing serves all three analysis variants.
+so the same table/link plumbing serves all three analysis variants.  The
+split is computed once per guard: ``lat.refine_match(p, g)`` returns the
+matched branch (None when it is empty), and ``lat.refine_unmatch(p, g,
+matched)`` takes that branch to return the unmatched ones.  When
+``matched`` is None the unmatched current set is ``p.curr``; when
+``matched.curr == p.curr`` nothing is unmatched.  Neither case conjoins
+``p.curr`` with the negated guard again.
 
 Filter tables thread the unmatched branches through successive rules and
 return the union of accepted branches; NAT tables additionally rewrite the
-matched branch's target field.  A firewall transfer pushes a value through
-the firewall's DNAT, filter, and SNAT tables in that order, once per
-expansion; a link transfer then keeps what the emitting interface's routing
-guard admits.  Routing misses are not rule drops and never reach the ledger.
+matched branch's target field.  Tables take and return ``(tag, packet)``
+pairs in rule-major order (rule by rule, each over the pending packets in
+order), and prefix a packet's tag with the index of the rule that let it
+out, so a survivor can be credited to the input packet it came from.  A
+firewall transfer pushes a value through the firewall's DNAT, filter, and
+SNAT tables in that order; a link transfer then keeps what the emitting
+interface's routing guard admits.  Routing misses are not rule drops and
+never reach the ledger.
 
 A lattice that refines by plain conjunction on ``curr`` (``v1``, and the
 relational ``v2`` in its own store; ``lat.compiles_filters``) sees a filter
@@ -105,7 +115,7 @@ def filter_rule_tf(rule: FilterRule, p, ledger: DropLedger | None, lat):
     The branch matching a DROP rule is recorded in the ledger and discarded.
     """
     matched = lat.refine_match(p, rule.guard)
-    unmatched = tuple(lat.refine_unmatch(p, rule.guard))
+    unmatched = tuple(lat.refine_unmatch(p, rule.guard, matched))
     if rule.action == DROP:
         if matched is not None and ledger is not None:
             ledger.record(rule.rule_id, lat.ledger_form(matched))
@@ -114,16 +124,20 @@ def filter_rule_tf(rule: FilterRule, p, ledger: DropLedger | None, lat):
     return accepted, unmatched
 
 
-def filter_table_tf(table, pset, ledger: DropLedger | None, lat):
-    """Thread packets through a filtering table; returns the accepted set."""
-    pending = list(pset)
+def filter_table_tf(table, items, ledger: DropLedger | None, lat):
+    """Thread tagged packets ``(tag, p)`` through a filtering table; returns
+    the accepted ones in rule-major order, each tagged ``(i, *tag)`` with
+    the index i of the rule that accepted it."""
+    pending = list(items)
     accepted: list = []
-    for rule in table:
+    for i, rule in enumerate(table):
         nxt: list = []
-        for p in pending:
+        for tag, p in pending:
             acc, unm = filter_rule_tf(rule, p, ledger, lat)
-            accepted.extend(acc)
-            nxt.extend(unm)
+            if acc:
+                accepted.append(((i, *tag), acc[0]))
+            for u in unm:
+                nxt.append((tag, u))
         pending = nxt
     return accepted
 
@@ -146,16 +160,17 @@ def accept_region(table, store: FormulaStore) -> Formula:
     return Formula(store, node)
 
 
-def filter_region_tf(table, pset, lat):
-    """Filter packets of a lattice that refines by conjunction on ``curr``:
-    one ``&`` with the table's accept region per packet.  Equal to the
-    union of ``filter_table_tf``'s pieces; records no ledger."""
+def filter_region_tf(table, items, lat):
+    """Filter tagged packets of a lattice that refines by conjunction on
+    ``curr``: one ``&`` with the table's accept region per packet, in input
+    order, each tagged ``(0, *tag)``.  Equal to the union of
+    ``filter_table_tf``'s pieces; records no ledger."""
     region = accept_region(table, lat.store)
     out = []
-    for p in pset:
+    for tag, p in items:
         c = p.curr & region
         if not c.is_empty():
-            out.append(AbstractPacket(c, None, p.nated))
+            out.append(((0, *tag), AbstractPacket(c, None, p.nated)))
     return out
 
 
@@ -187,30 +202,39 @@ def nat_rule_tf(rule: NatRule, p, lat):
     the table, the unmatched branches continue to later rules."""
     matched = lat.refine_match(p, rule.guard)
     out = (lat.apply_nat(matched, rule),) if matched is not None else ()
-    return out, tuple(lat.refine_unmatch(p, rule.guard))
+    return out, tuple(lat.refine_unmatch(p, rule.guard, matched))
 
 
-def nat_table_tf(table, pset, lat):
-    """Apply a NAT table; unmatched packets pass through untransformed."""
-    pending = list(pset)
+def nat_table_tf(table, items, lat):
+    """Apply a NAT table to tagged packets ``(tag, p)``; unmatched packets
+    pass through untransformed.  Returns the rewritten packets in
+    rule-major order, then the passed ones, each tagged ``(i, *tag)`` with
+    the index i of the rule that rewrote it (``len(table)`` if none)."""
+    pending = list(items)
     out: list = []
-    for rule in table:
+    for i, rule in enumerate(table):
         nxt: list = []
-        for p in pending:
+        for tag, p in pending:
             matched, unmatched = nat_rule_tf(rule, p, lat)
-            out.extend(matched)
-            nxt.extend(unmatched)
+            if matched:
+                out.append(((i, *tag), matched[0]))
+            for u in unmatched:
+                nxt.append((tag, u))
         pending = nxt
-    return out + pending
+    n = len(table)
+    return out + [((n, *tag), p) for tag, p in pending]
 
 
 def firewall_tf(fw: Firewall, pset, ledger: DropLedger | None, lat):
-    """Run a packet set through the firewall's DNAT, filter, and SNAT tables;
-    returns the survivors, before routing.  A lattice that refines by
-    conjunction (``lat.compiles_filters``) filters with the table's accept
-    region instead of rule by rule and takes no ledger: the engine records
-    its drops once, at the fixpoint (``filter_table_drops``)."""
-    s = nat_table_tf(fw.dnat, pset, lat)
+    """Run packets through the firewall's DNAT, filter, and SNAT tables;
+    returns the survivors, before routing, as ``(tag, survivor)`` pairs in
+    rule-major order.  The tag ``(snat, filter, dnat, p)`` names the input
+    packet ``p`` a survivor came from and the index of the rule that let it
+    out of each table.  A lattice that refines by conjunction
+    (``lat.compiles_filters``) filters with the table's accept region
+    instead of rule by rule and takes no ledger: the engine records its
+    drops once, at the fixpoint (``filter_table_drops``)."""
+    s = nat_table_tf(fw.dnat, [((p,), p) for p in pset], lat)
     if lat.compiles_filters:
         s = filter_region_tf(fw.filter, s, lat)
     else:

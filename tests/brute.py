@@ -1,16 +1,20 @@
 """Brute-force reference semantics used as the independent oracle in tests.
 
-Everything here works by exhaustive enumeration of concrete headers and never
-touches the symbolic formula machinery, so it can certify it.
+Everything here but ``reference_refine_unmatch`` works by exhaustive
+enumeration of concrete headers and never touches the symbolic formula
+machinery, so it can certify it.  ``reference_refine_unmatch`` keeps the
+definition of a lattice's unmatched split, computed from the guard alone.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from pktflow.netmodel import DROP, Network
+from pktflow.engine import IALattice, V2Lattice
+from pktflow.netmodel import DROP, Guard, Network, guard_to_formula, reduce_guard
 from pktflow.oracle import DEFAULT_WIDTH_GUARD, ExactResult, _enumeration_cap
 from pktflow.pktset import FieldValueSet, HeaderLayout
+from pktflow.xfer import AbstractPacket
 
 
 def all_headers(layout: HeaderLayout) -> range:
@@ -150,3 +154,43 @@ def reference_simulate(
                 if not routed:
                     result.no_route.add((node, c2, o))
     return result
+
+
+# ------------------------------------------------- reference guard split
+
+def reference_refine_unmatch(lat, p: AbstractPacket, guard: Guard) -> list[AbstractPacket]:
+    """The semantic definition of ``lat.refine_unmatch``: the branches of
+    ``p`` that miss ``guard``, computed from ``p`` and the guard alone.
+    ``lat.refine_unmatch(p, guard, lat.refine_match(p, guard))`` must
+    return equal packets in the same order."""
+    store = lat.store
+    gf = guard_to_formula(guard, store)
+    if isinstance(lat, IALattice) and len(guard.atoms) > 1:
+        # the negation of a multi-field guard is approximated as true
+        return [p]
+    if not isinstance(lat, V2Lattice):
+        c = p.curr & ~gf
+        return [] if c.is_empty() else [AbstractPacket(c, None, p.nated)]
+    if (p.curr & ~gf).is_empty():
+        return []
+    reduced = reduce_guard(guard, p.nated, lat.layout)
+    if len(reduced.atoms) == len(guard.atoms):
+        # no atom touches a NATed field: the negation holds on orig too
+        return [AbstractPacket(p.curr & ~gf, p.orig & ~gf, p.nated)]
+    if not reduced.atoms:
+        # guard only constrains NATed fields: says nothing about orig
+        return [AbstractPacket(p.curr & ~gf, p.orig, p.nated)]
+    nated_names = lat.layout.mask_names(p.nated)
+    pieces = []
+    prefix_c, prefix_o = p.curr, p.orig
+    for name, fvs in guard.atoms:
+        atom = store.atom(fvs)
+        nated = name in nated_names
+        c = prefix_c & ~atom
+        if not c.is_empty():
+            o = prefix_o if nated else prefix_o & ~atom
+            pieces.append(AbstractPacket(c, o, p.nated))
+        prefix_c = prefix_c & atom
+        if not nated:
+            prefix_o = prefix_o & atom
+    return pieces

@@ -525,6 +525,24 @@ def test_check_trials_with_a_network_exits_2(given, capsys):
     assert "cannot be combined with --network or --origin" in captured.err
 
 
+@pytest.mark.parametrize("given", [
+    ["--network", FIG3_SMALL, "--origin", "Z1"],
+    [],
+])
+def test_check_seed_without_trials_exits_2(given, capsys):
+    assert main(["check", *given, "--seed", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed sets the first trial seed; it needs --trials" in captured.err
+
+
+@pytest.mark.parametrize("given, first", [([], 0), (["--seed", "3"], 3)])
+def test_check_trials_json_reports_the_first_seed(given, first, capsys):
+    assert main(["check", "--trials", "2", *given, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["seed"] == first and doc["trials"] == 2 and doc["failed_seeds"] == []
+
+
 def test_check_json(capsys):
     assert main([
         "check", "--network", FIG3_SMALL, "--origin", "Z1",

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+from operator import itemgetter
+
 import pytest
 
-from helpers import guard_of
+from helpers import guard_of, port_rest_network
 from pktflow.engine import (
     BOTTOM,
     AbstractValue,
@@ -14,7 +16,7 @@ from pktflow.engine import (
 )
 from pktflow.gen import fixture_text, random_network
 from pktflow.netmodel import load_network, network_from_config, parse_value_set
-from pktflow.xfer import AbstractPacket
+from pktflow.xfer import AbstractPacket, DropLedger, firewall_tf
 
 
 @pytest.fixture
@@ -295,3 +297,41 @@ def test_ia_multi_field_negation_loses_precision():
     dropped_corner = atom(net, "s", "1-2") & atom(net, "d", "5-6")
     assert not (approx & dropped_corner).is_empty()
     assert (exact & dropped_corner).is_empty()
+
+
+# ------------------------------------------------- per-firewall survivor memo
+
+def assert_per_packet_runs_equal_one_run(net, origin, variant):
+    """The premise of the engine's survivor memo: one table run over a
+    value's packets equals the per-packet runs.  The joins and the ledgers
+    are equal, and the per-packet survivors, stably sorted by their rule
+    indices, come back in the one run's order."""
+    facts = analyze(net, origin, variant).facts
+    lat = get_lattice(variant, net)
+    for fw in net.firewalls:
+        packets = facts[fw.name].packets
+        whole = DropLedger(net.store)
+        one = firewall_tf(fw, packets, whole, lat)
+        apart = DropLedger(net.store)
+        runs = [[(tag[:-1], s) for tag, s in firewall_tf(fw, [p], apart, lat)] for p in packets]
+        assert lat.join(s for _, s in one) == lat.join(s for run in runs for _, s in run)
+        assert apart.items() == whole.items()
+        merged = sorted((e for run in runs for e in run), key=itemgetter(0))
+        assert [s for _, s in merged] == [s for _, s in one]
+
+
+@pytest.mark.parametrize("variant", ["v2", "ia"])
+@pytest.mark.parametrize("seed", range(0, 60, 20))
+def test_survivor_memo_premise_on_random_networks(seed, variant):
+    for s in range(seed, seed + 20):
+        cfg, origin = random_network(s)
+        assert_per_packet_runs_equal_one_run(network_from_config(cfg), origin, variant)
+
+
+@pytest.mark.parametrize("variant", ["v2", "ia"])
+@pytest.mark.parametrize("seed", range(0, 30, 10))
+def test_survivor_memo_premise_on_port_rest_networks(seed, variant):
+    for s in range(seed, seed + 10):
+        net = network_from_config(port_rest_network(s))
+        for zone in net.zones:
+            assert_per_packet_runs_equal_one_run(net, zone.name, variant)

@@ -12,7 +12,13 @@ cases are:
 * ``check`` (text/JSON x v1/v2/ia) from every zone of the two small
   fixtures, which runs the exhaustive oracle and its concretization;
 * ``analyze`` text x v1/v2/ia on ``random_network`` seeds 0-99, which
-  exercises v2 packet splitting on NAT rules the fixtures lack.
+  exercises v2 packet splitting on NAT rules the fixtures lack;
+* ``analyze --variant v2`` text and ``testgen --per-pair 3`` text from every
+  zone of ``data/ring-4x4-<seed>.json`` (``perfbench/netgen.py ring 4 4
+  SEED`` for seeds 1-3).  Their ``v2`` firewalls re-expand with DNAT on
+  ``dp`` and a ``rest`` zone, so packets split on mixed NAT masks; the
+  order of ``testgen``'s witnesses follows BDD node numbering and moves
+  with any change in the order of the operations that create nodes.
 
 The digests in ``data/cli_golden.json`` were recorded before changes that
 had to keep every byte; rendered bytes must not change with a speedup or a
@@ -47,6 +53,7 @@ WALL_TIME = re.compile(r'"wall_time_s": [-+.0-9eE]+')
 CHECK_FIXTURES = ("fig1-small.json", "fig3-small.json")
 RANDOM_SEEDS = range(100)
 VARIANTS = ("v1", "v2", "ia")
+RINGS = tuple(f"ring-4x4-{seed}.json" for seed in (1, 2, 3))
 
 
 def golden_commands() -> list[str]:
@@ -72,13 +79,22 @@ def golden_commands() -> list[str]:
         for variant in VARIANTS:
             commands.append(f"analyze --network random-{seed}.json --origin {origin} "
                             f"--variant {variant} --format text")
+    for ring in RINGS:
+        for zone in load_network_file(GOLDEN.parent / ring).zones:
+            commands.append(f"analyze --network {ring} --origin {zone.name} "
+                            f"--variant v2 --format text")
+            commands.append(f"testgen --network {ring} --origin {zone.name} "
+                            f"--per-pair 3 --format text")
     return commands
 
 
 def write_networks(directory: Path) -> None:
-    """Copy the fixtures and write the random configs into ``directory``."""
+    """Copy the fixtures and rings and write the random configs into
+    ``directory``."""
     for fixture in FIXTURES:
         shutil.copyfile(fixture_path(fixture), directory / fixture)
+    for ring in RINGS:
+        shutil.copyfile(GOLDEN.parent / ring, directory / ring)
     for seed in RANDOM_SEEDS:
         cfg, _ = random_network(seed)
         (directory / f"random-{seed}.json").write_text(json.dumps(cfg), encoding="utf-8")

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from brute import reference_refine_unmatch
 from helpers import concrete_filter, concrete_nat, guard_of
 from pktflow.engine import RelationalLattice, get_lattice
 from pktflow.gen import fixture_text
@@ -48,6 +49,14 @@ def z1_packet(fig3, lat):
     return lat.initial("Z1")[0]
 
 
+def tagged(pset):
+    return [((), p) for p in pset]
+
+
+def untagged(items):
+    return [p for _, p in items]
+
+
 def atom(net, field, text):
     return net.store.atom(parse_value_set(text, field, net.layout.width(field)))
 
@@ -89,7 +98,8 @@ def test_filter_rule_disjoint_drop(fig3, lat):
 
 def test_filter_table_f1(fig3, lat):
     p = z1_packet(fig3, lat)
-    out = filter_table_tf(fig3.firewall("F1").filter, [p], DropLedger(fig3.store), lat)
+    ledger = DropLedger(fig3.store)
+    out = untagged(filter_table_tf(fig3.firewall("F1").filter, tagged([p]), ledger, lat))
     assert len(out) == 1
     assert out[0].curr == atom(fig3, "s", "10.192.29.1-255") & ~atom(fig3, "d", "209.85.153.85")
 
@@ -98,7 +108,7 @@ def test_filter_table_trivials(fig3, lat):
     assert filter_table_tf(fig3.firewall("F1").filter, [], None, lat) == []
     p = z1_packet(fig3, lat)
     default_only = (FilterRule(Guard(), ACCEPT, 99),)
-    out = filter_table_tf(default_only, [p], None, lat)
+    out = untagged(filter_table_tf(default_only, tagged([p]), None, lat))
     assert len(out) == 1 and out[0].curr == p.curr and out[0].orig == p.orig
 
 
@@ -138,16 +148,16 @@ def test_second_nat_leaves_orig_alone(fig3, lat):
 
 def test_nat_table_trivials(fig3, lat):
     p = z1_packet(fig3, lat)
-    assert nat_table_tf((), [p], lat)[0].curr == p.curr
+    assert untagged(nat_table_tf((), tagged([p]), lat)) == [p]
     outsider = type(p)(atom(fig3, "s", "8.8.8.8"), atom(fig3, "s", "8.8.8.8"), 0)
-    out = nat_table_tf(fig3.firewall("F1").snat, [outsider], lat)
+    out = untagged(nat_table_tf(fig3.firewall("F1").snat, tagged([outsider]), lat))
     assert len(out) == 1 and out[0].curr == outsider.curr  # untransformed pass-through
 
 
 def test_nat_table_two_packets(fig3, lat):
     p1 = z1_packet(fig3, lat)
     p2 = get_lattice("v2", fig3).initial("Z2")[0]
-    out = nat_table_tf(fig3.firewall("F1").snat, [p1, p2], lat)
+    out = untagged(nat_table_tf(fig3.firewall("F1").snat, tagged([p1, p2]), lat))
     currs = {p.curr for p in out}
     assert currs == {atom(fig3, "s", "202.67.34.6-10"), atom(fig3, "s", "202.67.34.1-5")}
 
@@ -191,7 +201,8 @@ def test_link_zone_side_identity(fig3, lat):
 def test_link_f1_to_f2(fig3, lat):
     p = z1_packet(fig3, lat)
     ledger = DropLedger(fig3.store)
-    out = link_tf(fig3, "F1", "f1-f2", firewall_tf(fig3.firewall("F1"), [p], ledger, lat), lat)
+    s = untagged(firewall_tf(fig3.firewall("F1"), [p], ledger, lat))
+    out = link_tf(fig3, "F1", "f1-f2", s, lat)
     assert len(out) == 1
     assert out[0].curr == atom(fig3, "s", "202.67.34.6-10") & atom(fig3, "d", "202.65.23.2")
     assert out[0].orig == atom(fig3, "s", "10.192.29.1-255") & atom(fig3, "d", "202.65.23.2")
@@ -199,7 +210,7 @@ def test_link_f1_to_f2(fig3, lat):
 
 def test_link_f1_to_z4_excludes_internal_and_blocked(fig3, lat):
     p = z1_packet(fig3, lat)
-    s = firewall_tf(fig3.firewall("F1"), [p], DropLedger(fig3.store), lat)
+    s = untagged(firewall_tf(fig3.firewall("F1"), [p], DropLedger(fig3.store), lat))
     out = link_tf(fig3, "F1", "f1-z4", s, lat)
     (q,) = out
     excluded = (
@@ -218,7 +229,7 @@ def test_link_routing_miss_is_empty(fig3, lat):
         atom(fig3, "s", "10.192.29.7"),
         1 << fig3.layout.index("s"),
     )
-    s = firewall_tf(fig3.firewall("F1"), [p], None, lat)
+    s = untagged(firewall_tf(fig3.firewall("F1"), [p], None, lat))
     for iface in ("f1-z1", "f1-z2", "f1-f2", "f1-z4"):
         assert link_tf(fig3, "F1", iface, s, lat) == []
 
@@ -227,7 +238,7 @@ def test_link_without_routing_entry_emits_nothing():
     net = load_network(fixture_text("fig1.json"))
     lat = get_lattice("v2", net)
     p = lat.initial("Z1")[0]
-    s = firewall_tf(net.firewall("F1"), [p], None, lat)
+    s = untagged(firewall_tf(net.firewall("F1"), [p], None, lat))
     assert link_tf(net, "F1", "f1-f2l", s, lat) == []
 
 
@@ -235,7 +246,8 @@ def test_routing_drop_not_in_ledger(fig3, lat):
     p = z1_packet(fig3, lat)
     ledger = DropLedger(fig3.store)
     for iface in ("f1-z1", "f1-z2", "f1-f2", "f1-z4"):
-        link_tf(fig3, "F1", iface, firewall_tf(fig3.firewall("F1"), [p], ledger, lat), lat)
+        s = untagged(firewall_tf(fig3.firewall("F1"), [p], ledger, lat))
+        link_tf(fig3, "F1", iface, s, lat)
     assert ledger.rule_ids() == [1]  # only the real DROP rule
 
 
@@ -305,6 +317,36 @@ def test_rule_split_partitions_curr(variant, seed):
                 assert (a.curr & b.curr).is_empty()
 
 
+@pytest.mark.parametrize("variant", ["v1", "v2", "ia"])
+def test_refine_unmatch_equals_reference(variant):
+    """The split that starts from the matched branch gives the reference's
+    packets in the reference's order, on packets with every NAT mask."""
+    seen = set()
+    for seed in range(150):
+        rng = random.Random(700 + seed)
+        net = small_net()
+        lat = get_lattice(variant, net)
+        p = random_packet(rng, net, lat)
+        for i, field in enumerate(("s", "d")):
+            if rng.random() < 0.5:
+                lo = rng.randrange(8)
+                to = parse_value_set(f"{lo}-{min(7, lo + rng.randint(0, 3))}", field, 3)
+                p = lat.apply_nat(p, NatRule(Guard(), field, to, 20 + i))
+        for _ in range(4):
+            guard = random_guard(rng, net.layout) if rng.random() < 0.9 else Guard()
+            matched = lat.refine_match(p, guard)
+            got = lat.refine_unmatch(p, guard, matched)
+            assert got == reference_refine_unmatch(lat, p, guard)
+            whole = matched is not None and matched.curr == p.curr
+            seen.add((p.nated, matched is None, whole, len(got)))
+    # every branch of the split ran: missed, wholly matched, and partly
+    # matched guards, and for v2 several pieces on mixed NAT masks
+    assert {(m, w) for _, m, w, _ in seen} == {(True, False), (False, True), (False, False)}
+    if variant == "v2":
+        assert {n for n, *_ in seen} == {0, 1, 2, 3}
+        assert any(k > 1 for n, _, _, k in seen if n in (1, 2))
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_filter_table_equals_rule_fold(seed):
     rng = random.Random(100 + seed)
@@ -317,7 +359,7 @@ def test_filter_table_equals_rule_fold(seed):
     rules.append(FilterRule(Guard(), ACCEPT, 99))
     pset = [random_packet(rng, net, lat)]
 
-    got = filter_table_tf(rules, pset, None, lat)
+    got = untagged(filter_table_tf(rules, tagged(pset), None, lat))
 
     pending, accepted = list(pset), []
     for rule in rules:
@@ -346,7 +388,7 @@ def test_filter_table_concretely_exact(seed):
     rules.append(FilterRule(Guard(), rng.choice([DROP, ACCEPT]), 99))
     p = random_packet(rng, net, lat)
 
-    out = filter_table_tf(rules, [p], None, lat)
+    out = untagged(filter_table_tf(rules, tagged([p]), None, lat))
     got = set()
     for q in out:
         got |= _headers(q.curr, net)
@@ -376,7 +418,7 @@ def test_nat_table_concretely_exact(seed):
         )
     p = random_packet(rng, net, lat)
 
-    out = nat_table_tf(rules, [p], lat)
+    out = untagged(nat_table_tf(rules, tagged([p]), lat))
     got = set()
     for q in out:
         got |= _headers(q.curr, net)
@@ -413,9 +455,9 @@ def test_v2_tables_concretely_exact_on_pairs(seed):
     filt.append(FilterRule(Guard(), ACCEPT, 99))
 
     p = lat.initial("A")[0]
-    s = nat_table_tf(dnat, [p], lat)
+    s = nat_table_tf(dnat, tagged([p]), lat)
     s = filter_table_tf(filt, s, None, lat)
-    s = nat_table_tf(snat, s, lat)
+    s = untagged(nat_table_tf(snat, s, lat))
 
     got = set()
     for q in s:
@@ -453,8 +495,8 @@ def compiled_equals_fold(table, pset, lat, ledger_store):
     the same accepted headers per NAT mask, the same ledger.  Returns the
     deferred ledger."""
     folded = DropLedger(ledger_store)
-    pieces = filter_table_tf(table, pset, folded, lat)
-    compiled = filter_region_tf(table, pset, lat)
+    pieces = untagged(filter_table_tf(table, tagged(pset), folded, lat))
+    compiled = untagged(filter_region_tf(table, tagged(pset), lat))
     assert lat.join(compiled) == lat.join(pieces)
     region = accept_region(table, lat.store)
     assert [q.curr for q in compiled] == [
@@ -488,6 +530,7 @@ def test_accept_region_equals_rule_fold_relational(seed):
     p = lat.initial("Z1")[0]
     p = lat.refine_match(p, random_guard(rng, net.layout)) or p
     # relations without and with s in the NAT mask (F1's SNAT rewrites s)
-    pset = lat.join([p, *nat_table_tf(net.firewall("F1").snat, [p], lat)]).packets
+    snat = untagged(nat_table_tf(net.firewall("F1").snat, tagged([p]), lat))
+    pset = lat.join([p, *snat]).packets
     assert [q.nated for q in pset] == [0, 1]
     compiled_equals_fold(random_table(rng, net.layout), pset, lat, net.store)
