@@ -47,7 +47,13 @@ result exists creates none, since every intermediate result of ``&``,
 ``|`` and ``~`` is a node of the result.  The memo skips only repeated
 packets' table runs, whose results all exist, and the guard split
 (``refine_unmatch``) skips only conjunctions whose result is ``p.curr``,
-empty, or the matched branch.
+empty, or the matched branch.  ``V2Lattice`` also skips each conjunction
+of a packet's ``curr`` or ``orig`` with a guard, its negation or one atom
+that the formula's field summary settles (``settles``): when an atom
+admits none of its field's values the result is empty, and when every atom
+admits all of them it is the formula itself.  The summary creates no node
+(``FormulaStore.field_summary``), and negations are still built where they
+were.
 The survivors of each firewall's latest expansion feed the no-route
 diagnostic: every accepted update re-queues the firewall and an expansion
 never changes the expanding node's own value, so the latest expansion saw
@@ -72,7 +78,7 @@ from dataclasses import dataclass, field as dc_field
 from operator import itemgetter
 
 from .netmodel import Guard, Network, guard_to_formula, reduce_guard, zone_departure_formula
-from .pktset import Formula, FormulaStore, HeaderLayout
+from .pktset import Formula, FormulaStore, HeaderLayout, complement_ranges
 from .xfer import (
     AbstractPacket,
     DropLedger,
@@ -107,6 +113,46 @@ BOTTOM = AbstractValue()
 
 
 # --------------------------------------------------------------- lattices
+
+def atom_test(fvs, layout: HeaderLayout) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """A guard atom as (field index, merged ranges of the values it admits)."""
+    ranges = fvs.ranges
+    if fvs.negated:
+        ranges = complement_ranges(ranges, layout.width(fvs.field))
+    return layout.index(fvs.field), ranges
+
+
+def settles(summary, tests) -> bool | None:
+    """What a formula's field summary says of its conjunction with the
+    guard whose atoms are ``tests`` (``atom_test`` pairs): False when some
+    atom admits none of its field's values (the conjunction is empty), True
+    when every atom admits all of them (it is the formula), None when only
+    ``&`` can tell."""
+    inside = True
+    for i, want in tests:
+        have = summary[i][0]
+        # two-pointer scans of the merged ranges: any overlap, and does
+        # ``want`` hold all of ``have``
+        a = b = 0
+        while a < len(have) and b < len(want):
+            if have[a][1] < want[b][0]:
+                a += 1
+            elif want[b][1] < have[a][0]:
+                b += 1
+            else:
+                break
+        else:
+            return False
+        if inside:
+            b = 0
+            for lo, hi in have:
+                while b < len(want) and want[b][1] < lo:
+                    b += 1
+                if b == len(want) or want[b][0] > lo or want[b][1] < hi:
+                    inside = False
+                    break
+    return True if inside else None
+
 
 class _Lattice:
     variant = "?"
@@ -177,16 +223,37 @@ class V2Lattice(_Lattice):
 
     variant = "v2"
 
+    def __init__(self, net: Network):
+        super().__init__(net)
+        self._tests: dict = {}  # atom value set -> (field index, values it admits)
+
     def initial(self, zone_name: str) -> list[AbstractPacket]:
         f = zone_departure_formula(self.net, zone_name)
         return [AbstractPacket(f, f, 0)]
 
+    def _meet(self, f: Formula, atoms, g: Formula, negated: bool = False) -> Formula:
+        """``f & g``, where ``g`` is the conjunction of the guard atoms
+        ``atoms`` or, when ``negated``, its negation.  ``&`` runs only when
+        f's field summary cannot settle the result (``settles``); a settled
+        result is ``f`` or empty, both existing nodes."""
+        tests = self._tests
+        need = []
+        for _, fvs in atoms:
+            t = tests.get(fvs)
+            if t is None:
+                t = tests[fvs] = atom_test(fvs, self.layout)
+            need.append(t)
+        inside = settles(self.store.field_summary(f.node), need)
+        if inside is None:
+            return f & g
+        return f if inside != negated else self.store.false
+
     def refine_match(self, p: AbstractPacket, guard: Guard):
-        c = p.curr & guard_to_formula(guard, self.store)
+        c = self._meet(p.curr, guard.atoms, guard_to_formula(guard, self.store))
         if c.is_empty():
             return None
         reduced = reduce_guard(guard, p.nated, self.layout)
-        o = p.orig & guard_to_formula(reduced, self.store)
+        o = self._meet(p.orig, reduced.atoms, guard_to_formula(reduced, self.store))
         return AbstractPacket(c, o, p.nated)
 
     def refine_unmatch(self, p: AbstractPacket, guard: Guard, matched):
@@ -201,7 +268,7 @@ class V2Lattice(_Lattice):
         reduced = reduce_guard(guard, p.nated, self.layout)
         if len(reduced.atoms) == len(guard.atoms):
             # no atom touches a NATed field: the negation holds on orig too
-            return [AbstractPacket(c, p.orig & ngf, p.nated)]
+            return [AbstractPacket(c, self._meet(p.orig, guard.atoms, ngf, True), p.nated)]
         if not reduced.atoms:
             # guard only constrains NATed fields: says nothing about orig
             return [AbstractPacket(c, p.orig, p.nated)]
@@ -209,20 +276,22 @@ class V2Lattice(_Lattice):
         pieces = []
         prefix_c, prefix_o = p.curr, p.orig
         last = len(guard.atoms) - 1
-        for i, (name, fvs) in enumerate(guard.atoms):
+        for i, pair in enumerate(guard.atoms):
+            name, fvs = pair
+            one = (pair,)
             atom = self.store.atom(fvs)
             nated = name in nated_names
-            c = prefix_c & ~atom
+            c = self._meet(prefix_c, one, ~atom, True)
             if not c.is_empty():
-                o = prefix_o if nated else prefix_o & ~atom
+                o = prefix_o if nated else self._meet(prefix_o, one, ~atom, True)
                 pieces.append(AbstractPacket(c, o, p.nated))
             # after the last atom the prefixes are matched.curr (or empty)
             # and matched.orig; only an orig prefix with no matched branch
             # may still be a new node
             if i < last:
-                prefix_c = prefix_c & atom
+                prefix_c = self._meet(prefix_c, one, atom)
             if not nated and (i < last or matched is None):
-                prefix_o = prefix_o & atom
+                prefix_o = self._meet(prefix_o, one, atom)
         return pieces
 
     def apply_nat(self, p: AbstractPacket, rule) -> AbstractPacket:
@@ -378,12 +447,6 @@ class AnalysisResult:
 
 def default_iteration_ceiling(net: Network) -> int:
     return 10 * max(1, len(net.links)) * (1 << min(net.layout.total_bits, 20))
-
-
-def initial_value(net: Network, zone_name: str, variant: str = "v2") -> AbstractValue:
-    """The abstract value leaving ``zone_name``, for the given lattice variant."""
-    lattice = get_lattice(variant, net)
-    return lattice.join(lattice.initial(zone_name))
 
 
 def analyze(

@@ -57,14 +57,6 @@ class WidthGuardExceeded(ValueError):
     """The layout is too wide for exhaustive concrete exploration."""
 
 
-@dataclass(frozen=True)
-class ConcreteState:
-    node: str
-    curr: int
-    orig: int
-    nated: int
-
-
 @dataclass
 class ExactResult:
     """Everything the exhaustive simulation observed."""
@@ -80,9 +72,6 @@ class ExactResult:
 
     def states(self, node: str) -> set[tuple[int, int, int]]:
         return self.per_node.get(node, set())
-
-    def concrete_states(self, node: str) -> set[ConcreteState]:
-        return {ConcreteState(node, c, o, k) for c, o, k in self.states(node)}
 
     def pairs(self, node: str) -> set[tuple[int, int]]:
         return {(c, o) for c, o, _ in self.states(node)}

@@ -33,13 +33,15 @@ Kernel invariants (``FormulaStore``):
 * The unique table and the ``&``/``|`` computed tables key on one packed
   int (a node pair as ``small << 32 | large``), which assumes fewer than
   2**32 nodes per store.  Quantification caches are kept per variable set.
-* The summary caches (``projection_ranges`` results by (node, field), and
-  ``field_summaries``, which ``render.formula_fields`` fills by node), the
+* The field summaries (``_summaries``, by node, filled by
+  ``field_summary``), the atom cache, the quantification caches, the
   ``relabel`` memos, and the guard and accept-region memos
   (``guard_formulas``, filled by ``netmodel.guard_to_formula``, and
   ``accept_regions``, filled by ``xfer.accept_region``, which hold node
   ids) are never invalidated: they rely on nodes never being freed or
   renumbered, so a future store reset must clear them too.
+* ``field_summary`` only reads the node lists: it creates no node, so
+  reading a summary never moves the numbering of later nodes.
 * A store holds no ``Formula``: ``store.false`` and ``store.true`` build
   their handles on demand and the memos hold node ids, so a store is in no
   reference cycle and reference counting frees it.
@@ -111,10 +113,6 @@ class HeaderLayout:
     @property
     def field_count(self) -> int:
         return len(self.fields)
-
-    @property
-    def max_field_bits(self) -> int:
-        return max(w for _, w in self.fields)
 
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.fields)
@@ -193,6 +191,51 @@ class FieldValueSet:
     def values(self):
         for lo, hi in self.ranges:
             yield from range(lo, hi + 1)
+
+
+def complement_ranges(ranges, width: int) -> tuple[tuple[int, int], ...]:
+    """The values of a ``width``-bit field outside merged ``ranges``."""
+    out = []
+    nxt = 0
+    for lo, hi in ranges:
+        if lo > nxt:
+            out.append((nxt, lo - 1))
+        nxt = hi + 1
+    if nxt <= (1 << width) - 1:
+        out.append((nxt, (1 << width) - 1))
+    return tuple(out)
+
+
+def _spread(ranges, gap: int, bits: int) -> tuple[tuple[int, int], ...]:
+    """Ranges over ``bits`` low bits, repeated under each value of ``gap``
+    free bits above them."""
+    size = 1 << bits
+    if ranges == ((0, size - 1),):
+        return ((0, (size << gap) - 1),)
+    out: list[tuple[int, int]] = []
+    for t in range(0, size << gap, size):
+        for a, b in ranges:
+            if out and out[-1][1] + 1 == a + t:
+                out[-1] = (out[-1][0], b + t)
+            else:
+                out.append((a + t, b + t))
+    return tuple(out)
+
+
+def _combine(pairs) -> tuple:
+    """One field's ``(ranges, independent)`` over the union of several
+    nodes' entries, from each node's own pair."""
+    first = pairs[0][0]
+    if all(r == first for r, _ in pairs):
+        return first, all(ind for _, ind in pairs)
+    out: list[tuple[int, int]] = []
+    for a, b in sorted(x for r, _ in pairs for x in r):
+        if out and a <= out[-1][1] + 1:
+            if b > out[-1][1]:
+                out[-1] = (out[-1][0], b)
+        else:
+            out.append((a, b))
+    return tuple(out), False
 
 
 def _kernel(var: list[int], low: list[int], high: list[int]):
@@ -353,10 +396,13 @@ class FormulaStore:
         # filter table -> node of the headers it accepts, filled by
         # xfer.accept_region
         self.accept_regions: dict = {}
-        # (node, field) -> Formula.projection_ranges result
-        self._projections: dict[tuple[int, str], tuple[tuple[int, int], ...]] = {}
-        # node -> per-field (ranges, exact flags), filled by render.formula_fields
-        self.field_summaries: dict[int, tuple[tuple, tuple]] = {}
+        # node -> its field_summary; the terminals' are filled in here
+        free = tuple((((0, (1 << w) - 1),), True) for _, w in layout.fields)
+        self._summaries: dict[int, tuple] = {0: (((), True),) * len(free), 1: free}
+        self._free = free
+        # first and end variable of each field, and the field of each variable
+        self._spans = tuple((layout.offset(n), layout.offset(n) + w) for n, w in layout.fields)
+        self._field_of = [i for i, (_, w) in enumerate(layout.fields) for _ in range(w)]
         # target store -> varmap -> node memo of Formula.relabel; weak, so
         # that a copy into a short-lived store does not keep it alive
         self._relabels: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -381,6 +427,76 @@ class FormulaStore:
             cache = self._quant_caches.setdefault(vs, {})
             q = self._quants[(field, keep)] = (vs, max(vs, default=-1), cache)
         return self._exists(a, *q)
+
+    # -- field summaries --------------------------------------------------
+
+    def field_summary(self, node: int) -> tuple:
+        """Per field of the layout, in order, the pair ``(ranges,
+        independent)``: the merged inclusive ranges of the field's values
+        over the node's headers, and whether the node equals the conjunction
+        of that value set with its own projection onto the other fields.
+
+        One walk per field, creating no node: paths enter a field at its
+        entry nodes and leave it at non-false exit nodes (a node past the
+        field, or a terminal, is its own exit).  The ranges are the union
+        over entries of the values that lead to an exit; the field is
+        independent exactly when every entry gives the same ranges and
+        reaches one exit.  The node's own field is walked from the node,
+        with a memo for that call; every later field is read from the
+        summaries of the exits, which are cached in the store by node like
+        the node's own.
+        """
+        s = self._summaries.get(node)
+        if s is None:
+            s = self._summarize(node)
+        return s
+
+    def _summarize(self, node: int) -> tuple:
+        var, low, high = self._var, self._lo, self._hi
+        v = var[node]
+        k = self._field_of[v]
+        off, end = self._spans[k]
+        memo: dict[int, tuple] = {}
+        exits: set[int] = set()
+
+        def walk(n: int, v: int) -> tuple:
+            # the values over the field's bits from v on, and the one exit
+            # they lead to (-1 when there are several)
+            half = 1 << (end - v - 1)
+            ranges, one, shift = (), 0, 0
+            for c in (low[n], high[n]):
+                if c:
+                    cv = var[c]
+                    if cv >= end:
+                        r, x = ((shift, shift + half - 1),), c
+                        exits.add(c)
+                    else:
+                        m = memo.get(c)
+                        if m is None:
+                            m = memo[c] = walk(c, cv)
+                        r, x = m
+                        if cv > v + 1:
+                            r = _spread(r, cv - v - 1, end - cv)
+                        if shift:
+                            r = tuple((a + shift, b + shift) for a, b in r)
+                    if ranges and ranges[-1][1] + 1 == r[0][0]:
+                        ranges = (*ranges[:-1], (ranges[-1][0], r[0][1]), *r[1:])
+                    else:
+                        ranges += r
+                    one = x if one == 0 or one == x else -1
+                shift = half
+            return ranges, one
+
+        ranges, one = walk(node, v)
+        if v > off:
+            ranges = _spread(ranges, v - off, end - v)
+        if one > 0:
+            tail = self.field_summary(one)[k + 1:]
+        else:
+            sums = [self.field_summary(x) for x in exits]
+            tail = tuple(_combine([s[j] for s in sums]) for j in range(k + 1, len(self._spans)))
+        s = self._summaries[node] = (*self._free[:k], (ranges, one > 0), *tail)
+        return s
 
     # -- range atoms -------------------------------------------------------
 
@@ -609,57 +725,9 @@ class Formula:
 
     def field_ranges(self, field: str) -> tuple[tuple[int, int], ...]:
         """The projected field value set as merged inclusive ranges."""
-        return self.extract_field(field).projection_ranges(field)
-
-    def projection_ranges(self, field: str) -> tuple[tuple[int, int], ...]:
-        """Merged inclusive ranges of a formula that constrains no variable
-        outside ``field``, such as an ``extract_field`` result.  Cached in the
-        store by (node, field)."""
-        store = self.store
-        cache_key = (self.node, field)
-        cached = store._projections.get(cache_key)
-        if cached is not None:
-            return cached
-        off = store.layout.offset(field)
-        w = store.layout.width(field)
-        memo: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-
-        def merged(parts: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-            out: list[tuple[int, int]] = []
-            for lo, hi in parts:
-                if out and lo <= out[-1][1] + 1:
-                    out[-1] = (out[-1][0], hi)
-                else:
-                    out.append((lo, hi))
-            return tuple(out)
-
-        def rec(node: int, i: int) -> tuple[tuple[int, int], ...]:
-            # intervals over the field's suffix bits [i, w)
-            if node == 0:
-                return ()
-            size = 1 << (w - i)
-            if node == 1 or store._var[node] >= off + w:
-                return ((0, size - 1),)
-            key = (node, i)
-            r = memo.get(key)
-            if r is None:
-                half = size >> 1
-                if store._var[node] == off + i:
-                    left = rec(store._lo[node], i + 1)
-                    right = rec(store._hi[node], i + 1)
-                else:  # free bit inside the field: same subtree twice
-                    left = right = rec(node, i + 1)
-                r = merged(list(left) + [(lo + half, hi + half) for lo, hi in right])
-                memo[key] = r
-            return r
-
-        ranges = store._projections[cache_key] = rec(self.node, 0)
-        return ranges
+        return self.store.field_summary(self.node)[self.store.layout.index(field)][0]
 
     def is_field_product(self) -> bool:
         """True when the formula equals the conjunction of its per-field
         projections (no cross-field correlation)."""
-        prod = self.store.true
-        for name, _ in self.store.layout.fields:
-            prod = prod & self.extract_field(name)
-        return prod == self
+        return all(independent for _, independent in self.store.field_summary(self.node))

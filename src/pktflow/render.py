@@ -11,7 +11,9 @@ In text output a field renders as ``true`` (unconstrained), a bare item,
 shorter.  Structured (JSON) output uses the configuration value-set grammar
 instead, so every emitted set re-parses.  Per-field sets are projections; a
 field whose values are entangled with other fields is flagged approximate
-and the text line lists the flagged fields.
+and the text line lists the flagged fields.  Both come from the store's
+field summary (``FormulaStore.field_summary``), so rendering builds no
+formula and leaves the store's node count as the analysis left it.
 """
 
 from __future__ import annotations
@@ -20,21 +22,9 @@ from dataclasses import dataclass
 
 from .engine import AbstractValue, AnalysisResult, get_lattice
 from .netmodel import Network, range_to_text
-from .pktset import Formula, HeaderLayout
+from .pktset import Formula, HeaderLayout, complement_ranges
 
 Ranges = tuple[tuple[int, int], ...]
-
-
-def _complement(ranges: Ranges, width: int) -> Ranges:
-    out = []
-    nxt = 0
-    for lo, hi in ranges:
-        if lo > nxt:
-            out.append((nxt, lo - 1))
-        nxt = hi + 1
-    if nxt <= (1 << width) - 1:
-        out.append((nxt, (1 << width) - 1))
-    return tuple(out)
 
 
 def format_field_display(ranges: Ranges, width: int) -> str:
@@ -43,7 +33,7 @@ def format_field_display(ranges: Ranges, width: int) -> str:
         return "true"
     if not ranges:
         return "false"
-    comp = _complement(ranges, width)
+    comp = complement_ranges(ranges, width)
     if len(comp) < len(ranges):
         return "!{" + ", ".join(range_to_text(lo, hi, width) for lo, hi in comp) + "}"
     items = [range_to_text(lo, hi, width) for lo, hi in ranges]
@@ -56,7 +46,7 @@ def format_field_data(ranges: Ranges, width: int) -> str:
         return "*"
     if not ranges:
         return "!*"
-    comp = _complement(ranges, width)
+    comp = complement_ranges(ranges, width)
     if len(comp) < len(ranges):
         return "!" + ",".join(range_to_text(lo, hi, width) for lo, hi in comp)
     return ",".join(range_to_text(lo, hi, width) for lo, hi in ranges)
@@ -89,24 +79,13 @@ def formula_fields(formula: Formula, layout: HeaderLayout) -> tuple[dict, dict]:
 
     A field is exact when the formula does not correlate it with the other
     fields, i.e. the formula equals (projection onto the field) AND (rest).
-    When the formula is the product of its projections every field is exact,
-    so the per-field test runs only for correlated formulas.  The summary is
-    computed once per node and kept in the formula's store; each call
-    returns fresh dicts.
+    Both come from the store's field summary, which builds no formula;
+    each call returns fresh dicts.
     """
+    summary = formula.store.field_summary(formula.node)
     names = layout.names()
-    summaries = formula.store.field_summaries
-    summary = summaries.get(formula.node)
-    if summary is None:
-        projs = [formula.extract_field(name) for name in names]
-        ranges = tuple(proj.projection_ranges(name) for proj, name in zip(projs, names))
-        if formula.is_field_product():
-            exact = (True,) * len(names)
-        else:
-            exact = tuple(formula == (proj & formula.exists_field(name))
-                          for proj, name in zip(projs, names))
-        summary = summaries[formula.node] = (ranges, exact)
-    return dict(zip(names, summary[0])), dict(zip(names, summary[1]))
+    return ({name: r for name, (r, _) in zip(names, summary)},
+            {name: ok for name, (_, ok) in zip(names, summary)})
 
 
 def render_value(value: AbstractValue, variant: str, net: Network) -> list[RenderedPacket]:

@@ -1,9 +1,12 @@
 """Brute-force reference semantics used as the independent oracle in tests.
 
-Everything here but ``reference_refine_unmatch`` works by exhaustive
-enumeration of concrete headers and never touches the symbolic formula
-machinery, so it can certify it.  ``reference_refine_unmatch`` keeps the
-definition of a lattice's unmatched split, computed from the guard alone.
+Everything here but ``reference_refine_unmatch`` and
+``reference_formula_fields`` works by exhaustive enumeration of concrete
+headers and never touches the symbolic formula machinery, so it can certify
+it.  ``reference_refine_unmatch`` keeps the definition of a lattice's
+unmatched split, computed from the guard alone; ``reference_formula_fields``
+keeps the projection definition of the per-field summary that rendering
+prints.
 """
 
 from __future__ import annotations
@@ -194,3 +197,65 @@ def reference_refine_unmatch(lat, p: AbstractPacket, guard: Guard) -> list[Abstr
         if not nated:
             prefix_o = prefix_o & atom
     return pieces
+
+
+# ------------------------------------------------ reference field summary
+
+def projection_ranges(proj, field: str) -> tuple[tuple[int, int], ...]:
+    """Merged inclusive ranges of a formula that constrains no variable
+    outside ``field``, such as an ``extract_field`` result."""
+    store = proj.store
+    off = store.layout.offset(field)
+    w = store.layout.width(field)
+    memo: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+
+    def merged(parts: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+        out: list[tuple[int, int]] = []
+        for lo, hi in parts:
+            if out and lo <= out[-1][1] + 1:
+                out[-1] = (out[-1][0], hi)
+            else:
+                out.append((lo, hi))
+        return tuple(out)
+
+    def rec(node: int, i: int) -> tuple[tuple[int, int], ...]:
+        # intervals over the field's suffix bits [i, w)
+        if node == 0:
+            return ()
+        size = 1 << (w - i)
+        if node == 1 or store._var[node] >= off + w:
+            return ((0, size - 1),)
+        key = (node, i)
+        r = memo.get(key)
+        if r is None:
+            half = size >> 1
+            if store._var[node] == off + i:
+                left = rec(store._lo[node], i + 1)
+                right = rec(store._hi[node], i + 1)
+            else:  # free bit inside the field: same subtree twice
+                left = right = rec(node, i + 1)
+            r = merged(list(left) + [(lo + half, hi + half) for lo, hi in right])
+            memo[key] = r
+        return r
+
+    return rec(proj.node, 0)
+
+
+def reference_formula_fields(formula, layout: HeaderLayout) -> tuple[dict, dict]:
+    """The projection definition of ``render.formula_fields``: per field,
+    the value ranges of the formula's projection onto it, and whether the
+    formula equals that projection AND its own quantification of the field.
+    It builds formulas, so it grows the store; ``formula_fields`` must
+    return equal dicts without doing so."""
+    names = layout.names()
+    projs = [formula.extract_field(name) for name in names]
+    ranges = tuple(projection_ranges(proj, name) for proj, name in zip(projs, names))
+    product = formula.store.true
+    for proj in projs:
+        product = product & proj
+    if product == formula:
+        exact = (True,) * len(names)
+    else:
+        exact = tuple(formula == (proj & formula.exists_field(name))
+                      for proj, name in zip(projs, names))
+    return dict(zip(names, ranges)), dict(zip(names, exact))

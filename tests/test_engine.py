@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from operator import itemgetter
+from pathlib import Path
 
 import pytest
 
@@ -335,3 +336,38 @@ def test_survivor_memo_premise_on_port_rest_networks(seed, variant):
         net = network_from_config(port_rest_network(s))
         for zone in net.zones:
             assert_per_packet_runs_equal_one_run(net, zone.name, variant)
+
+
+# ------------------------------------------------------- node creation
+
+DATA = Path(__file__).resolve().parent / "data"
+
+# ``net.store.node_count()`` after one analysis from each zone, in a fresh
+# store.  Nodes are numbered in creation order and ``testgen`` prints its
+# witnesses in node order, so a change that adds, drops or reorders a
+# node-creating operation moves these counts even when every rendered fact
+# stays the same.  A speedup must keep them.
+STORE_NODES = {
+    ("ring-4x4-1.json", "v2"): {"Z0": 18341, "Z1": 18109, "Z2": 18272, "Z3": 18332,
+                                "REST": 16861},
+    ("ring-4x4-2.json", "v2"): {"Z0": 18322, "Z1": 18090, "Z2": 18253, "Z3": 18312,
+                                "REST": 16841},
+    ("ring-4x4-3.json", "v2"): {"Z0": 18351, "Z1": 18119, "Z2": 18284, "Z3": 18343,
+                                "REST": 16872},
+    ("fig1.json", "v1"): {"Z1": 926, "Z2": 926},
+    ("fig1.json", "ia"): {"Z1": 926, "Z2": 926},
+    ("fig3.json", "v1"): {"Z1": 1401, "Z2": 1479, "Z3": 1471, "Z4": 1699},
+    ("fig3.json", "ia"): {"Z1": 1221, "Z2": 1303, "Z3": 1361, "Z4": 1619},
+}
+
+
+@pytest.mark.parametrize("name, variant", sorted(STORE_NODES))
+def test_analysis_creates_the_same_store_nodes(name, variant):
+    path = DATA / name
+    text = path.read_text(encoding="utf-8") if path.exists() else fixture_text(name)
+    got = {}
+    for zone in load_network(text).zones:
+        net = load_network(text)
+        analyze(net, zone.name, variant)
+        got[zone.name] = net.store.node_count()
+    assert got == STORE_NODES[(name, variant)]

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from helpers import guard_of
-from pktflow.engine import initial_value
+from pktflow.engine import get_lattice
 from pktflow.gen import FIXTURES, fixture_text, random_network
 from pktflow.netmodel import (
     ConfigError,
@@ -281,16 +281,15 @@ def test_initial_value_variants(fig3):
     store = fig3.store
     z1_atom = store.atom(parse_value_set("10.192.29.1-255", "s", 32))
 
-    v1 = initial_value(fig3, "Z1", "v1")
-    assert len(v1.packets) == 1
-    assert v1.packets[0].curr == z1_atom
+    v1 = get_lattice("v1", fig3).initial("Z1")
+    assert len(v1) == 1
+    assert v1[0].curr == z1_atom
 
-    v2 = initial_value(fig3, "Z1", "v2")
-    p = v2.packets[0]
+    (p,) = get_lattice("v2", fig3).initial("Z1")
     assert p.curr == z1_atom and p.orig == z1_atom and p.nated == 0
 
-    ia = initial_value(fig3, "Z1", "ia")
-    curr = ia.packets[0].curr
+    (ia,) = get_lattice("ia", fig3).initial("Z1")
+    curr = ia.curr
     assert curr.extract_field("s") == z1_atom
     assert curr.extract_field("d") == store.true
 
@@ -312,7 +311,7 @@ def test_initial_value_full_space_zone():
         "links": [["a", "fa"]],
     }
     net = network_from_config(cfg)
-    assert initial_value(net, "A", "v1").packets[0].curr == net.store.true
+    assert get_lattice("v1", net).initial("A")[0].curr == net.store.true
 
 
 def test_ipv4lite_preset_layout():
@@ -372,7 +371,7 @@ def test_initial_value_with_ports():
         "links": [["a", "fa"], ["b", "fb"]],
     }
     net = network_from_config(cfg)
-    got = initial_value(net, "A", "v1").packets[0].curr
+    got = get_lattice("v1", net).initial("A")[0].curr
     expected = net.store.atom(parse_value_set("0-3", "s", 3)) & net.store.atom(
         parse_value_set("2-3", "sp", 2)
     )

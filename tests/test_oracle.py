@@ -347,13 +347,6 @@ def test_every_origin_checks_out(small3, origin, variant):
         assert all(d.status == "equal" for d in rep.nodes)
 
 
-def test_concrete_states_accessor(small3):
-    sim = simulate(small3, "Z1")
-    states = sim.concrete_states("Z2")
-    assert states and all(s.node == "Z2" for s in states)
-    assert {(s.curr, s.orig) for s in states} == sim.pairs("Z2")
-
-
 # one firewall interface on a shared segment linked to two zones at once
 SHARED_SEGMENT_NET = {
     "layout": [{"name": "s", "width": 3}, {"name": "d", "width": 3}],

@@ -13,6 +13,7 @@ from brute import (
     formula_set,
     headers_where,
     in_value_set,
+    reference_formula_fields,
 )
 from pktflow.pktset import (
     FieldValueSet,
@@ -42,7 +43,6 @@ def fvs(field, *ranges, negated=False):
 def test_layout_derived_quantities():
     assert T2X2.total_bits == 4
     assert T2X2.field_count == 2
-    assert T2X2.max_field_bits == 2
     assert T2X2.offset("f2") == 2
     assert T2X2.extract_value(0b1001, "f1") == 2
     assert T2X2.extract_value(0b1001, "f2") == 1
@@ -367,13 +367,13 @@ def test_operation_chains_on_wider_layout(start1, ops1, start2, ops2):
     assert (f.node == g.node) == (f_set == g_set)
 
 
-def brute_fields(headers: set[int]) -> tuple[dict, dict]:
+def brute_fields(headers: set[int], layout: HeaderLayout = T3X3) -> tuple[dict, dict]:
     """Per-field merged value ranges and exactness flags of a header set, by
     enumeration: a field is exact when the set equals the product of its
     values in the field and its projection onto the other fields."""
     ranges, exact = {}, {}
-    for name in T3X3_FIELDS:
-        values = sorted({T3X3.extract_value(h, name) for h in headers})
+    for name, width in layout.fields:
+        values = sorted({layout.extract_value(h, name) for h in headers})
         runs: list[tuple[int, int]] = []
         for v in values:
             if runs and v == runs[-1][1] + 1:
@@ -381,9 +381,29 @@ def brute_fields(headers: set[int]) -> tuple[dict, dict]:
             else:
                 runs.append((v, v))
         ranges[name] = tuple(runs)
-        rest = brute_overwrite(T3X3, headers, name, FieldValueSet(name, ((0, 7),)))
-        exact[name] = headers == {h for h in rest if T3X3.extract_value(h, name) in values}
+        full = FieldValueSet(name, ((0, (1 << width) - 1),))
+        rest = brute_overwrite(layout, headers, name, full)
+        exact[name] = headers == {h for h in rest if layout.extract_value(h, name) in values}
     return ranges, exact
+
+
+def assert_summary(f, want, layout):
+    """The field summary of ``f`` equals the enumerated ``want`` and the
+    projection reference, and reading it creates no node."""
+    store = f.store
+    nodes = store.node_count()
+    assert field_sets(f, layout) == want[0]  # the ranges-only path
+    first = formula_fields(f, layout)
+    assert first == want
+    assert f.is_field_product() == all(want[1].values())
+    assert store.node_count() == nodes
+    assert reference_formula_fields(f, layout) == want
+    assert formula_fields(f, layout) == want  # from the store's cache
+    # callers own the returned dicts
+    name = layout.names()[0]
+    first[0][name] = ()
+    first[1][name] = not first[1][name]
+    assert formula_fields(f, layout) == want
 
 
 @settings(max_examples=80, deadline=None)
@@ -393,21 +413,54 @@ def test_formula_fields_summary_matches_brute_force(start1, ops1, start2, ops2):
     chains = [run_chain(store, start1, ops1), run_chain(store, start2, ops2)]
     for f, f_set in chains:
         want = brute_fields(f_set)
-        assert field_sets(f, T3X3) == want[0]  # the ranges-only path
-        first = formula_fields(f, T3X3)
-        assert first == want
-        assert formula_fields(f, T3X3) == want  # from the store's cache
-        # a product of per-field sets: the shortcut's case, exact everywhere
+        # a product of per-field sets is exact everywhere, and only then
         product = {h for h in all_headers(T3X3) if all(
             any(lo <= T3X3.extract_value(h, n) <= hi for lo, hi in want[0][n])
             for n in T3X3_FIELDS)}
-        assert f.is_field_product() == (f_set == product)
-        if f.is_field_product():
-            assert all(want[1].values())
-        # callers own the returned dicts
-        first[0]["a"] = ()
-        first[1]["a"] = not first[1]["a"]
-        assert formula_fields(f, T3X3) == want
+        assert all(want[1].values()) == (f_set == product)
+        assert_summary(f, want, T3X3)
+
+
+def test_formula_fields_summary_edge_cases():
+    store = FormulaStore(T3X3)
+    a = store.atom(fvs("a", (1, 2)))
+    c = store.atom(fvs("c", (0, 0), (5, 6)))
+    diag = store.false
+    for v in range(8):
+        diag = diag | (store.atom(fvs("a", (v, v))) & store.atom(fvs("c", (v, v))))
+    cases = [
+        store.false,
+        store.true,
+        c,  # skips a and b: every path enters c at its root
+        a & c,  # skips b
+        store.atom(fvs("b", (3, 3), negated=True)),
+        diag,  # a and c correlated across the free b
+        diag | store.atom(fvs("b", (7, 7))),  # b exact only on some paths
+        (a & store.atom(fvs("b", (0, 3)))) | (~a & store.atom(fvs("b", (0, 3)))),
+    ]
+    for f in cases:
+        assert_summary(f, brute_fields(formula_set(f)), T3X3)
+    assert formula_fields(diag, T3X3)[1] == {"a": False, "b": True, "c": False}
+
+
+# T3X3 with the shadow ``a~`` of a, as the relational v2 store lays it out
+TSH = HeaderLayout((("a", 3), ("a~", 3), ("b", 3), ("c", 3)))
+INTO_TSH = (0, 1, 2, 6, 7, 8, 9, 10, 11)
+A_ONTO_SHADOW = (3, 4, 5, 3, 4, 5, 6, 7, 8, 9, 10, 11)
+
+
+@settings(max_examples=40, deadline=None)
+@given(value_sets3, chain_ops, value_sets3)
+def test_formula_fields_summary_on_a_shadow_layout(start, ops, nat):
+    """Relations as the relational engine holds them: the original of a on
+    its shadow, a new value of a conjoined after a NAT."""
+    store, shadow = FormulaStore(T3X3), FormulaStore(TSH)
+    f, _ = run_chain(store, start, ops)
+    copy = f.relabel(INTO_TSH, shadow)
+    nat_a = FieldValueSet("a", nat.ranges, nat.negated)
+    moved = copy.relabel(A_ONTO_SHADOW) & shadow.atom(nat_a)
+    for h in (copy, moved, moved.exists_field("b")):
+        assert_summary(h, brute_fields(formula_set(h), TSH), TSH)
 
 
 @settings(max_examples=80, deadline=None)

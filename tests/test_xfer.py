@@ -6,7 +6,7 @@ import pytest
 
 from brute import reference_refine_unmatch
 from helpers import concrete_filter, concrete_nat, guard_of
-from pktflow.engine import RelationalLattice, get_lattice
+from pktflow.engine import RelationalLattice, atom_test, get_lattice, settles
 from pktflow.gen import fixture_text
 from pktflow.netmodel import (
     ACCEPT,
@@ -14,6 +14,7 @@ from pktflow.netmodel import (
     FilterRule,
     Guard,
     NatRule,
+    guard_to_formula,
     load_network,
     network_from_config,
     parse_value_set,
@@ -345,6 +346,43 @@ def test_refine_unmatch_equals_reference(variant):
     if variant == "v2":
         assert {n for n, *_ in seen} == {0, 1, 2, 3}
         assert any(k > 1 for n, _, _, k in seen if n in (1, 2))
+
+
+def test_v2_meet_equals_conjunction():
+    """``V2Lattice``'s conjunction helper returns ``f & g`` and ``f & ~g``
+    on packets with every NAT mask; when the field summary settles one, it
+    returns f or empty and runs no ``&``, so it creates no node."""
+    settled = set()
+    for seed in range(150):
+        rng = random.Random(900 + seed)
+        net = small_net()
+        store = net.store
+        lat = get_lattice("v2", net)
+        p = random_packet(rng, net, lat)
+        for i, field in enumerate(("s", "d")):
+            if rng.random() < 0.5:
+                to = parse_value_set(f"{rng.randrange(8)}", field, 3)
+                p = lat.apply_nat(p, NatRule(Guard(), field, to, 20 + i))
+        for _ in range(4):
+            guard = random_guard(rng, net.layout) if rng.random() < 0.9 else Guard()
+            gf = guard_to_formula(guard, store)
+            ngf = ~gf
+            for f in (p.curr, p.orig):
+                inside = settles(store.field_summary(f.node),
+                                 [atom_test(fvs, net.layout) for _, fvs in guard.atoms])
+                settled.add(inside)
+                calls = []
+                kernel_and = store._and
+                store._and = lambda a, b: calls.append(1) or kernel_and(a, b)
+                try:
+                    got = lat._meet(f, guard.atoms, gf), lat._meet(f, guard.atoms, ngf, True)
+                finally:
+                    store._and = kernel_and
+                assert got == (f & gf, f & ngf)
+                if inside is not None:
+                    assert not calls
+                    assert got == ((f, store.false) if inside else (store.false, f))
+    assert settled == {True, False, None}
 
 
 @pytest.mark.parametrize("seed", range(20))
