@@ -25,35 +25,31 @@ every out-link; zones record arrivals but never re-emit.  The lattice is
 finite (fixed header width), so the fixpoint is reached without widening.
 
 Each firewall keeps a memo from every packet its tables have run to that
-packet's survivors, tagged with the index of the rule that let each one out
-of each table (``xfer.firewall_tf``).  An expansion runs only the packets
-not in the memo, as one batch in rule-major order, and credits each
-survivor to its packet; a repeated packet reuses its entry.  A stable sort
-of the value's entries by their rule indices then gives the list one run
-over the whole value would give, in the same order, and routing, the joins
-and the no-route diagnostic see that list.  So ``stats.joins`` and
-``stats.iterations`` are unchanged: every join and every accepted update is
-the same.  The ledger stays exact: a repeated packet would only record forms
+packet's survivors (``xfer.firewall_tf`` on the packet alone).  An
+expansion runs only the packets not in the memo, and routing sees the
+survivors packet by packet; a repeated packet reuses its entry.  The table
+transfers act on each packet alone, so these are the survivors of one run
+over the whole value, in another order, and every join and accepted update
+is the same: ``stats.joins`` and ``stats.iterations`` do not depend on the
+memo.  The ledger stays exact: a repeated packet would only record forms
 its earlier run already recorded, and a ledger entry only grows.
 
 Joined values are canonical (v2 packets sorted by their unique (orig, nated)
 key, formulas compared by store node), so value equality is plain ``==``.
-That sort is by orig node id, and ``testgen`` prints witnesses in packet
-order, so its output follows node numbering: a change in the order of BDD
-operations can reorder it even when every fact is the same.  Hence the
-rule for skipping work: skip only an operation whose result node already
-exists, and never reorder one that creates nodes.  An operation whose
-result exists creates none, since every intermediate result of ``&``,
-``|`` and ``~`` is a node of the result.  The memo skips only repeated
-packets' table runs, whose results all exist, and the guard split
-(``refine_unmatch``) skips only conjunctions whose result is ``p.curr``,
-empty, or the matched branch.  ``V2Lattice`` also skips each conjunction
-of a packet's ``curr`` or ``orig`` with a guard, its negation or one atom
+That order by node id is internal: facts, ledger and diagnostics are sets
+of headers, ``testgen`` sorts its witnesses by header, and the renderer
+sorts packets by their per-field sets.  So output depends neither on node
+ids nor on what the store built before an analysis, and a speedup may drop
+or reorder operations that create nodes.  One tie remains: ``v2`` packets
+with equal per-field sets but different exactness flags print in node
+order (``render.render_value``).  ``V2Lattice`` skips each conjunction of
+a packet's ``curr`` or ``orig`` with a guard, its negation or one atom
 that the formula's field summary settles (``settles``): when an atom
 admits none of its field's values the result is empty, and when every atom
 admits all of them it is the formula itself.  The summary creates no node
-(``FormulaStore.field_summary``), and negations are still built where they
-were.
+(``FormulaStore.field_summary``), and a negation is built only for a
+conjunction that runs.
+
 The survivors of each firewall's latest expansion feed the no-route
 diagnostic: every accepted update re-queues the firewall and an expansion
 never changes the expanding node's own value, so the latest expansion saw
@@ -75,7 +71,6 @@ import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field as dc_field
-from operator import itemgetter
 
 from .netmodel import Guard, Network, guard_to_formula, reduce_guard, zone_departure_formula
 from .pktset import Formula, FormulaStore, HeaderLayout, complement_ranges
@@ -187,13 +182,11 @@ class V1Lattice(_Lattice):
         return None if c.is_empty() else AbstractPacket(c, None, p.nated)
 
     def refine_unmatch(self, p: AbstractPacket, guard: Guard, matched):
-        # ~g is built even when unused, so that node ids keep their order
-        ngf = ~guard_to_formula(guard, self.store)
         if matched is None:
             return [p]
         if matched.curr == p.curr:
             return []
-        return [AbstractPacket(p.curr & ngf, None, p.nated)]
+        return [AbstractPacket(p.curr & ~guard_to_formula(guard, self.store), None, p.nated)]
 
     def apply_nat(self, p: AbstractPacket, rule) -> AbstractPacket:
         return AbstractPacket(p.curr.overwrite_field(rule.nat_field, rule.action))
@@ -232,10 +225,10 @@ class V2Lattice(_Lattice):
         return [AbstractPacket(f, f, 0)]
 
     def _meet(self, f: Formula, atoms, g: Formula, negated: bool = False) -> Formula:
-        """``f & g``, where ``g`` is the conjunction of the guard atoms
-        ``atoms`` or, when ``negated``, its negation.  ``&`` runs only when
-        f's field summary cannot settle the result (``settles``); a settled
-        result is ``f`` or empty, both existing nodes."""
+        """``f & g``, or ``f & ~g`` when ``negated``, where ``g`` is the
+        conjunction of the guard atoms ``atoms``.  ``&`` (and ``~``) run only
+        when f's field summary cannot settle the result (``settles``); a
+        settled result is ``f`` or empty, both existing nodes."""
         tests = self._tests
         need = []
         for _, fvs in atoms:
@@ -245,7 +238,7 @@ class V2Lattice(_Lattice):
             need.append(t)
         inside = settles(self.store.field_summary(f.node), need)
         if inside is None:
-            return f & g
+            return f & ~g if negated else f & g
         return f if inside != negated else self.store.false
 
     def refine_match(self, p: AbstractPacket, guard: Guard):
@@ -257,21 +250,17 @@ class V2Lattice(_Lattice):
         return AbstractPacket(c, o, p.nated)
 
     def refine_unmatch(self, p: AbstractPacket, guard: Guard, matched):
-        # ~g is built even when unused, so that node ids keep their order
-        ngf = ~guard_to_formula(guard, self.store)
-        if matched is None:
-            c = p.curr
-        elif matched.curr == p.curr:
+        if matched is not None and matched.curr == p.curr:
             return []
-        else:
-            c = p.curr & ngf
         reduced = reduce_guard(guard, p.nated, self.layout)
-        if len(reduced.atoms) == len(guard.atoms):
+        if not reduced.atoms or len(reduced.atoms) == len(guard.atoms):
+            gf = guard_to_formula(guard, self.store)
+            c = p.curr if matched is None else p.curr & ~gf
+            if not reduced.atoms:
+                # guard only constrains NATed fields: says nothing about orig
+                return [AbstractPacket(c, p.orig, p.nated)]
             # no atom touches a NATed field: the negation holds on orig too
-            return [AbstractPacket(c, self._meet(p.orig, guard.atoms, ngf, True), p.nated)]
-        if not reduced.atoms:
-            # guard only constrains NATed fields: says nothing about orig
-            return [AbstractPacket(c, p.orig, p.nated)]
+            return [AbstractPacket(c, self._meet(p.orig, guard.atoms, gf, True), p.nated)]
         nated_names = self.layout.mask_names(p.nated)
         pieces = []
         prefix_c, prefix_o = p.curr, p.orig
@@ -281,17 +270,15 @@ class V2Lattice(_Lattice):
             one = (pair,)
             atom = self.store.atom(fvs)
             nated = name in nated_names
-            c = self._meet(prefix_c, one, ~atom, True)
+            c = self._meet(prefix_c, one, atom, True)
             if not c.is_empty():
-                o = prefix_o if nated else self._meet(prefix_o, one, ~atom, True)
+                o = prefix_o if nated else self._meet(prefix_o, one, atom, True)
                 pieces.append(AbstractPacket(c, o, p.nated))
-            # after the last atom the prefixes are matched.curr (or empty)
-            # and matched.orig; only an orig prefix with no matched branch
-            # may still be a new node
+            # nothing reads the prefixes after the last atom
             if i < last:
                 prefix_c = self._meet(prefix_c, one, atom)
-            if not nated and (i < last or matched is None):
-                prefix_o = self._meet(prefix_o, one, atom)
+                if not nated:
+                    prefix_o = self._meet(prefix_o, one, atom)
         return pieces
 
     def apply_nat(self, p: AbstractPacket, rule) -> AbstractPacket:
@@ -528,8 +515,7 @@ def _propagate(net, lattice, origin, initial_packets, ledger, stats, *,
     stats.joins += 1
 
     survivors: dict[str, list] = {}  # firewall -> table survivors, latest expansion
-    # firewall -> {packet: [(rule indices, survivor)]}, the tagged
-    # survivors of each packet its tables have run
+    # firewall -> {packet: survivors}, for each packet its tables have run
     memos: dict[str, dict] = {}
     # a compiling lattice records its ledger once, at the fixpoint
     live_ledger = None if lattice.compiles_filters else ledger
@@ -546,16 +532,12 @@ def _propagate(net, lattice, origin, initial_packets, ledger, stats, *,
         queued.discard(m)
         packets = facts[m].packets
         if not net.is_zone(m):
+            fw = net.firewall(m)
             memo = memos.setdefault(m, {})
-            new = [p for p in packets if p not in memo]
-            for p in new:
-                memo[p] = []
-            for tag, s in firewall_tf(net.firewall(m), new, live_ledger, lattice):
-                memo[tag[-1]].append((tag[:-1], s))
-            # one run's rule-major order: by the rules a survivor left its
-            # tables at, then by input packet (a stable sort), then by piece
-            packets = survivors[m] = [s for _, s in sorted(
-                (e for p in packets for e in memo[p]), key=itemgetter(0))]
+            for p in packets:
+                if p not in memo:
+                    memo[p] = firewall_tf(fw, [p], live_ledger, lattice)
+            packets = survivors[m] = [s for p in packets for s in memo[p]]
         for own_iface, _, peer in net.out_links(m):
             out = link_tf(net, m, own_iface, packets, lattice)
             if not out:
@@ -577,9 +559,8 @@ def _propagate(net, lattice, origin, initial_packets, ledger, stats, *,
     if lattice.compiles_filters:
         for name in survivors:
             fw = net.firewall(name)
-            dnat = nat_table_tf(fw.dnat, [((), p) for p in facts[name].packets], lattice)
-            filter_table_drops(fw.filter, lattice.join(p for _, p in dnat).packets,
-                               ledger, lattice)
+            dnat = nat_table_tf(fw.dnat, facts[name].packets, lattice)
+            filter_table_drops(fw.filter, lattice.join(dnat).packets, ledger, lattice)
     return facts, survivors
 
 

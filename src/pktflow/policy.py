@@ -98,9 +98,11 @@ def generate_test_packets(
 
     For every destination zone other than the origin and every abstract
     packet there, emits up to ``per_pair`` (orig, arrival) header pairs:
-    originals are enumerated in ascending order and each is paired with its
-    smallest compatible arrival header (compatible = equal on all fields the
-    packet has not NATed).
+    the packet's smallest originals, each paired with its smallest
+    compatible arrival header (compatible = equal on all fields the packet
+    has not NATed).  Witnesses come zone by zone in network order, sorted
+    by (orig, arrival) within a zone, so the order depends on the facts
+    only and not on the store's node numbering.
     """
     if per_pair < 1:
         raise PolicyError("per_pair must be >= 1")
@@ -108,11 +110,14 @@ def generate_test_packets(
         result = analyze(net, origin, "v2")
     if result.variant != "v2":
         raise PolicyError("test-packet generation needs a variant-2 analysis")
+    if result.origin != origin:
+        raise PolicyError(f"analysis origin {result.origin!r} does not match origin {origin!r}")
     layout = net.layout
     out: list[TestPacket] = []
     for z in net.zones:
         if z.name == origin:
             continue
+        pairs = []
         for p in result.facts[z.name].packets:
             keep = 0  # the header bits of the fields the packet has not NATed
             for name in layout.mask_names(~p.nated):
@@ -120,5 +125,6 @@ def generate_test_packets(
             for o in p.orig.enumerate(per_pair):
                 arrival = p.curr.smallest_agreeing(o, keep)
                 if arrival is not None:
-                    out.append(TestPacket(z.name, o, arrival))
+                    pairs.append((o, arrival))
+        out.extend(TestPacket(z.name, o, arrival) for o, arrival in sorted(pairs))
     return out

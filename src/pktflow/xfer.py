@@ -13,10 +13,8 @@ matched)`` takes that branch to return the unmatched ones.  When
 
 Filter tables thread the unmatched branches through successive rules and
 return the union of accepted branches; NAT tables additionally rewrite the
-matched branch's target field.  Tables take and return ``(tag, packet)``
-pairs in rule-major order (rule by rule, each over the pending packets in
-order), and prefix a packet's tag with the index of the rule that let it
-out, so a survivor can be credited to the input packet it came from.  A
+matched branch's target field.  Tables take and return packet lists in
+rule-major order (rule by rule, each over the pending packets in order).  A
 firewall transfer pushes a value through the firewall's DNAT, filter, and
 SNAT tables in that order; a link transfer then keeps what the emitting
 interface's routing guard admits.  Routing misses are not rule drops and
@@ -29,8 +27,8 @@ folding the rules backwards, and ``filter_region_tf`` filters each packet
 with one ``&``.  Such a run records no ledger while it propagates:
 ``filter_table_drops`` gives the same entries from the final values, and
 the engine calls it once at the fixpoint.  ``v2`` packets and ``ia`` keep
-the rule-by-rule ``filter_table_tf`` (the ``v2`` goldens pin its order of
-operations, and ``ia``'s negation is approximate).
+the rule-by-rule ``filter_table_tf`` (a ``v2`` guard refines ``orig`` too,
+and ``ia``'s negation is approximate).
 """
 
 from __future__ import annotations
@@ -124,20 +122,17 @@ def filter_rule_tf(rule: FilterRule, p, ledger: DropLedger | None, lat):
     return accepted, unmatched
 
 
-def filter_table_tf(table, items, ledger: DropLedger | None, lat):
-    """Thread tagged packets ``(tag, p)`` through a filtering table; returns
-    the accepted ones in rule-major order, each tagged ``(i, *tag)`` with
-    the index i of the rule that accepted it."""
-    pending = list(items)
+def filter_table_tf(table, pset, ledger: DropLedger | None, lat):
+    """Thread packets through a filtering table; returns the accepted ones
+    in rule-major order."""
+    pending = list(pset)
     accepted: list = []
-    for i, rule in enumerate(table):
+    for rule in table:
         nxt: list = []
-        for tag, p in pending:
+        for p in pending:
             acc, unm = filter_rule_tf(rule, p, ledger, lat)
-            if acc:
-                accepted.append(((i, *tag), acc[0]))
-            for u in unm:
-                nxt.append((tag, u))
+            accepted.extend(acc)
+            nxt.extend(unm)
         pending = nxt
     return accepted
 
@@ -160,17 +155,17 @@ def accept_region(table, store: FormulaStore) -> Formula:
     return Formula(store, node)
 
 
-def filter_region_tf(table, items, lat):
-    """Filter tagged packets of a lattice that refines by conjunction on
+def filter_region_tf(table, pset, lat):
+    """Filter the packets of a lattice that refines by conjunction on
     ``curr``: one ``&`` with the table's accept region per packet, in input
-    order, each tagged ``(0, *tag)``.  Equal to the union of
-    ``filter_table_tf``'s pieces; records no ledger."""
+    order.  Equal to the union of ``filter_table_tf``'s pieces; records no
+    ledger."""
     region = accept_region(table, lat.store)
     out = []
-    for tag, p in items:
+    for p in pset:
         c = p.curr & region
         if not c.is_empty():
-            out.append(((0, *tag), AbstractPacket(c, None, p.nated)))
+            out.append(AbstractPacket(c, None, p.nated))
     return out
 
 
@@ -205,36 +200,29 @@ def nat_rule_tf(rule: NatRule, p, lat):
     return out, tuple(lat.refine_unmatch(p, rule.guard, matched))
 
 
-def nat_table_tf(table, items, lat):
-    """Apply a NAT table to tagged packets ``(tag, p)``; unmatched packets
-    pass through untransformed.  Returns the rewritten packets in
-    rule-major order, then the passed ones, each tagged ``(i, *tag)`` with
-    the index i of the rule that rewrote it (``len(table)`` if none)."""
-    pending = list(items)
+def nat_table_tf(table, pset, lat):
+    """Apply a NAT table to packets; unmatched packets pass through
+    untransformed.  Returns the rewritten packets in rule-major order, then
+    the passed ones."""
+    pending = list(pset)
     out: list = []
-    for i, rule in enumerate(table):
+    for rule in table:
         nxt: list = []
-        for tag, p in pending:
+        for p in pending:
             matched, unmatched = nat_rule_tf(rule, p, lat)
-            if matched:
-                out.append(((i, *tag), matched[0]))
-            for u in unmatched:
-                nxt.append((tag, u))
+            out.extend(matched)
+            nxt.extend(unmatched)
         pending = nxt
-    n = len(table)
-    return out + [((n, *tag), p) for tag, p in pending]
+    return out + pending
 
 
 def firewall_tf(fw: Firewall, pset, ledger: DropLedger | None, lat):
     """Run packets through the firewall's DNAT, filter, and SNAT tables;
-    returns the survivors, before routing, as ``(tag, survivor)`` pairs in
-    rule-major order.  The tag ``(snat, filter, dnat, p)`` names the input
-    packet ``p`` a survivor came from and the index of the rule that let it
-    out of each table.  A lattice that refines by conjunction
-    (``lat.compiles_filters``) filters with the table's accept region
-    instead of rule by rule and takes no ledger: the engine records its
-    drops once, at the fixpoint (``filter_table_drops``)."""
-    s = nat_table_tf(fw.dnat, [((p,), p) for p in pset], lat)
+    returns the survivors, before routing, in rule-major order.  A lattice
+    that refines by conjunction (``lat.compiles_filters``) filters with the
+    table's accept region instead of rule by rule and takes no ledger: the
+    engine records its drops once, at the fixpoint (``filter_table_drops``)."""
+    s = nat_table_tf(fw.dnat, pset, lat)
     if lat.compiles_filters:
         s = filter_region_tf(fw.filter, s, lat)
     else:

@@ -16,9 +16,7 @@ cases are:
 * ``analyze --variant v2`` text and ``testgen --per-pair 3`` text from every
   zone of ``data/ring-4x4-<seed>.json`` (``perfbench/netgen.py ring 4 4
   SEED`` for seeds 1-3).  Their ``v2`` firewalls re-expand with DNAT on
-  ``dp`` and a ``rest`` zone, so packets split on mixed NAT masks; the
-  order of ``testgen``'s witnesses follows BDD node numbering and moves
-  with any change in the order of the operations that create nodes.
+  ``dp`` and a ``rest`` zone, so packets split on mixed NAT masks.
 
 The digests in ``data/cli_golden.json`` were recorded before changes that
 had to keep every byte; rendered bytes must not change with a speedup or a

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import contextlib
 import gc
+import io
 import weakref
+from pathlib import Path
 
 import pytest
 
+from pktflow import cli
 from pktflow.engine import RelationalLattice, analyze
 from pktflow.gen import FIXTURES, fixture_text, random_network
 from pktflow.netmodel import load_network, network_from_config, parse_value_set
@@ -15,6 +19,10 @@ from pktflow.policy import (
     infer_policy,
     overlap_report,
 )
+
+
+DATA = Path(__file__).resolve().parent / "data"
+RINGS = tuple(f"ring-4x4-{seed}.json" for seed in (1, 2, 3))
 
 
 @pytest.fixture
@@ -183,10 +191,44 @@ def test_fig3_witnesses(fig3):
             assert layout.extract_value(w.curr, "d") == layout.extract_value(w.orig, "d")
 
 
-def test_witnesses_deterministic(fig3):
-    a = generate_test_packets(fig3, "Z1", 3)
-    b = generate_test_packets(fig3, "Z1", 3)
-    assert a == b
+def cli_outputs(monkeypatch, net, zone):
+    """The stdout of ``testgen --per-pair 3``, ``analyze --variant v2`` and
+    ``policy`` from ``zone``, all run on ``net`` and its store."""
+    monkeypatch.setattr(cli, "load_network_file", lambda _: net)
+    outputs = []
+    for argv in (["testgen", "--origin", zone, "--per-pair", "3"],
+                 ["analyze", "--origin", zone, "--variant", "v2"],
+                 ["policy", "--zone", zone]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main([argv[0], "--network", "net.json", *argv[1:]])
+        outputs.append(out.getvalue())
+    return outputs
+
+
+def test_witnesses_deterministic(monkeypatch):
+    # the outputs from a zone are the same in a fresh store and in one that
+    # earlier analyses from another zone and from the same zone have grown
+    texts = {"fig3.json": fixture_text("fig3.json")}
+    for ring in RINGS:
+        texts[ring] = (DATA / ring).read_text(encoding="utf-8")
+    for name, text in texts.items():
+        zones = [z.name for z in load_network(text).zones]
+        for zone in zones:
+            fresh = cli_outputs(monkeypatch, load_network(text), zone)
+            net = load_network(text)
+            other = next(z for z in zones if z != zone)
+            for z in (other, zone):
+                for variant in ("v1", "v2"):
+                    analyze(net, z, variant)
+            assert cli_outputs(monkeypatch, net, zone) == fresh, (name, zone)
+
+
+def test_witnesses_need_a_result_from_the_origin(fig3):
+    with pytest.raises(PolicyError, match="origin"):
+        generate_test_packets(fig3, "Z1", 1, result=analyze(fig3, "Z2", "v2"))
+    res = analyze(fig3, "Z1", "v2")
+    assert generate_test_packets(fig3, "Z1", 1, result=res) == generate_test_packets(fig3, "Z1", 1)
 
 
 def test_per_pair_exhausts_without_repeats(small3):

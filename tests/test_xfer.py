@@ -50,14 +50,6 @@ def z1_packet(fig3, lat):
     return lat.initial("Z1")[0]
 
 
-def tagged(pset):
-    return [((), p) for p in pset]
-
-
-def untagged(items):
-    return [p for _, p in items]
-
-
 def atom(net, field, text):
     return net.store.atom(parse_value_set(text, field, net.layout.width(field)))
 
@@ -100,7 +92,7 @@ def test_filter_rule_disjoint_drop(fig3, lat):
 def test_filter_table_f1(fig3, lat):
     p = z1_packet(fig3, lat)
     ledger = DropLedger(fig3.store)
-    out = untagged(filter_table_tf(fig3.firewall("F1").filter, tagged([p]), ledger, lat))
+    out = filter_table_tf(fig3.firewall("F1").filter, [p], ledger, lat)
     assert len(out) == 1
     assert out[0].curr == atom(fig3, "s", "10.192.29.1-255") & ~atom(fig3, "d", "209.85.153.85")
 
@@ -109,7 +101,7 @@ def test_filter_table_trivials(fig3, lat):
     assert filter_table_tf(fig3.firewall("F1").filter, [], None, lat) == []
     p = z1_packet(fig3, lat)
     default_only = (FilterRule(Guard(), ACCEPT, 99),)
-    out = untagged(filter_table_tf(default_only, tagged([p]), None, lat))
+    out = filter_table_tf(default_only, [p], None, lat)
     assert len(out) == 1 and out[0].curr == p.curr and out[0].orig == p.orig
 
 
@@ -149,16 +141,16 @@ def test_second_nat_leaves_orig_alone(fig3, lat):
 
 def test_nat_table_trivials(fig3, lat):
     p = z1_packet(fig3, lat)
-    assert untagged(nat_table_tf((), tagged([p]), lat)) == [p]
+    assert nat_table_tf((), [p], lat) == [p]
     outsider = type(p)(atom(fig3, "s", "8.8.8.8"), atom(fig3, "s", "8.8.8.8"), 0)
-    out = untagged(nat_table_tf(fig3.firewall("F1").snat, tagged([outsider]), lat))
+    out = nat_table_tf(fig3.firewall("F1").snat, [outsider], lat)
     assert len(out) == 1 and out[0].curr == outsider.curr  # untransformed pass-through
 
 
 def test_nat_table_two_packets(fig3, lat):
     p1 = z1_packet(fig3, lat)
     p2 = get_lattice("v2", fig3).initial("Z2")[0]
-    out = untagged(nat_table_tf(fig3.firewall("F1").snat, tagged([p1, p2]), lat))
+    out = nat_table_tf(fig3.firewall("F1").snat, [p1, p2], lat)
     currs = {p.curr for p in out}
     assert currs == {atom(fig3, "s", "202.67.34.6-10"), atom(fig3, "s", "202.67.34.1-5")}
 
@@ -202,7 +194,7 @@ def test_link_zone_side_identity(fig3, lat):
 def test_link_f1_to_f2(fig3, lat):
     p = z1_packet(fig3, lat)
     ledger = DropLedger(fig3.store)
-    s = untagged(firewall_tf(fig3.firewall("F1"), [p], ledger, lat))
+    s = firewall_tf(fig3.firewall("F1"), [p], ledger, lat)
     out = link_tf(fig3, "F1", "f1-f2", s, lat)
     assert len(out) == 1
     assert out[0].curr == atom(fig3, "s", "202.67.34.6-10") & atom(fig3, "d", "202.65.23.2")
@@ -211,7 +203,7 @@ def test_link_f1_to_f2(fig3, lat):
 
 def test_link_f1_to_z4_excludes_internal_and_blocked(fig3, lat):
     p = z1_packet(fig3, lat)
-    s = untagged(firewall_tf(fig3.firewall("F1"), [p], DropLedger(fig3.store), lat))
+    s = firewall_tf(fig3.firewall("F1"), [p], DropLedger(fig3.store), lat)
     out = link_tf(fig3, "F1", "f1-z4", s, lat)
     (q,) = out
     excluded = (
@@ -230,7 +222,7 @@ def test_link_routing_miss_is_empty(fig3, lat):
         atom(fig3, "s", "10.192.29.7"),
         1 << fig3.layout.index("s"),
     )
-    s = untagged(firewall_tf(fig3.firewall("F1"), [p], None, lat))
+    s = firewall_tf(fig3.firewall("F1"), [p], None, lat)
     for iface in ("f1-z1", "f1-z2", "f1-f2", "f1-z4"):
         assert link_tf(fig3, "F1", iface, s, lat) == []
 
@@ -239,7 +231,7 @@ def test_link_without_routing_entry_emits_nothing():
     net = load_network(fixture_text("fig1.json"))
     lat = get_lattice("v2", net)
     p = lat.initial("Z1")[0]
-    s = untagged(firewall_tf(net.firewall("F1"), [p], None, lat))
+    s = firewall_tf(net.firewall("F1"), [p], None, lat)
     assert link_tf(net, "F1", "f1-f2l", s, lat) == []
 
 
@@ -247,7 +239,7 @@ def test_routing_drop_not_in_ledger(fig3, lat):
     p = z1_packet(fig3, lat)
     ledger = DropLedger(fig3.store)
     for iface in ("f1-z1", "f1-z2", "f1-f2", "f1-z4"):
-        s = untagged(firewall_tf(fig3.firewall("F1"), [p], ledger, lat))
+        s = firewall_tf(fig3.firewall("F1"), [p], ledger, lat)
         link_tf(fig3, "F1", iface, s, lat)
     assert ledger.rule_ids() == [1]  # only the real DROP rule
 
@@ -366,7 +358,6 @@ def test_v2_meet_equals_conjunction():
         for _ in range(4):
             guard = random_guard(rng, net.layout) if rng.random() < 0.9 else Guard()
             gf = guard_to_formula(guard, store)
-            ngf = ~gf
             for f in (p.curr, p.orig):
                 inside = settles(store.field_summary(f.node),
                                  [atom_test(fvs, net.layout) for _, fvs in guard.atoms])
@@ -375,10 +366,10 @@ def test_v2_meet_equals_conjunction():
                 kernel_and = store._and
                 store._and = lambda a, b: calls.append(1) or kernel_and(a, b)
                 try:
-                    got = lat._meet(f, guard.atoms, gf), lat._meet(f, guard.atoms, ngf, True)
+                    got = lat._meet(f, guard.atoms, gf), lat._meet(f, guard.atoms, gf, True)
                 finally:
                     store._and = kernel_and
-                assert got == (f & gf, f & ngf)
+                assert got == (f & gf, f & ~gf)
                 if inside is not None:
                     assert not calls
                     assert got == ((f, store.false) if inside else (store.false, f))
@@ -397,7 +388,7 @@ def test_filter_table_equals_rule_fold(seed):
     rules.append(FilterRule(Guard(), ACCEPT, 99))
     pset = [random_packet(rng, net, lat)]
 
-    got = untagged(filter_table_tf(rules, tagged(pset), None, lat))
+    got = filter_table_tf(rules, pset, None, lat)
 
     pending, accepted = list(pset), []
     for rule in rules:
@@ -426,7 +417,7 @@ def test_filter_table_concretely_exact(seed):
     rules.append(FilterRule(Guard(), rng.choice([DROP, ACCEPT]), 99))
     p = random_packet(rng, net, lat)
 
-    out = untagged(filter_table_tf(rules, tagged([p]), None, lat))
+    out = filter_table_tf(rules, [p], None, lat)
     got = set()
     for q in out:
         got |= _headers(q.curr, net)
@@ -456,7 +447,7 @@ def test_nat_table_concretely_exact(seed):
         )
     p = random_packet(rng, net, lat)
 
-    out = untagged(nat_table_tf(rules, tagged([p]), lat))
+    out = nat_table_tf(rules, [p], lat)
     got = set()
     for q in out:
         got |= _headers(q.curr, net)
@@ -493,9 +484,9 @@ def test_v2_tables_concretely_exact_on_pairs(seed):
     filt.append(FilterRule(Guard(), ACCEPT, 99))
 
     p = lat.initial("A")[0]
-    s = nat_table_tf(dnat, tagged([p]), lat)
+    s = nat_table_tf(dnat, [p], lat)
     s = filter_table_tf(filt, s, None, lat)
-    s = untagged(nat_table_tf(snat, s, lat))
+    s = nat_table_tf(snat, s, lat)
 
     got = set()
     for q in s:
@@ -533,8 +524,8 @@ def compiled_equals_fold(table, pset, lat, ledger_store):
     the same accepted headers per NAT mask, the same ledger.  Returns the
     deferred ledger."""
     folded = DropLedger(ledger_store)
-    pieces = untagged(filter_table_tf(table, tagged(pset), folded, lat))
-    compiled = untagged(filter_region_tf(table, tagged(pset), lat))
+    pieces = filter_table_tf(table, pset, folded, lat)
+    compiled = filter_region_tf(table, pset, lat)
     assert lat.join(compiled) == lat.join(pieces)
     region = accept_region(table, lat.store)
     assert [q.curr for q in compiled] == [
@@ -568,7 +559,7 @@ def test_accept_region_equals_rule_fold_relational(seed):
     p = lat.initial("Z1")[0]
     p = lat.refine_match(p, random_guard(rng, net.layout)) or p
     # relations without and with s in the NAT mask (F1's SNAT rewrites s)
-    snat = untagged(nat_table_tf(net.firewall("F1").snat, tagged([p]), lat))
+    snat = nat_table_tf(net.firewall("F1").snat, [p], lat)
     pset = lat.join([p, *snat]).packets
     assert [q.nated for q in pset] == [0, 1]
     compiled_equals_fold(random_table(rng, net.layout), pset, lat, net.store)
