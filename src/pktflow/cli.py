@@ -171,6 +171,9 @@ def _check_one(net: Network, origin: str, variant: str, max_width: int):
 
 
 def _cmd_check(args) -> int:
+    if not 1 <= args.max_width <= MAX_WIDTH_GUARD:
+        raise ConfigError(f"--max-width must be from 1 to the oracle's ceiling of "
+                          f"{MAX_WIDTH_GUARD} bits, got {args.max_width}")
     if args.trials is not None:
         if args.network is not None or args.origin is not None:
             raise ConfigError(
@@ -243,6 +246,8 @@ def _cmd_testgen(args) -> int:
     net = load_network_file(args.network)
     if args.variant != "v2":
         raise ConfigError("testgen needs the v2 variant (original-form tracking)")
+    if args.per_pair < 1:
+        raise ConfigError(f"--per-pair must be at least 1, got {args.per_pair}")
     witnesses = generate_test_packets(net, args.origin, args.per_pair)
     layout = net.layout
     if args.format == "json":

@@ -56,7 +56,8 @@ never changes the expanding node's own value, so the latest expansion saw
 the final value.
 
 ``v1`` and the relational lattice filter with each table's compiled accept
-region (``xfer.accept_region``) and record no ledger while propagating.
+region (``xfer.accept_region``), over the rules each packet can meet
+(``xfer.live_rules``), and record no ledger while propagating.
 When the worklist is empty, each expanded firewall runs its DNAT once on
 its final value and ``xfer.filter_table_drops`` records what each DROP rule
 discards from it, inside ``stats.wall_time_s``.  That equals the union over
@@ -73,7 +74,7 @@ from collections import deque
 from dataclasses import dataclass, field as dc_field
 
 from .netmodel import Guard, Network, guard_to_formula, reduce_guard, zone_departure_formula
-from .pktset import Formula, FormulaStore, HeaderLayout, complement_ranges
+from .pktset import Formula, FormulaStore, HeaderLayout, atom_test
 from .xfer import (
     AbstractPacket,
     DropLedger,
@@ -108,14 +109,6 @@ BOTTOM = AbstractValue()
 
 
 # --------------------------------------------------------------- lattices
-
-def atom_test(fvs, layout: HeaderLayout) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """A guard atom as (field index, merged ranges of the values it admits)."""
-    ranges = fvs.ranges
-    if fvs.negated:
-        ranges = complement_ranges(ranges, layout.width(fvs.field))
-    return layout.index(fvs.field), ranges
-
 
 def settles(summary, tests) -> bool | None:
     """What a formula's field summary says of its conjunction with the

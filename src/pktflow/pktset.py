@@ -37,11 +37,13 @@ Kernel invariants (``FormulaStore``):
   ``field_summary``), the atom cache, the quantification caches, the
   ``relabel`` memos, and the guard and accept-region memos
   (``guard_formulas``, filled by ``netmodel.guard_to_formula``, and
-  ``accept_regions``, filled by ``xfer.accept_region``, which hold node
-  ids) are never invalidated: they rely on nodes never being freed or
-  renumbered, so a future store reset must clear them too.
-* ``field_summary`` only reads the node lists: it creates no node, so
-  reading a summary never moves the numbering of later nodes.
+  ``accept_regions``, filled by ``xfer.accept_region`` and keyed by the
+  table, or by (table, live rule indices) when some rules are left out,
+  which hold node ids) are never invalidated: they rely on nodes never
+  being freed or renumbered, so a future store reset must clear them too.
+* ``field_summary`` and ``top_block`` only read the node lists: they
+  create no node, so reading a summary or a block never moves the
+  numbering of later nodes.
 * A store holds no ``Formula``: ``store.false`` and ``store.true`` build
   their handles on demand and the memos hold node ids, so a store is in no
   reference cycle and reference counting frees it.
@@ -204,6 +206,14 @@ def complement_ranges(ranges, width: int) -> tuple[tuple[int, int], ...]:
     if nxt <= (1 << width) - 1:
         out.append((nxt, (1 << width) - 1))
     return tuple(out)
+
+
+def atom_test(fvs: FieldValueSet, layout: HeaderLayout) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """A guard atom as (field index, merged ranges of the values it admits)."""
+    ranges = fvs.ranges
+    if fvs.negated:
+        ranges = complement_ranges(ranges, layout.width(fvs.field))
+    return layout.index(fvs.field), ranges
 
 
 def _spread(ranges, gap: int, bits: int) -> tuple[tuple[int, int], ...]:
@@ -497,6 +507,29 @@ class FormulaStore:
             tail = tuple(_combine([s[j] for s in sums]) for j in range(k + 1, len(self._spans)))
         s = self._summaries[node] = (*self._free[:k], (ranges, one > 0), *tail)
         return s
+
+    def top_block(self, node: int) -> tuple[int, int, int]:
+        """``(k, lo, hi)``: every header of a non-false node has its value of
+        field k, the field of the node's top variable, in ``[lo, hi]``.  The
+        block fixes the bits read along the one-way path from the node (a
+        node whose other child is false) up to the first branch or skipped
+        variable; later bits are free.  A walk that creates no node."""
+        var, low, high = self._var, self._lo, self._hi
+        k = self._field_of[var[node]] if node > 1 else 0
+        v, end = self._spans[k]
+        value = 0
+        while v < end and var[node] == v:
+            if low[node] == 0:
+                value = value << 1 | 1
+                node = high[node]
+            elif high[node] == 0:
+                value <<= 1
+                node = low[node]
+            else:
+                break
+            v += 1
+        free = end - v
+        return k, value << free, (value + 1 << free) - 1
 
     # -- range atoms -------------------------------------------------------
 

@@ -57,6 +57,8 @@ def infer_policy(net: Network, zone: str, *, result: AnalysisResult | None = Non
     """Infer the accept/reject policy of ``zone``: from the given variant-2
     ``result``, or else from a relational variant-2 run with ``zone`` as
     origin."""
+    if not net.is_zone(zone):
+        raise PolicyError(f"zone {zone!r} is not a zone of the network")
     if result is None:
         lattice, facts, ledger = analyze_relations(net, zone)
         orig_of = lattice.orig_of

@@ -29,6 +29,14 @@ with one ``&``.  Such a run records no ledger while it propagates:
 the engine calls it once at the fixpoint.  ``v2`` packets and ``ia`` keep
 the rule-by-rule ``filter_table_tf`` (a ``v2`` guard refines ``orig`` too,
 and ``ia``'s negation is approximate).
+
+Both compiled paths see only the rules a packet can meet (``live_rules``):
+a rule whose atom on the packet's top field misses the block that field is
+confined to (``FormulaStore.top_block``, read without creating a node)
+matches no header of the packet.  Leaving it out changes neither ``p &
+region`` nor any drop entry of ``p``, so only fewer nodes are built.  From
+a zone, whose departure fixes a source prefix, that leaves out every rule
+on another zone's sources; from a ``rest`` zone it leaves out none.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .netmodel import DROP, Firewall, FilterRule, NatRule, Network, guard_to_formula
-from .pktset import Formula, FormulaStore
+from .pktset import Formula, FormulaStore, atom_test
 
 
 @dataclass(frozen=True)
@@ -137,33 +145,59 @@ def filter_table_tf(table, pset, ledger: DropLedger | None, lat):
     return accepted
 
 
-def accept_region(table, store: FormulaStore) -> Formula:
-    """The headers a filter table accepts, compiled once per store and table.
+def live_rules(table, store: FormulaStore, node: int) -> tuple[int, ...]:
+    """The indices of the rules of ``table`` that can match a header of the
+    non-false ``node``.  A rule with an atom on the field of the node's top
+    block (``FormulaStore.top_block``) that admits no value of the block
+    matches none of its headers, so it is left out."""
+    k, lo, hi = store.top_block(node)
+    name = store.layout.fields[k][0]
+    live = []
+    for i, rule in enumerate(table):
+        for f, fvs in rule.guard.atoms:
+            if f == name:
+                _, ranges = atom_test(fvs, store.layout)
+                if not any(a <= hi and lo <= b for a, b in ranges):
+                    break
+        else:
+            live.append(i)
+    return tuple(live)
+
+
+def accept_region(table, store: FormulaStore, live: tuple[int, ...] | None = None) -> Formula:
+    """The headers that the ``live`` rules of a filter table accept (by
+    default every rule), compiled once per store, table and live rules.
 
     The rules fold backwards from false: an ACCEPT rule gives ``g | R`` and
     a DROP rule ``~g & R``, so ``R`` holds what first-match semantics accepts
-    from that rule on.  The memo holds the node id, not a handle, so the
-    store holds no reference to itself.
+    from that rule on.  A packet that no left-out rule matches meets this
+    region as it meets the whole table's.  The memo holds the node id, not a
+    handle, so the store holds no reference to itself.
     """
-    node = store.accept_regions.get(table)
+    if live is None or len(live) == len(table):
+        key, live = table, range(len(table))
+    else:
+        key = (table, live)
+    node = store.accept_regions.get(key)
     if node is None:
         region = store.false
-        for rule in reversed(table):
+        for i in reversed(live):
+            rule = table[i]
             g = guard_to_formula(rule.guard, store)
             region = ~g & region if rule.action == DROP else g | region
-        node = store.accept_regions[table] = region.node
+        node = store.accept_regions[key] = region.node
     return Formula(store, node)
 
 
 def filter_region_tf(table, pset, lat):
     """Filter the packets of a lattice that refines by conjunction on
-    ``curr``: one ``&`` with the table's accept region per packet, in input
-    order.  Equal to the union of ``filter_table_tf``'s pieces; records no
-    ledger."""
-    region = accept_region(table, lat.store)
+    ``curr``: one ``&`` per packet with the accept region of the rules it
+    can meet (``live_rules``), in input order.  Equal to the union of
+    ``filter_table_tf``'s pieces; records no ledger."""
+    store = lat.store
     out = []
     for p in pset:
-        c = p.curr & region
+        c = p.curr & accept_region(table, store, live_rules(table, store, p.curr.node))
         if not c.is_empty():
             out.append(AbstractPacket(c, None, p.nated))
     return out
@@ -176,18 +210,21 @@ def filter_table_drops(table, pset, ledger: DropLedger, lat) -> None:
     ledger ``filter_table_tf`` records for the same packets, at about half
     its cost on a final value: the fold takes two ``&`` of the whole packet
     per rule, while this form starts from the DROP rule's small ``p & g_i``
-    and touches no ACCEPT rule's match."""
+    and touches no ACCEPT rule's match.  Rules that cannot match ``p``
+    (``live_rules``) drop nothing from it and leave ``p & g_i`` unchanged,
+    so they are skipped."""
     store = lat.store
-    for i, rule in enumerate(table):
-        if rule.action != DROP:
-            continue
-        g = guard_to_formula(rule.guard, store)
-        for p in pset:
-            c = p.curr & g
-            for earlier in table[:i]:
+    for p in pset:
+        live = live_rules(table, store, p.curr.node)
+        for n, i in enumerate(live):
+            rule = table[i]
+            if rule.action != DROP:
+                continue
+            c = p.curr & guard_to_formula(rule.guard, store)
+            for j in live[:n]:
                 if c.is_empty():
                     break
-                c = c & ~guard_to_formula(earlier.guard, store)
+                c = c & ~guard_to_formula(table[j].guard, store)
             if not c.is_empty():
                 ledger.record(rule.rule_id, lat.ledger_form(AbstractPacket(c, None, p.nated)))
 

@@ -1,12 +1,14 @@
 """Brute-force reference semantics used as the independent oracle in tests.
 
-Everything here but ``reference_refine_unmatch`` and
-``reference_formula_fields`` works by exhaustive enumeration of concrete
-headers and never touches the symbolic formula machinery, so it can certify
-it.  ``reference_refine_unmatch`` keeps the definition of a lattice's
-unmatched split, computed from the guard alone; ``reference_formula_fields``
-keeps the projection definition of the per-field summary that rendering
-prints.
+Everything here but ``reference_refine_unmatch``,
+``reference_formula_fields`` and the reference filter compile works by
+exhaustive enumeration of concrete headers and never touches the symbolic
+formula machinery, so it can certify it.  ``reference_refine_unmatch``
+keeps the definition of a lattice's unmatched split, computed from the
+guard alone; ``reference_formula_fields`` keeps the projection definition
+of the per-field summary that rendering prints; ``reference_accept_region``
+and ``reference_filter_table_drops`` compile a filter table over every
+rule, whatever the packet.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pktflow.engine import IALattice, V2Lattice
 from pktflow.netmodel import DROP, Guard, Network, guard_to_formula, reduce_guard
 from pktflow.oracle import DEFAULT_WIDTH_GUARD, ExactResult, _enumeration_cap
 from pktflow.pktset import FieldValueSet, HeaderLayout
-from pktflow.xfer import AbstractPacket
+from pktflow.xfer import AbstractPacket, DropLedger
 
 
 def all_headers(layout: HeaderLayout) -> range:
@@ -197,6 +199,39 @@ def reference_refine_unmatch(lat, p: AbstractPacket, guard: Guard) -> list[Abstr
         if not nated:
             prefix_o = prefix_o & atom
     return pieces
+
+
+# ------------------------------------------------ reference filter compile
+
+def reference_accept_region(table, store):
+    """The headers a filter table accepts, folded backwards over every rule
+    from false: an ACCEPT rule gives ``g | R``, a DROP rule ``~g & R``.
+    ``p & xfer.accept_region(table, store, xfer.live_rules(table, store,
+    p.node))`` must equal ``p & reference_accept_region(table, store)``."""
+    region = store.false
+    for rule in reversed(table):
+        g = guard_to_formula(rule.guard, store)
+        region = ~g & region if rule.action == DROP else g | region
+    return region
+
+
+def reference_filter_table_drops(table, pset, ledger: DropLedger, lat) -> None:
+    """Rule i of a filter table drops ``p & g_i & ~g_j`` for every earlier
+    rule j, over every rule of the table.  ``xfer.filter_table_drops`` must
+    record the same ledger entries."""
+    store = lat.store
+    for i, rule in enumerate(table):
+        if rule.action != DROP:
+            continue
+        g = guard_to_formula(rule.guard, store)
+        for p in pset:
+            c = p.curr & g
+            for earlier in table[:i]:
+                if c.is_empty():
+                    break
+                c = c & ~guard_to_formula(earlier.guard, store)
+            if not c.is_empty():
+                ledger.record(rule.rule_id, lat.ledger_form(AbstractPacket(c, None, p.nated)))
 
 
 # ------------------------------------------------ reference field summary

@@ -334,6 +334,28 @@ def test_check_refuses_a_width_guard_above_the_ceiling():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("extra", [["--network", FIG1, "--origin", "Z1"], ["--trials", "2"]])
+@pytest.mark.parametrize("width", ["0", "-3", str(MAX_WIDTH_GUARD + 1)])
+def test_check_names_the_flag_of_a_width_guard_out_of_range(capsys, extra, width):
+    assert main(["check", *extra, "--max-width", width]) == 2
+    assert capsys.readouterr().err == (
+        f"pktflow: error: --max-width must be from 1 to the oracle's ceiling of "
+        f"{MAX_WIDTH_GUARD} bits, got {width}\n")
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_testgen_names_the_flag_of_a_non_positive_count(capsys, count):
+    assert main(["testgen", "--network", FIG3, "--origin", "Z1", "--per-pair", count]) == 2
+    assert capsys.readouterr().err == (
+        f"pktflow: error: --per-pair must be at least 1, got {count}\n")
+
+
+def test_policy_names_an_unknown_zone(capsys):
+    assert main(["policy", "--network", FIG3, "--zone", "NOPE"]) == 2
+    assert capsys.readouterr().err == (
+        "pktflow: error: zone 'NOPE' is not a zone of the network\n")
+
+
 @pytest.mark.parametrize("command", [
     ["analyze", "--origin", "Z1"],
     ["policy", "--zone", "Z1"],

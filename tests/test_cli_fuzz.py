@@ -7,6 +7,11 @@ For each one that loads, ``cli.main`` runs the command from every zone (and
 never raise: an exception there would end the command in a traceback.
 ``check`` on a layout wider than the oracle's default width guard must exit
 2 through that guard.
+
+Few mutated configurations load, so every command also runs on the loader
+fuzz's ``revalued_configs``, which all load.  There ``check`` must exit 0
+on a layout within the width guard: ``v1`` and ``v2`` are exact and ``ia``
+is sound.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from pktflow.cli import main
 from pktflow.engine import VARIANTS
 from pktflow.netmodel import ConfigError, load_network
 from pktflow.oracle import DEFAULT_WIDTH_GUARD
-from test_loader_fuzz import mutated_configs
+from test_loader_fuzz import mutated_configs, revalued_configs
 
 
 def run_from_every_zone(doc, command):
@@ -81,3 +86,18 @@ def test_check_on_mutated_config_exits_with_a_status(doc):
 def test_testgen_on_mutated_config_exits_with_a_status(doc):
     run_from_every_zone(doc, lambda path, zone: [
         ["testgen", "--network", path, "--origin", zone]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(revalued_configs())
+def test_every_command_on_revalued_config_exits_with_a_status(doc):
+    net, codes = run_from_every_zone(doc, lambda path, zone: [
+        ["policy", "--network", path, "--zone", zone],
+        ["testgen", "--network", path, "--origin", zone],
+        *(["analyze", "--network", path, "--origin", zone, "--variant", variant]
+          for variant in VARIANTS)])
+    assert set(codes) <= {0, 1}
+    _, codes = run_from_every_zone(doc, lambda path, zone: [
+        ["check", "--network", path, "--origin", zone, "--variant", variant]
+        for variant in VARIANTS])
+    assert set(codes) == ({2} if net.layout.total_bits > DEFAULT_WIDTH_GUARD else {0})

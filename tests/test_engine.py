@@ -351,8 +351,10 @@ STORE_NODES = {
                                 "REST": 16603},
     ("fig1.json", "v1"): {"Z1": 926, "Z2": 926},
     ("fig1.json", "ia"): {"Z1": 926, "Z2": 926},
-    ("fig3.json", "v1"): {"Z1": 1372, "Z2": 1426, "Z3": 1418, "Z4": 1651},
+    ("fig3.json", "v1"): {"Z1": 1230, "Z2": 1355, "Z3": 1070, "Z4": 1651},
     ("fig3.json", "ia"): {"Z1": 1161, "Z2": 1221, "Z3": 1277, "Z4": 1571},
+    ("mesh-6x8-1.json", "v1"): {"Z0": 5815, "Z1": 5894, "Z2": 5133, "Z3": 6083, "Z4": 5734,
+                                "Z5": 5136, "REST": 8114},
 }
 
 

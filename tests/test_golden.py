@@ -16,7 +16,11 @@ cases are:
 * ``analyze --variant v2`` text and ``testgen --per-pair 3`` text from every
   zone of ``data/ring-4x4-<seed>.json`` (``perfbench/netgen.py ring 4 4
   SEED`` for seeds 1-3).  Their ``v2`` firewalls re-expand with DNAT on
-  ``dp`` and a ``rest`` zone, so packets split on mixed NAT masks.
+  ``dp`` and a ``rest`` zone, so packets split on mixed NAT masks;
+* ``analyze --variant v1`` text and JSON from every zone of
+  ``data/mesh-6x8-1.json`` (``perfbench/netgen.py mesh 6 8 2 1``).  From a
+  zone most filter rules test sources outside it, which the compiled filter
+  path leaves out; from ``REST`` it leaves out none.
 
 The digests in ``data/cli_golden.json`` were recorded before changes that
 had to keep every byte; rendered bytes must not change with a speedup or a
@@ -52,6 +56,7 @@ CHECK_FIXTURES = ("fig1-small.json", "fig3-small.json")
 RANDOM_SEEDS = range(100)
 VARIANTS = ("v1", "v2", "ia")
 RINGS = tuple(f"ring-4x4-{seed}.json" for seed in (1, 2, 3))
+MESH = "mesh-6x8-1.json"
 
 
 def golden_commands() -> list[str]:
@@ -83,15 +88,19 @@ def golden_commands() -> list[str]:
                             f"--variant v2 --format text")
             commands.append(f"testgen --network {ring} --origin {zone.name} "
                             f"--per-pair 3 --format text")
+    for zone in load_network_file(GOLDEN.parent / MESH).zones:
+        for fmt in ("text", "json"):
+            commands.append(f"analyze --network {MESH} --origin {zone.name} "
+                            f"--variant v1 --format {fmt}")
     return commands
 
 
 def write_networks(directory: Path) -> None:
-    """Copy the fixtures and rings and write the random configs into
+    """Copy the fixtures, rings and mesh and write the random configs into
     ``directory``."""
     for fixture in FIXTURES:
         shutil.copyfile(fixture_path(fixture), directory / fixture)
-    for ring in RINGS:
+    for ring in (*RINGS, MESH):
         shutil.copyfile(GOLDEN.parent / ring, directory / ring)
     for seed in RANDOM_SEEDS:
         cfg, _ = random_network(seed)

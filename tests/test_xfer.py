@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
+from hypothesis import given, settings
 
-from brute import reference_refine_unmatch
-from helpers import concrete_filter, concrete_nat, guard_of
-from pktflow.engine import RelationalLattice, atom_test, get_lattice, settles
-from pktflow.gen import fixture_text
+from brute import reference_accept_region, reference_filter_table_drops, reference_refine_unmatch
+from helpers import concrete_filter, concrete_nat, guard_of, port_rest_network
+from pktflow import engine, xfer
+from pktflow.engine import RelationalLattice, analyze, get_lattice, settles
+from pktflow.gen import fixture_text, random_network
 from pktflow.netmodel import (
     ACCEPT,
     DROP,
@@ -19,8 +22,9 @@ from pktflow.netmodel import (
     network_from_config,
     parse_value_set,
 )
-from pktflow.pktset import FieldValueSet
+from pktflow.pktset import FieldValueSet, atom_test
 from pktflow.xfer import (
+    AbstractPacket,
     DropLedger,
     accept_region,
     filter_region_tf,
@@ -29,11 +33,13 @@ from pktflow.xfer import (
     filter_table_tf,
     firewall_tf,
     link_tf,
+    live_rules,
     nat_packet,
     nat_rule_tf,
     nat_table_tf,
     update_original,
 )
+from test_loader_fuzz import revalued_configs
 
 
 @pytest.fixture
@@ -563,3 +569,146 @@ def test_accept_region_equals_rule_fold_relational(seed):
     pset = lat.join([p, *snat]).packets
     assert [q.nated for q in pset] == [0, 1]
     compiled_equals_fold(random_table(rng, net.layout), pset, lat, net.store)
+
+
+# ------------------------------------------- filter compile over live rules
+
+def prefix_cube(rng, store):
+    """A conjunction of one aligned block per field, each fixing a random
+    number of leading bits; returns it with the blocks."""
+    f = store.true
+    blocks = []
+    for name, width in store.layout.fields:
+        free = width - rng.randint(0, width)
+        lo = rng.randrange(1 << width) >> free << free
+        hi = lo + (1 << free) - 1
+        blocks.append((lo, hi))
+        f = f & store.atom(FieldValueSet(name, ((lo, hi),)))
+    return f, blocks
+
+
+def random_formula(rng, store):
+    """A union of random guards over every field of the store's layout,
+    often cut down to a prefix cube."""
+    f = store.false
+    for _ in range(rng.randint(1, 3)):
+        f = f | guard_to_formula(random_guard(rng, store.layout), store)
+    if rng.random() < 0.7:
+        f = f & prefix_cube(rng, store)[0]
+    return f
+
+
+def relational_fig3_small():
+    """The relational lattice of fig3-small, whose store has the shadow
+    field ``s~`` after ``s``."""
+    lat = RelationalLattice(load_network(fixture_text("fig3-small.json")))
+    assert lat.store.layout.names() == ("s", "s~", "d")
+    return lat
+
+
+@pytest.mark.parametrize("relational", [False, True])
+def test_top_block_holds_every_header_and_is_exact_on_cubes(relational):
+    lat = relational_fig3_small() if relational else get_lattice("v1", small_net())
+    store = lat.store
+    fields = store.layout.fields
+    rng = random.Random(700 + relational)
+    narrowed = 0
+    for _ in range(200):
+        cube, blocks = prefix_cube(rng, store)
+        f = cube if rng.random() < 0.5 else random_formula(rng, store)
+        if f.is_empty():
+            continue
+        before = store.node_count()
+        k, lo, hi = store.top_block(f.node)
+        assert store.node_count() == before
+        name = fields[k][0]
+        values = {store.layout.extract_value(h, name) for h in f.enumerate(1 << store.nbits)}
+        assert lo <= min(values) and max(values) <= hi
+        narrowed += hi - lo + 1 < 1 << fields[k][1]
+        if f == cube:
+            full = [(0, (1 << w) - 1) for _, w in fields]
+            top = next((i for i, b in enumerate(blocks) if b != full[i]), 0)
+            assert (k, lo, hi) == (top, *blocks[top])
+    assert narrowed > 50
+
+
+def live_equals_reference(lat, table, packets, ledger_store):
+    """The live-rule region and drops of each packet against the
+    whole-table reference; returns how many rules were left out."""
+    store = lat.store
+    dead = 0
+    for p in packets:
+        live = live_rules(table, store, p.curr.node)
+        for i, rule in enumerate(table):
+            if i not in live:
+                assert (p.curr & guard_to_formula(rule.guard, store)).is_empty()
+        dead += len(table) - len(live)
+        assert (p.curr & accept_region(table, store, live)
+                == p.curr & reference_accept_region(table, store))
+    got, want = DropLedger(ledger_store), DropLedger(ledger_store)
+    filter_table_drops(table, packets, got, lat)
+    reference_filter_table_drops(table, packets, want, lat)
+    assert got.items() == want.items()
+    return dead
+
+
+@pytest.mark.parametrize("relational", [False, True])
+def test_live_rules_compile_equals_whole_table(relational):
+    """On random tables and random formulas, the accept region of the live
+    rules meets each packet as the whole table's does, and the drops equal
+    the whole-table ledger; for the relational store, with and without
+    ``s`` in the NAT mask."""
+    lat = relational_fig3_small() if relational else get_lattice("v1", small_net())
+    net = lat.net
+    rng = random.Random(800 + relational)
+    dead = 0
+    for _ in range(150):
+        table = random_table(rng, net.layout)
+        packets = []
+        for _ in range(rng.randint(1, 2)):
+            f = random_formula(rng, lat.store)
+            if not f.is_empty():
+                packets.append(AbstractPacket(f, None, rng.randint(0, 1) if relational else 0))
+        dead += live_equals_reference(lat, table, packets, net.store)
+    assert dead > 30
+
+
+@contextlib.contextmanager
+def whole_table_compile():
+    """Filter with the whole-table reference compile and drops."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(xfer, "accept_region",
+                   lambda table, store, live=None: reference_accept_region(table, store))
+        mp.setattr(engine, "filter_table_drops", reference_filter_table_drops)
+        yield
+
+
+def assert_v1_equals_whole_table(net, origin):
+    got = analyze(net, origin, "v1")
+    with whole_table_compile():
+        want = analyze(net, origin, "v1")
+    assert got.facts == want.facts
+    assert got.ledger.items() == want.ledger.items()
+    assert (got.stats.joins, got.stats.iterations) == (want.stats.joins, want.stats.iterations)
+
+
+@pytest.mark.parametrize("first", range(0, 100, 25))
+def test_v1_equals_whole_table_compile_on_random_networks(first):
+    for seed in range(first, first + 25):
+        cfg, origin = random_network(seed)
+        assert_v1_equals_whole_table(network_from_config(cfg), origin)
+
+
+def test_v1_equals_whole_table_compile_on_port_rest_networks():
+    for seed in range(20):
+        net = network_from_config(port_rest_network(seed))
+        for zone in net.zones:
+            assert_v1_equals_whole_table(net, zone.name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(revalued_configs())
+def test_v1_equals_whole_table_compile_on_revalued_configs(doc):
+    net = network_from_config(doc)
+    for zone in net.zones:
+        assert_v1_equals_whole_table(net, zone.name)
