@@ -42,18 +42,25 @@ sorts packets by their per-field sets.  So output depends neither on node
 ids nor on what the store built before an analysis, and a speedup may drop
 or reorder operations that create nodes.  One tie remains: ``v2`` packets
 with equal per-field sets but different exactness flags print in node
-order (``render.render_value``).  ``V2Lattice`` skips each conjunction of
-a packet's ``curr`` or ``orig`` with a guard, its negation or one atom
-that the formula's field summary settles (``settles``): when an atom
-admits none of its field's values the result is empty, and when every atom
-admits all of them it is the formula itself.  The summary creates no node
-(``FormulaStore.field_summary``), and a negation is built only for a
-conjunction that runs.
+order (``render.render_value``).  ``V2Lattice`` plans each split once per
+(guard, NAT mask): the guard's atom tests for ``curr``, those of its
+reduced guard for ``orig``, and whether it needs first-failing-atom
+pieces.  A split then works on node ids and skips each conjunction of a
+packet's ``curr`` or ``orig`` with a guard, its negation or one atom that
+the formula's field summary settles (``settles``): when an atom admits
+none of its field's values the result is empty, and when every atom admits
+all of them it is the formula itself.  The summary creates no node
+(``FormulaStore.field_summary``), and a guard's node and its negation are
+built only for a conjunction that runs.
 
-The survivors of each firewall's latest expansion feed the no-route
-diagnostic: every accepted update re-queues the firewall and an expansion
-never changes the expanding node's own value, so the latest expansion saw
-the final value.
+The diagnostics are built packet by packet, for every lattice: each packet
+that arrives at a zone adds its part outside the zone's addresses, and each
+survivor of a firewall's latest expansion its part outside the firewall's
+routing guards (``_no_route``).  Neither builds the union of the packets,
+and both equal the union's part, since ``&`` distributes over ``|``.  The
+latest expansion's survivors are the ones to read: every accepted update
+re-queues the firewall and an expansion never changes the expanding node's
+own value, so the latest expansion saw the final value.
 
 ``v1`` and the relational lattice filter with each table's compiled accept
 region (``xfer.accept_region``), over the rules each packet can meet
@@ -205,74 +212,99 @@ class V2Lattice(_Lattice):
     first-failing-atom pieces: negating only the un-NATed residue of such a
     guard into a single orig would either drop true originals or merge
     branches whose originals differ, losing the per-packet pair guarantee.
+
+    Each (guard, NAT mask) is planned once per lattice (``_plan``), and the
+    splits work on node ids: a ``Formula`` is built only for a returned
+    packet.
     """
 
     variant = "v2"
 
     def __init__(self, net: Network):
         super().__init__(net)
-        self._tests: dict = {}  # atom value set -> (field index, values it admits)
+        self._plans: dict = {}  # (guard, NAT mask) -> its split plan
 
     def initial(self, zone_name: str) -> list[AbstractPacket]:
         f = zone_departure_formula(self.net, zone_name)
         return [AbstractPacket(f, f, 0)]
 
-    def _meet(self, f: Formula, atoms, g: Formula, negated: bool = False) -> Formula:
-        """``f & g``, or ``f & ~g`` when ``negated``, where ``g`` is the
-        conjunction of the guard atoms ``atoms``.  ``&`` (and ``~``) run only
-        when f's field summary cannot settle the result (``settles``); a
-        settled result is ``f`` or empty, both existing nodes."""
-        tests = self._tests
-        need = []
-        for _, fvs in atoms:
-            t = tests.get(fvs)
-            if t is None:
-                t = tests[fvs] = atom_test(fvs, self.layout)
-            need.append(t)
-        inside = settles(self.store.field_summary(f.node), need)
+    def _plan(self, guard: Guard, nated: int):
+        """``(tests, orig_tests, reduced, pieces)`` for splitting packets of
+        mask ``nated`` on ``guard``: the ``atom_test`` pairs of the guard's
+        atoms, for ``curr``; those of the atoms on un-NATed fields, which
+        form the ``reduced`` guard, for ``orig``; and, when the guard tests
+        both NATed and un-NATed fields, per atom ``((test,), one-atom guard,
+        NATed?)`` for the first-failing-atom pieces, else None.  Nodes are
+        built by the conjunctions that need them, not here."""
+        key = (guard, nated)
+        plan = self._plans.get(key)
+        if plan is None:
+            layout = self.layout
+            tests = tuple(atom_test(fvs, layout) for _, fvs in guard.atoms)
+            reduced = reduce_guard(guard, nated, layout)
+            if len(reduced.atoms) == len(tests):
+                plan = (tests, tests, guard, None)
+            elif not reduced.atoms:
+                plan = (tests, (), reduced, None)
+            else:
+                names = layout.mask_names(nated)
+                pieces = tuple(((t,), Guard((a,)), a[0] in names)
+                               for t, a in zip(tests, guard.atoms))
+                plan = (tests, tuple(t for (t,), _, n in pieces if not n), reduced, pieces)
+            self._plans[key] = plan
+        return plan
+
+    def _meet(self, node: int, tests, guard: Guard, negated: bool = False) -> int:
+        """The node of ``node & g``, or of ``node & ~g`` when ``negated``,
+        where ``g`` is ``guard``'s conjunction and ``tests`` its atom tests.
+        ``&`` (and ``~``) run only when the node's field summary cannot
+        settle the result (``settles``); a settled result is ``node`` or
+        false, and builds no node."""
+        store = self.store
+        inside = settles(store.field_summary(node), tests)
         if inside is None:
-            return f & ~g if negated else f & g
-        return f if inside != negated else self.store.false
+            g = guard_to_formula(guard, store).node
+            return store._and(node, store._not(g) if negated else g)
+        return node if inside != negated else 0
 
     def refine_match(self, p: AbstractPacket, guard: Guard):
-        c = self._meet(p.curr, guard.atoms, guard_to_formula(guard, self.store))
-        if c.is_empty():
+        tests, orig_tests, reduced, _ = self._plan(guard, p.nated)
+        c = self._meet(p.curr.node, tests, guard)
+        if not c:
             return None
-        reduced = reduce_guard(guard, p.nated, self.layout)
-        o = self._meet(p.orig, reduced.atoms, guard_to_formula(reduced, self.store))
-        return AbstractPacket(c, o, p.nated)
+        o = self._meet(p.orig.node, orig_tests, reduced)
+        return AbstractPacket(Formula(self.store, c), Formula(self.store, o), p.nated)
 
     def refine_unmatch(self, p: AbstractPacket, guard: Guard, matched):
         if matched is not None and matched.curr == p.curr:
             return []
-        reduced = reduce_guard(guard, p.nated, self.layout)
-        if not reduced.atoms or len(reduced.atoms) == len(guard.atoms):
-            gf = guard_to_formula(guard, self.store)
-            c = p.curr if matched is None else p.curr & ~gf
-            if not reduced.atoms:
+        store = self.store
+        tests, orig_tests, _, pieces = self._plan(guard, p.nated)
+        if pieces is None:
+            c = p.curr
+            if matched is not None:
+                g = guard_to_formula(guard, store).node
+                c = Formula(store, store._and(c.node, store._not(g)))
+            if not orig_tests:
                 # guard only constrains NATed fields: says nothing about orig
                 return [AbstractPacket(c, p.orig, p.nated)]
             # no atom touches a NATed field: the negation holds on orig too
-            return [AbstractPacket(c, self._meet(p.orig, guard.atoms, gf, True), p.nated)]
-        nated_names = self.layout.mask_names(p.nated)
-        pieces = []
-        prefix_c, prefix_o = p.curr, p.orig
-        last = len(guard.atoms) - 1
-        for i, pair in enumerate(guard.atoms):
-            name, fvs = pair
-            one = (pair,)
-            atom = self.store.atom(fvs)
-            nated = name in nated_names
-            c = self._meet(prefix_c, one, atom, True)
-            if not c.is_empty():
-                o = prefix_o if nated else self._meet(prefix_o, one, atom, True)
-                pieces.append(AbstractPacket(c, o, p.nated))
+            o = self._meet(p.orig.node, tests, guard, True)
+            return [AbstractPacket(c, Formula(store, o), p.nated)]
+        out = []
+        prefix_c, prefix_o = p.curr.node, p.orig.node
+        last = len(pieces) - 1
+        for i, (test, one, nated) in enumerate(pieces):
+            c = self._meet(prefix_c, test, one, True)
+            if c:
+                o = prefix_o if nated else self._meet(prefix_o, test, one, True)
+                out.append(AbstractPacket(Formula(store, c), Formula(store, o), p.nated))
             # nothing reads the prefixes after the last atom
             if i < last:
-                prefix_c = self._meet(prefix_c, one, atom)
+                prefix_c = self._meet(prefix_c, test, one)
                 if not nated:
-                    prefix_o = self._meet(prefix_o, one, atom)
-        return pieces
+                    prefix_o = self._meet(prefix_o, test, one)
+        return out
 
     def apply_nat(self, p: AbstractPacket, rule) -> AbstractPacket:
         name = rule.nat_field
@@ -455,16 +487,16 @@ def analyze(
     started = time.perf_counter()
     ledger = DropLedger(net.store)
     stats = AnalysisStats()
-    arrivals: dict[str, Formula] = {z.name: net.store.false for z in net.zones}
+    misdelivered: dict[str, Formula] = {z.name: net.store.false for z in net.zones}
     initial_packets = lattice.initial(origin) if _initial is None else list(_initial)
     facts, survivors = _propagate(
         net, lattice, origin, initial_packets, ledger, stats,
-        worklist=worklist, ceiling=ceiling, observer=observer, arrivals=arrivals,
+        worklist=worklist, ceiling=ceiling, observer=observer, misdelivered=misdelivered,
     )
     stats.wall_time_s = time.perf_counter() - started
     return AnalysisResult(
         net, origin, lattice.variant, facts, ledger, stats,
-        misdelivered=_misdelivery(net, arrivals),
+        misdelivered={z: f for z, f in misdelivered.items() if not f.is_empty()},
         no_route=_no_route(net, lattice, survivors),
     )
 
@@ -490,7 +522,7 @@ def analyze_relations(net: Network, origin: str):
         facts, _ = _propagate(
             net, lattice, origin, lattice.initial(origin), ledger, AnalysisStats(),
             worklist="fifo", ceiling=default_iteration_ceiling(net), observer=None,
-            arrivals=None,
+            misdelivered=None,
         )
     finally:
         sys.setrecursionlimit(limit)
@@ -498,11 +530,17 @@ def analyze_relations(net: Network, origin: str):
 
 
 def _propagate(net, lattice, origin, initial_packets, ledger, stats, *,
-               worklist, ceiling, observer, arrivals):
+               worklist, ceiling, observer, misdelivered):
     """The worklist loop shared by every lattice; returns the per-node values
     and each firewall's latest table survivors, and fills ``ledger``.
-    ``arrivals``, when given, collects per zone the OR of the current forms
-    that reach it."""
+
+    ``misdelivered``, when given, collects per zone the arrivals whose
+    destination lies outside the zone's addresses: an assumption-checking
+    diagnostic, for such packets stay in the zone's value.  The origin's own
+    departure value is not an arrival.  Each arriving packet adds only its
+    own part outside the zone, which is almost always empty; that equals
+    the union of the arrivals outside the zone, since ``&`` distributes over
+    ``|``."""
     facts: dict[str, AbstractValue] = {n: BOTTOM for n in net.node_names()}
     facts[origin] = lattice.join(initial_packets)
     stats.joins += 1
@@ -512,6 +550,9 @@ def _propagate(net, lattice, origin, initial_packets, ledger, stats, *,
     memos: dict[str, dict] = {}
     # a compiling lattice records its ledger once, at the fixpoint
     live_ledger = None if lattice.compiles_filters else ledger
+    # zone -> the headers whose destination lies outside it
+    outside = {} if misdelivered is None else {
+        z.name: ~net.zone_dst_atom(z) for z in net.zones}
     queue: deque[str] = deque([origin])
     queued = {origin}
     while queue:
@@ -535,9 +576,9 @@ def _propagate(net, lattice, origin, initial_packets, ledger, stats, *,
             out = link_tf(net, m, own_iface, packets, lattice)
             if not out:
                 continue
-            if arrivals is not None and net.is_zone(peer):
+            if peer in outside:
                 for p in out:
-                    arrivals[peer] = arrivals[peer] | lattice.curr_of(p)
+                    misdelivered[peer] = misdelivered[peer] | (lattice.curr_of(p) & outside[peer])
             new_value = lattice.join([*facts[peer].packets, *out])
             stats.joins += 1
             if new_value == facts[peer]:
@@ -557,35 +598,22 @@ def _propagate(net, lattice, origin, initial_packets, ledger, stats, *,
     return facts, survivors
 
 
-def _misdelivery(net: Network, arrivals: dict[str, Formula]) -> dict[str, Formula]:
-    """Arrivals at a zone whose destination lies outside the zone's addresses.
-
-    Assumption-checking diagnostic: such packets stay in the zone's value but
-    are surfaced here instead of being silently intersected away.  The
-    origin's own departure value is not an arrival.
-    """
-    out: dict[str, Formula] = {}
-    for zone in net.zones:
-        bad = arrivals[zone.name] & ~net.zone_dst_atom(zone)
-        if not bad.is_empty():
-            out[zone.name] = bad
-    return out
-
-
 def _no_route(net: Network, lattice, survivors) -> dict[str, Formula]:
-    """Packets that clear a firewall's tables but match no routing guard."""
+    """Packets that clear a firewall's tables but match no routing guard:
+    the OR over the survivors of each one's part outside the routed set,
+    equal to the survivors' union outside it."""
     out: dict[str, Formula] = {}
     for fw in net.firewalls:
         s = survivors.get(fw.name)
         if not s:
             continue
-        cleared = net.store.false
-        for p in s:
-            cleared = cleared | lattice.curr_of(p)
         routed = net.store.false
         for _, guard in fw.routing:
             routed = routed | guard_to_formula(guard, net.store)
-        leftover = cleared & ~routed
+        unrouted = ~routed
+        leftover = net.store.false
+        for p in s:
+            leftover = leftover | (lattice.curr_of(p) & unrouted)
         if not leftover.is_empty():
             out[fw.name] = leftover
     return out

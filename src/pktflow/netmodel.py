@@ -167,9 +167,18 @@ def range_to_text(lo: int, hi: int, width: int) -> str:
 
 @dataclass(frozen=True)
 class Guard:
-    """Conjunction of per-field value-set constraints; no atoms means true."""
+    """Conjunction of per-field value-set constraints; no atoms means true.
+
+    A guard keys the store's and the lattices' memos, so its hash is
+    computed once."""
 
     atoms: tuple[tuple[str, FieldValueSet], ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.atoms))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def fields(self) -> tuple[str, ...]:
         return tuple(f for f, _ in self.atoms)

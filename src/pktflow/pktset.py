@@ -177,7 +177,8 @@ def _normalize_ranges(ranges) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class FieldValueSet:
-    """Union of inclusive integer ranges of one field, optionally negated."""
+    """Union of inclusive integer ranges of one field, optionally negated.
+    Its hash is computed once, as a guard's is."""
 
     field: str
     ranges: tuple[tuple[int, int], ...]
@@ -185,6 +186,10 @@ class FieldValueSet:
 
     def __post_init__(self):
         object.__setattr__(self, "ranges", _normalize_ranges(self.ranges))
+        object.__setattr__(self, "_hash", hash((self.field, self.ranges, self.negated)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def contains(self, value: int) -> bool:
         inside = any(lo <= value <= hi for lo, hi in self.ranges)
@@ -406,6 +411,9 @@ class FormulaStore:
         # filter table -> node of the headers it accepts, filled by
         # xfer.accept_region
         self.accept_regions: dict = {}
+        # filter table -> {DROP rule index: the earlier rules whose guards
+        # can share a header with it}, filled by xfer.filter_table_drops
+        self.rule_overlaps: dict = {}
         # node -> its field_summary; the terminals' are filled in here
         free = tuple((((0, (1 << w) - 1),), True) for _, w in layout.fields)
         self._summaries: dict[int, tuple] = {0: (((), True),) * len(free), 1: free}

@@ -212,21 +212,47 @@ def filter_table_drops(table, pset, ledger: DropLedger, lat) -> None:
     per rule, while this form starts from the DROP rule's small ``p & g_i``
     and touches no ACCEPT rule's match.  Rules that cannot match ``p``
     (``live_rules``) drop nothing from it and leave ``p & g_i`` unchanged,
-    so they are skipped."""
+    so they are skipped, and so is every rule j whose guard shares no
+    header with ``g_i`` (``_overlapping``), for then ``p & g_i`` lies
+    inside ``~g_j``."""
     store = lat.store
+    overlaps = store.rule_overlaps.setdefault(table, {})
     for p in pset:
         live = live_rules(table, store, p.curr.node)
         for n, i in enumerate(live):
             rule = table[i]
             if rule.action != DROP:
                 continue
+            near = overlaps.get(i)
+            if near is None:
+                near = overlaps[i] = _overlapping(table, i, store.layout)
             c = p.curr & guard_to_formula(rule.guard, store)
             for j in live[:n]:
                 if c.is_empty():
                     break
-                c = c & ~guard_to_formula(table[j].guard, store)
+                if j in near:
+                    c = c & ~guard_to_formula(table[j].guard, store)
             if not c.is_empty():
                 ledger.record(rule.rule_id, lat.ledger_form(AbstractPacket(c, None, p.nated)))
+
+
+def _overlapping(table, i: int, layout) -> frozenset[int]:
+    """The indices of the rules before rule i of a filter table whose guard
+    can share a header with rule i's.  A rule shares none when one of its
+    atoms admits none of the values that rule i's atom on the same field
+    admits; the test reads value ranges only and builds no node."""
+    ours = dict(atom_test(fvs, layout) for _, fvs in table[i].guard.atoms)
+    near = []
+    for j in range(i):
+        for _, fvs in table[j].guard.atoms:
+            k, theirs = atom_test(fvs, layout)
+            mine = ours.get(k)
+            if mine is not None and not any(a <= d and c <= b for a, b in mine
+                                            for c, d in theirs):
+                break
+        else:
+            near.append(j)
+    return frozenset(near)
 
 
 def nat_rule_tf(rule: NatRule, p, lat):

@@ -1,14 +1,16 @@
 """Brute-force reference semantics used as the independent oracle in tests.
 
-Everything here but ``reference_refine_unmatch``,
-``reference_formula_fields`` and the reference filter compile works by
-exhaustive enumeration of concrete headers and never touches the symbolic
-formula machinery, so it can certify it.  ``reference_refine_unmatch``
-keeps the definition of a lattice's unmatched split, computed from the
-guard alone; ``reference_formula_fields`` keeps the projection definition
-of the per-field summary that rendering prints; ``reference_accept_region``
-and ``reference_filter_table_drops`` compile a filter table over every
-rule, whatever the packet.
+Everything here but the reference guard splits, diagnostics, field
+summary and filter compile works by exhaustive enumeration of concrete
+headers and never touches the symbolic formula machinery, so it can certify
+it.  ``reference_refine_match`` and ``reference_refine_unmatch`` keep the
+definition of a lattice's guard split, computed from the guard alone with
+plain formula operations; ``reference_no_route`` and
+``reference_misdelivery`` build the diagnostics from the union of the
+packets they cover; ``reference_formula_fields`` keeps the projection
+definition of the per-field summary that rendering prints;
+``reference_accept_region`` and ``reference_filter_table_drops`` compile a
+filter table over every rule, whatever the packet.
 """
 
 from __future__ import annotations
@@ -163,6 +165,19 @@ def reference_simulate(
 
 # ------------------------------------------------- reference guard split
 
+def reference_refine_match(lat, p: AbstractPacket, guard: Guard) -> AbstractPacket | None:
+    """The semantic definition of ``lat.refine_match``: the branch of ``p``
+    that matches ``guard``, or None when it is empty.  A ``v2`` packet's
+    orig meets only the atoms on fields its NAT mask leaves out."""
+    c = p.curr & guard_to_formula(guard, lat.store)
+    if c.is_empty():
+        return None
+    if not isinstance(lat, V2Lattice):
+        return AbstractPacket(c, None, p.nated)
+    reduced = reduce_guard(guard, p.nated, lat.layout)
+    return AbstractPacket(c, p.orig & guard_to_formula(reduced, lat.store), p.nated)
+
+
 def reference_refine_unmatch(lat, p: AbstractPacket, guard: Guard) -> list[AbstractPacket]:
     """The semantic definition of ``lat.refine_unmatch``: the branches of
     ``p`` that miss ``guard``, computed from ``p`` and the guard alone.
@@ -199,6 +214,45 @@ def reference_refine_unmatch(lat, p: AbstractPacket, guard: Guard) -> list[Abstr
         if not nated:
             prefix_o = prefix_o & atom
     return pieces
+
+
+# ------------------------------------------------- reference diagnostics
+
+def reference_no_route(net: Network, lat, survivors: dict) -> dict:
+    """``engine._no_route`` from the union: per firewall, the OR of the
+    current forms of its latest survivors, outside the OR of its routing
+    guards, when not empty."""
+    out = {}
+    for fw in net.firewalls:
+        s = survivors.get(fw.name)
+        if not s:
+            continue
+        cleared = net.store.false
+        for p in s:
+            cleared = cleared | lat.curr_of(p)
+        routed = net.store.false
+        for _, guard in fw.routing:
+            routed = routed | guard_to_formula(guard, net.store)
+        leftover = cleared & ~routed
+        if not leftover.is_empty():
+            out[fw.name] = leftover
+    return out
+
+
+def reference_misdelivery(net: Network, lat, arrivals: dict) -> dict:
+    """``AnalysisResult.misdelivered`` from the union: per zone, the OR of
+    the current forms of every packet that arrived at it (``arrivals``,
+    zone -> packets), outside the zone's destination addresses, when not
+    empty."""
+    out = {}
+    for zone in net.zones:
+        union = net.store.false
+        for p in arrivals[zone.name]:
+            union = union | lat.curr_of(p)
+        bad = union & ~net.zone_dst_atom(zone)
+        if not bad.is_empty():
+            out[zone.name] = bad
+    return out
 
 
 # ------------------------------------------------ reference filter compile

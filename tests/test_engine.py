@@ -3,8 +3,11 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
+from brute import reference_misdelivery, reference_no_route
 from helpers import guard_of, port_rest_network
+from pktflow import engine
 from pktflow.engine import (
     BOTTOM,
     AbstractValue,
@@ -16,7 +19,8 @@ from pktflow.engine import (
 )
 from pktflow.gen import fixture_text, random_network
 from pktflow.netmodel import load_network, network_from_config, parse_value_set
-from pktflow.xfer import AbstractPacket, DropLedger, firewall_tf
+from pktflow.xfer import AbstractPacket, DropLedger, firewall_tf, link_tf
+from test_loader_fuzz import revalued_configs
 
 
 @pytest.fixture
@@ -263,6 +267,85 @@ def test_misdelivery_diagnostic():
     assert res.misdelivered["B"] == atom(net, "s", "0-3") & atom(net, "d", "6-7")
 
 
+# ------------------------------------------------- packet-by-packet diagnostics
+
+def union_first_diagnostics(net, origin, variant):
+    """Analyze, and rebuild the diagnostics from unions
+    (``brute.reference_no_route``, ``brute.reference_misdelivery``) over
+    the packets that each one covers: the survivors ``_no_route`` receives,
+    and every packet a link transfer delivers into a zone."""
+    arrivals = {z.name: [] for z in net.zones}
+    seen = {}
+
+    def spy_link(net, node, interface, pset, lat):
+        out = link_tf(net, node, interface, pset, lat)
+        for own, _, peer in net.out_links(node):
+            if own == interface and peer in arrivals:
+                arrivals[peer].extend(out)
+        return out
+
+    def spy_no_route(net, lat, survivors):
+        seen["lat"], seen["survivors"] = lat, survivors
+        return no_route(net, lat, survivors)
+
+    no_route = engine._no_route
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "link_tf", spy_link)
+        mp.setattr(engine, "_no_route", spy_no_route)
+        res = analyze(net, origin, variant)
+    lat = seen["lat"]
+    return res, reference_no_route(net, lat, seen["survivors"]), \
+        reference_misdelivery(net, lat, arrivals)
+
+
+def assert_diagnostics_equal_union_first(net, origin) -> set:
+    """Every variant's diagnostics equal the union-first ones; returns the
+    (variant, diagnostic, node) of each that is not empty."""
+    found = set()
+    for variant in ("v1", "v2", "ia"):
+        res, no_route, misdelivered = union_first_diagnostics(net, origin, variant)
+        assert res.no_route == no_route
+        assert res.misdelivered == misdelivered
+        found |= {(variant, "no_route", n) for n in no_route}
+        found |= {(variant, "misdelivered", z) for z in misdelivered}
+    return found
+
+
+def test_diagnostics_equal_union_first_on_random_networks():
+    found = set()
+    for seed in range(100):
+        cfg, origin = random_network(seed)
+        found |= assert_diagnostics_equal_union_first(network_from_config(cfg), origin)
+    assert {kind for _, kind, _ in found} == {"no_route", "misdelivered"}
+
+
+def test_diagnostics_equal_union_first_on_port_rest_networks():
+    found = set()
+    for seed in range(20):
+        net = network_from_config(port_rest_network(seed))
+        for zone in net.zones:
+            found |= assert_diagnostics_equal_union_first(net, zone.name)
+    assert {kind for _, kind, _ in found} == {"no_route", "misdelivered"}
+
+
+@settings(max_examples=50, deadline=None)
+@given(revalued_configs())
+def test_diagnostics_equal_union_first_on_revalued_configs(doc):
+    net = network_from_config(doc)
+    for zone in net.zones:
+        assert_diagnostics_equal_union_first(net, zone.name)
+
+
+def test_diagnostics_equal_union_first_on_fixed_cases(fig3):
+    variants = ("v1", "v2", "ia")
+    found = assert_diagnostics_equal_union_first(fig3, "Z1")
+    assert found == {(v, "no_route", "F1") for v in variants}
+    # the network of test_cli's misdelivery exit test
+    found = assert_diagnostics_equal_union_first(network_from_config(MISDELIVERY_NET), "A")
+    assert {x for x in found if x[1] == "misdelivered"} == {
+        (v, "misdelivered", "B") for v in variants}
+
+
 IA_STRICT_NET = {
     "layout": [{"name": "s", "width": 3}, {"name": "d", "width": 3}],
     "zones": [
@@ -343,18 +426,20 @@ DATA = Path(__file__).resolve().parent / "data"
 # order: a change that adds a node-creating operation, or drops one, moves
 # them even when every rendered fact stays the same.
 STORE_NODES = {
-    ("ring-4x4-1.json", "v2"): {"Z0": 17660, "Z1": 17546, "Z2": 17723, "Z3": 17791,
-                                "REST": 16592},
-    ("ring-4x4-2.json", "v2"): {"Z0": 17641, "Z1": 17527, "Z2": 17703, "Z3": 17771,
-                                "REST": 16572},
-    ("ring-4x4-3.json", "v2"): {"Z0": 17670, "Z1": 17556, "Z2": 17735, "Z3": 17802,
-                                "REST": 16603},
+    ("ring-4x4-1.json", "v2"): {"Z0": 15186, "Z1": 14763, "Z2": 14875, "Z3": 15024,
+                                "REST": 13895},
+    ("ring-4x4-2.json", "v2"): {"Z0": 15190, "Z1": 14739, "Z2": 14854, "Z3": 14999,
+                                "REST": 13900},
+    ("ring-4x4-3.json", "v2"): {"Z0": 15188, "Z1": 14773, "Z2": 14893, "Z3": 15027,
+                                "REST": 13904},
     ("fig1.json", "v1"): {"Z1": 926, "Z2": 926},
     ("fig1.json", "ia"): {"Z1": 926, "Z2": 926},
+    ("fig1.json", "v2"): {"Z1": 986, "Z2": 986},
     ("fig3.json", "v1"): {"Z1": 1230, "Z2": 1355, "Z3": 1070, "Z4": 1651},
     ("fig3.json", "ia"): {"Z1": 1161, "Z2": 1221, "Z3": 1277, "Z4": 1571},
-    ("mesh-6x8-1.json", "v1"): {"Z0": 5815, "Z1": 5894, "Z2": 5133, "Z3": 6083, "Z4": 5734,
-                                "Z5": 5136, "REST": 8114},
+    ("fig3.json", "v2"): {"Z1": 1295, "Z2": 1285, "Z3": 929, "Z4": 1393},
+    ("mesh-6x8-1.json", "v1"): {"Z0": 5735, "Z1": 5814, "Z2": 5053, "Z3": 6003, "Z4": 5654,
+                                "Z5": 5056, "REST": 8034},
 }
 
 

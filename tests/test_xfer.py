@@ -6,7 +6,12 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from brute import reference_accept_region, reference_filter_table_drops, reference_refine_unmatch
+from brute import (
+    reference_accept_region,
+    reference_filter_table_drops,
+    reference_refine_match,
+    reference_refine_unmatch,
+)
 from helpers import concrete_filter, concrete_nat, guard_of, port_rest_network
 from pktflow import engine, xfer
 from pktflow.engine import RelationalLattice, analyze, get_lattice, settles
@@ -347,9 +352,10 @@ def test_refine_unmatch_equals_reference(variant):
 
 
 def test_v2_meet_equals_conjunction():
-    """``V2Lattice``'s conjunction helper returns ``f & g`` and ``f & ~g``
-    on packets with every NAT mask; when the field summary settles one, it
-    returns f or empty and runs no ``&``, so it creates no node."""
+    """``V2Lattice``'s conjunction helper returns the nodes of ``f & g`` and
+    ``f & ~g`` on packets with every NAT mask; when the field summary
+    settles one, it returns f or false and runs no ``&``, so it creates no
+    node."""
     settled = set()
     for seed in range(150):
         rng = random.Random(900 + seed)
@@ -364,22 +370,80 @@ def test_v2_meet_equals_conjunction():
         for _ in range(4):
             guard = random_guard(rng, net.layout) if rng.random() < 0.9 else Guard()
             gf = guard_to_formula(guard, store)
+            tests = [atom_test(fvs, net.layout) for _, fvs in guard.atoms]
             for f in (p.curr, p.orig):
-                inside = settles(store.field_summary(f.node),
-                                 [atom_test(fvs, net.layout) for _, fvs in guard.atoms])
+                inside = settles(store.field_summary(f.node), tests)
                 settled.add(inside)
                 calls = []
                 kernel_and = store._and
                 store._and = lambda a, b: calls.append(1) or kernel_and(a, b)
                 try:
-                    got = lat._meet(f, guard.atoms, gf), lat._meet(f, guard.atoms, gf, True)
+                    got = lat._meet(f.node, tests, guard), lat._meet(f.node, tests, guard, True)
                 finally:
                     store._and = kernel_and
-                assert got == (f & gf, f & ~gf)
+                assert got == ((f & gf).node, (f & ~gf).node)
                 if inside is not None:
                     assert not calls
-                    assert got == ((f, store.false) if inside else (store.false, f))
+                    assert got == ((f.node, 0) if inside else (0, f.node))
     assert settled == {True, False, None}
+
+
+def test_v2_split_plans_equal_reference():
+    """``V2Lattice`` plans each (guard, NAT mask) once per lattice.  On one
+    lattice, each guard splits packets of every NAT mask, in shuffled order,
+    as the reference split does; a plan keyed on the guard alone would give
+    a packet the orig of another mask.  A split that the field summaries
+    settle runs no ``&``: the curr conjunction with the guard, and the orig
+    conjunction with the reduced guard when curr matches whole, or with the
+    negated guard when curr misses it and no atom tests a NATed field."""
+    seen = set()
+    for seed in range(60):
+        rng = random.Random(1100 + seed)
+        net = small_net()
+        store, layout = net.store, net.layout
+        lat = get_lattice("v2", net)
+        guards = [random_guard(rng, layout) for _ in range(4)]
+        packets = []
+        for _ in range(3):
+            p = random_packet(rng, net, lat)
+            for mask in range(4):
+                q = p
+                for i, field in enumerate(("s", "d")):
+                    if mask >> i & 1:
+                        to = parse_value_set(f"{rng.randrange(8)}", field, 3)
+                        q = lat.apply_nat(q, NatRule(Guard(), field, to, 20 + i))
+                packets.append(q)
+        rng.shuffle(packets)
+        for p in packets:
+            names = layout.mask_names(p.nated)
+            for guard in guards:
+                tests = [atom_test(fvs, layout) for _, fvs in guard.atoms]
+                kept = [t for t, (f, _) in zip(tests, guard.atoms) if f not in names]
+                in_c = settles(store.field_summary(p.curr.node), tests)
+                orig = store.field_summary(p.orig.node)
+                if in_c:
+                    settled = settles(orig, kept) is not None
+                elif in_c is False:
+                    settled = not kept or (len(kept) == len(tests)
+                                           and settles(orig, tests) is not None)
+                else:
+                    settled = False
+                calls = []
+                kernel_and = store._and
+                store._and = lambda a, b: calls.append(1) or kernel_and(a, b)
+                try:
+                    matched = lat.refine_match(p, guard)
+                    unmatched = lat.refine_unmatch(p, guard, matched)
+                finally:
+                    store._and = kernel_and
+                assert matched == reference_refine_match(lat, p, guard)
+                assert unmatched == reference_refine_unmatch(lat, p, guard)
+                if settled:
+                    assert not calls
+                seen.add((p.nated, in_c, settled, len(unmatched) > 1))
+    assert {n for n, *_ in seen} == {0, 1, 2, 3}
+    assert {(c, s) for _, c, s, _ in seen} >= {(True, True), (False, True), (None, False)}
+    assert any(k for n, *_, k in seen if n in (1, 2))
 
 
 @pytest.mark.parametrize("seed", range(20))
