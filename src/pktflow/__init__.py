@@ -5,41 +5,48 @@ reach it from an origin zone (through NAT rewrites and routing cycles),
 tracks pre-NAT original forms, infers per-zone accept/reject policies, and
 can certify itself against an exhaustive concrete simulator at small header
 widths.
+
+The public names below are imported from their submodules on first access,
+so importing the package loads no submodule by itself.
 """
 
-from .engine import AbstractValue, AnalysisResult, analyze
-from .netmodel import (
-    ConfigError,
-    Network,
-    load_network,
-    load_network_file,
-    network_from_config,
-    network_to_config,
-)
-from .oracle import compare, concretize, simulate
-from .pktset import FieldValueSet, Formula, FormulaStore, HeaderLayout
-from .policy import PolicySummary, generate_test_packets, infer_policy
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbstractValue",
-    "AnalysisResult",
-    "ConfigError",
-    "FieldValueSet",
-    "Formula",
-    "FormulaStore",
-    "HeaderLayout",
-    "Network",
-    "PolicySummary",
-    "analyze",
-    "compare",
-    "concretize",
-    "generate_test_packets",
-    "infer_policy",
-    "load_network",
-    "load_network_file",
-    "network_from_config",
-    "network_to_config",
-    "simulate",
-]
+# public name -> the submodule that defines it
+_HOMES = {
+    "AbstractValue": "engine",
+    "AnalysisResult": "engine",
+    "analyze": "engine",
+    "ConfigError": "netmodel",
+    "Network": "netmodel",
+    "load_network": "netmodel",
+    "load_network_file": "netmodel",
+    "network_from_config": "netmodel",
+    "network_to_config": "netmodel",
+    "compare": "oracle",
+    "concretize": "oracle",
+    "simulate": "oracle",
+    "FieldValueSet": "pktset",
+    "Formula": "pktset",
+    "FormulaStore": "pktset",
+    "HeaderLayout": "pktset",
+    "PolicySummary": "policy",
+    "generate_test_packets": "policy",
+    "infer_policy": "policy",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{home}"), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -15,22 +15,67 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import import_module
 
-from .engine import EngineError, analyze
-from .gen import random_network
-from .netmodel import ConfigError, Network, load_network_file, network_from_config
-from .oracle import DEFAULT_WIDTH_GUARD, MAX_WIDTH_GUARD, WidthGuardExceeded, compare
-from .policy import PolicyError, generate_test_packets, infer_policy, overlap_report
-from .render import (
-    bracket,
-    data_sets,
-    format_field_display,
-    field_sets,
-    formula_to_text,
-    header_fields,
-    result_to_json,
-    result_to_text,
+from .netmodel import (
+    DEFAULT_WIDTH_GUARD,
+    MAX_WIDTH_GUARD,
+    ConfigError,
+    Network,
+    load_network_file,
+    network_from_config,
 )
+
+# Names bound on first use, by home module, so that each command loads only
+# the modules it runs.  A command binds what it calls with ``_bind`` and
+# then calls it through this module's namespace, so a wrapper set on this
+# module's attribute (as perfbench/tracer.py sets) is what runs.
+_LAZY = {
+    "EngineError": "engine",
+    "analyze": "engine",
+    "random_network": "gen",
+    "WidthGuardExceeded": "oracle",
+    "compare": "oracle",
+    "PolicyError": "policy",
+    "generate_test_packets": "policy",
+    "infer_policy": "policy",
+    "overlap_report": "policy",
+    "bracket": "render",
+    "data_sets": "render",
+    "field_sets": "render",
+    "format_field_display": "render",
+    "formula_to_text": "render",
+    "header_fields": "render",
+    "result_to_json": "render",
+    "result_to_text": "render",
+}
+
+
+def __getattr__(name: str):
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{home}", __package__), name)
+    return value
+
+
+def _bind(*names: str) -> None:
+    """Bind each name here from its home module, unless it is bound already."""
+    bound = globals()
+    for name in names:
+        if name not in bound:
+            __getattr__(name)
+
+
+def _errors() -> tuple[type, ...]:
+    """The errors ``main`` reports as one line and exit 2.  A module the
+    command did not load cannot have raised its error, so that class is
+    left out rather than loaded."""
+    errors = [ConfigError, OSError]
+    for name in ("EngineError", "PolicyError", "WidthGuardExceeded"):
+        if f"{__package__}.{_LAZY[name]}" in sys.modules:
+            errors.append(__getattr__(name))
+    return tuple(errors)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,6 +150,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    _bind("analyze", "result_to_json", "result_to_text")
     net = load_network_file(args.network)
     result = analyze(net, args.origin, args.variant)
     if args.format == "json":
@@ -115,6 +161,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_policy(args) -> int:
+    _bind("infer_policy", "overlap_report", "data_sets", "field_sets", "formula_to_text",
+          "format_field_display")
     net = load_network_file(args.network)
     summary = infer_policy(net, args.zone)
     layout = net.layout
@@ -171,6 +219,7 @@ def _check_one(net: Network, origin: str, variant: str, max_width: int):
 
 
 def _cmd_check(args) -> int:
+    _bind("compare")
     if not 1 <= args.max_width <= MAX_WIDTH_GUARD:
         raise ConfigError(f"--max-width must be from 1 to the oracle's ceiling of "
                           f"{MAX_WIDTH_GUARD} bits, got {args.max_width}")
@@ -182,6 +231,7 @@ def _cmd_check(args) -> int:
             )
         if args.trials < 1:
             raise ConfigError(f"--trials must be at least 1, got {args.trials}")
+        _bind("random_network")
         first = 0 if args.seed is None else args.seed
         failures = []
         lines = []
@@ -243,6 +293,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_testgen(args) -> int:
+    _bind("generate_test_packets", "bracket", "data_sets", "header_fields")
     net = load_network_file(args.network)
     if args.variant != "v2":
         raise ConfigError("testgen needs the v2 variant (original-form tracking)")
@@ -290,7 +341,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, PolicyError, WidthGuardExceeded, EngineError, OSError) as e:
+    except _errors() as e:
         print(f"pktflow: error: {e}", file=sys.stderr)
         return 2
 

@@ -78,7 +78,7 @@ from __future__ import annotations
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 from .netmodel import Guard, Network, guard_to_formula, reduce_guard, zone_departure_formula
 from .pktset import Formula, FormulaStore, HeaderLayout, atom_test
@@ -102,8 +102,7 @@ class IterationCeilingExceeded(EngineError):
     """The worklist ran past its configured ceiling; the run is aborted."""
 
 
-@dataclass(frozen=True)
-class AbstractValue:
+class AbstractValue(NamedTuple):
     """A set of abstract packets at a node; the empty set is bottom."""
 
     packets: tuple = ()
@@ -438,23 +437,57 @@ def get_lattice(variant: str, net: Network):
 
 # --------------------------------------------------------------- results
 
-@dataclass
 class AnalysisStats:
-    iterations: int = 0
-    joins: int = 0
-    wall_time_s: float = 0.0
+    __slots__ = ("iterations", "joins", "wall_time_s")
+
+    def __init__(self, iterations: int = 0, joins: int = 0, wall_time_s: float = 0.0):
+        self.iterations = iterations
+        self.joins = joins
+        self.wall_time_s = wall_time_s
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.iterations, self.joins, self.wall_time_s)
+                == (other.iterations, other.joins, other.wall_time_s))
+
+    def __repr__(self) -> str:
+        return (f"AnalysisStats(iterations={self.iterations!r}, joins={self.joins!r}, "
+                f"wall_time_s={self.wall_time_s!r})")
 
 
-@dataclass
 class AnalysisResult:
-    net: Network
-    origin: str
-    variant: str
-    facts: dict[str, AbstractValue]
-    ledger: DropLedger
-    stats: AnalysisStats
-    misdelivered: dict[str, Formula] = dc_field(default_factory=dict)
-    no_route: dict[str, Formula] = dc_field(default_factory=dict)
+    __slots__ = ("net", "origin", "variant", "facts", "ledger", "stats",
+                 "misdelivered", "no_route")
+
+    def __init__(
+        self,
+        net: Network,
+        origin: str,
+        variant: str,
+        facts: dict[str, AbstractValue],
+        ledger: DropLedger,
+        stats: AnalysisStats,
+        misdelivered: dict[str, Formula] | None = None,
+        no_route: dict[str, Formula] | None = None,
+    ):
+        self.net = net
+        self.origin = origin
+        self.variant = variant
+        self.facts = facts
+        self.ledger = ledger
+        self.stats = stats
+        self.misdelivered = {} if misdelivered is None else misdelivered
+        self.no_route = {} if no_route is None else no_route
+
+    def _key(self) -> tuple:
+        return (self.net, self.origin, self.variant, self.facts, self.ledger, self.stats,
+                self.misdelivered, self.no_route)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
 
 
 def default_iteration_ceiling(net: Network) -> int:

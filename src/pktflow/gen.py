@@ -13,13 +13,16 @@ unrolling misses flows a fixpoint finds.
 from __future__ import annotations
 
 import random
-from importlib import resources
 
 FIXTURES = ("fig1.json", "fig1-small.json", "fig3.json", "fig3-small.json")
 
 
 def fixture_path(name: str):
     """Filesystem path of a bundled fixture (fig1.json, fig3-small.json, ...)."""
+    # imported here: ``check --trials`` reads no fixture, and without a
+    # site that preloads it this import costs more than the generator
+    from importlib import resources
+
     path = resources.files("pktflow").joinpath("data", name)
     if not path.is_file():
         raise FileNotFoundError(f"no bundled fixture named {name!r}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass, field as dc_field, replace
+from typing import NamedTuple
 
 from .pktset import (
     FieldValueSet,
@@ -39,6 +39,14 @@ SCHEMA_VERSION = 1
 # The formula kernel recurses once per header variable, so a wider header
 # would overflow Python's default recursion limit.
 MAX_HEADER_BITS = 512
+
+# The oracle's width guards, kept here so that building the CLI's argument
+# parser loads no oracle.  DEFAULT_WIDTH_GUARD is the default; MAX_WIDTH_GUARD
+# is the largest guard any caller may ask for.  The oracle visits all
+# 2**width headers of the layout and keeps every reachable state, so a much
+# wider layout would run for hours or exhaust memory; it is refused instead.
+DEFAULT_WIDTH_GUARD = 12
+MAX_WIDTH_GUARD = 16
 
 
 class ConfigError(ValueError):
@@ -165,20 +173,28 @@ def range_to_text(lo: int, hi: int, width: int) -> str:
 
 # ------------------------------------------------------------- rule model
 
-@dataclass(frozen=True)
 class Guard:
     """Conjunction of per-field value-set constraints; no atoms means true.
 
     A guard keys the store's and the lattices' memos, so its hash is
     computed once."""
 
-    atoms: tuple[tuple[str, FieldValueSet], ...] = ()
+    __slots__ = ("atoms", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.atoms))
+    def __init__(self, atoms: tuple[tuple[str, FieldValueSet], ...] = ()):
+        self.atoms = atoms
+        self._hash = hash(atoms)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.atoms == other.atoms
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"Guard(atoms={self.atoms!r})"
 
     def fields(self) -> tuple[str, ...]:
         return tuple(f for f, _ in self.atoms)
@@ -208,23 +224,20 @@ def reduce_guard(guard: Guard, nated_mask: int, layout: HeaderLayout) -> Guard:
     return Guard(tuple((f, v) for f, v in guard.atoms if f not in nated))
 
 
-@dataclass(frozen=True)
-class FilterRule:
+class FilterRule(NamedTuple):
     guard: Guard
     action: str  # DROP | ACCEPT
     rule_id: int
 
 
-@dataclass(frozen=True)
-class NatRule:
+class NatRule(NamedTuple):
     guard: Guard
     nat_field: str
     action: FieldValueSet  # non-negated, non-empty
     rule_id: int
 
 
-@dataclass(frozen=True)
-class Firewall:
+class Firewall(NamedTuple):
     name: str
     interfaces: tuple[str, ...]
     dnat: tuple[NatRule, ...]
@@ -239,8 +252,7 @@ class Firewall:
         return None
 
 
-@dataclass(frozen=True)
-class Zone:
+class Zone(NamedTuple):
     name: str
     interface: str
     addr: FieldValueSet  # over the source-address field; rebind for d
@@ -248,34 +260,51 @@ class Zone:
     rest: bool = False  # declared as complement of all other zones
 
 
-@dataclass(frozen=True)
 class Network:
-    layout: HeaderLayout
-    zones: tuple[Zone, ...]
-    firewalls: tuple[Firewall, ...]
-    links: tuple[tuple[str, str], ...]
-    store: FormulaStore = dc_field(compare=False, repr=False, default=None)
-    # lookups built once from the fields above
-    _zone: dict[str, Zone] = dc_field(init=False, compare=False, repr=False)
-    _firewall: dict[str, Firewall] = dc_field(init=False, compare=False, repr=False)
-    _node_of: dict[str, str] = dc_field(init=False, compare=False, repr=False)
-    _out_links: dict[str, tuple[tuple[str, str, str], ...]] = dc_field(
-        init=False, compare=False, repr=False
-    )
+    """A loaded network and the formula store of its layout.  Networks are
+    equal when their layouts, zones, firewalls and links are."""
 
-    def __post_init__(self):
-        node_of = {z.interface: z.name for z in self.zones}
-        for f in self.firewalls:
+    # _zone, _firewall, _node_of and _out_links are lookups built once from
+    # the other fields
+    __slots__ = ("layout", "zones", "firewalls", "links", "store",
+                 "_zone", "_firewall", "_node_of", "_out_links")
+
+    def __init__(
+        self,
+        layout: HeaderLayout,
+        zones: tuple[Zone, ...],
+        firewalls: tuple[Firewall, ...],
+        links: tuple[tuple[str, str], ...],
+        store: FormulaStore = None,
+    ):
+        self.layout = layout
+        self.zones = zones
+        self.firewalls = firewalls
+        self.links = links
+        self.store = store
+        node_of = {z.interface: z.name for z in zones}
+        for f in firewalls:
             node_of.update((i, f.name) for i in f.interfaces)
         out: dict[str, list[tuple[str, str, str]]] = {n: [] for n in self.node_names()}
-        for i1, i2 in self.links:
+        for i1, i2 in links:
             n1, n2 = node_of[i1], node_of[i2]
             out[n1].append((i1, i2, n2))
             out[n2].append((i2, i1, n1))
-        object.__setattr__(self, "_zone", {z.name: z for z in self.zones})
-        object.__setattr__(self, "_firewall", {f.name: f for f in self.firewalls})
-        object.__setattr__(self, "_node_of", node_of)
-        object.__setattr__(self, "_out_links", {n: tuple(v) for n, v in out.items()})
+        self._zone = {z.name: z for z in zones}
+        self._firewall = {f.name: f for f in firewalls}
+        self._node_of = node_of
+        self._out_links = {n: tuple(v) for n, v in out.items()}
+
+    def _key(self) -> tuple:
+        return self.layout, self.zones, self.firewalls, self.links
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     # -- topology helpers ---------------------------------------------------
 
@@ -314,7 +343,7 @@ class Network:
         return f
 
     def zone_dst_atom(self, zone: Zone) -> Formula:
-        return self.store.atom(replace(zone.addr, field="d"))
+        return self.store.atom(FieldValueSet("d", zone.addr.ranges, zone.addr.negated))
 
     def drop_rule_ids(self) -> list[int]:
         return [

@@ -40,35 +40,49 @@ simulated).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field as dc_field
 
 from .engine import AbstractValue, AnalysisResult, analyze, get_lattice
-from .netmodel import DROP, Firewall, Guard, Network
+from .netmodel import DEFAULT_WIDTH_GUARD, DROP, MAX_WIDTH_GUARD, Firewall, Guard, Network
 from .pktset import FieldValueSet, HeaderLayout
-
-DEFAULT_WIDTH_GUARD = 12
-# The largest guard any caller may ask for.  The oracle visits all 2**width
-# headers of the layout and keeps every reachable state, so a much wider
-# layout would run for hours or exhaust memory; it is refused instead.
-MAX_WIDTH_GUARD = 16
 
 
 class WidthGuardExceeded(ValueError):
     """The layout is too wide for exhaustive concrete exploration."""
 
 
-@dataclass
 class ExactResult:
     """Everything the exhaustive simulation observed."""
 
-    per_node: dict[str, set[tuple[int, int, int]]]  # (curr, orig, nated)
-    per_rule_dropped: dict[int, set[int]]  # rule id -> orig headers
-    misdelivered: set[tuple[str, int]]  # (zone, curr)
-    no_route: set[tuple[str, int, int]]  # (node, curr, orig)
-    initial: set[int]
-    states_explored: int = 0
-    # rule id -> current headers, as the rule saw them
-    per_rule_dropped_curr: dict[int, set[int]] = dc_field(default_factory=dict)
+    __slots__ = ("per_node", "per_rule_dropped", "misdelivered", "no_route", "initial",
+                 "states_explored", "per_rule_dropped_curr")
+
+    def __init__(
+        self,
+        per_node: dict[str, set[tuple[int, int, int]]],  # (curr, orig, nated)
+        per_rule_dropped: dict[int, set[int]],  # rule id -> orig headers
+        misdelivered: set[tuple[str, int]],  # (zone, curr)
+        no_route: set[tuple[str, int, int]],  # (node, curr, orig)
+        initial: set[int],
+        states_explored: int = 0,
+        # rule id -> current headers, as the rule saw them
+        per_rule_dropped_curr: dict[int, set[int]] | None = None,
+    ):
+        self.per_node = per_node
+        self.per_rule_dropped = per_rule_dropped
+        self.misdelivered = misdelivered
+        self.no_route = no_route
+        self.initial = initial
+        self.states_explored = states_explored
+        self.per_rule_dropped_curr = {} if per_rule_dropped_curr is None else per_rule_dropped_curr
+
+    def _key(self) -> tuple:
+        return (self.per_node, self.per_rule_dropped, self.misdelivered, self.no_route,
+                self.initial, self.states_explored, self.per_rule_dropped_curr)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
 
     def states(self, node: str) -> set[tuple[int, int, int]]:
         return self.per_node.get(node, set())
@@ -325,22 +339,51 @@ def concretize(
 
 # ------------------------------------------------------------ comparison
 
-@dataclass
 class NodeDiff:
-    node: str
-    status: str  # "equal" | "superset" | "diff"
-    missing: list = dc_field(default_factory=list)  # in oracle, not abstract
-    extra: list = dc_field(default_factory=list)  # in abstract, not oracle
+    __slots__ = ("node", "status", "missing", "extra")
+
+    def __init__(
+        self,
+        node: str,
+        status: str,  # "equal" | "superset" | "diff"
+        missing: list | None = None,  # in oracle, not abstract
+        extra: list | None = None,  # in abstract, not oracle
+    ):
+        self.node = node
+        self.status = status
+        self.missing = [] if missing is None else missing
+        self.extra = [] if extra is None else extra
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.node, self.status, self.missing, self.extra)
+                == (other.node, other.status, other.missing, other.extra))
+
+    def __repr__(self) -> str:
+        return (f"NodeDiff(node={self.node!r}, status={self.status!r}, "
+                f"missing={self.missing!r}, extra={self.extra!r})")
 
 
-@dataclass
 class CompareReport:
-    variant: str
-    origin: str
-    ok: bool
-    nodes: list[NodeDiff]
-    result: AnalysisResult
-    exact: ExactResult
+    __slots__ = ("variant", "origin", "ok", "nodes", "result", "exact")
+
+    def __init__(self, variant: str, origin: str, ok: bool, nodes: list[NodeDiff],
+                 result: AnalysisResult, exact: ExactResult):
+        self.variant = variant
+        self.origin = origin
+        self.ok = ok
+        self.nodes = nodes
+        self.result = result
+        self.exact = exact
+
+    def _key(self) -> tuple:
+        return self.variant, self.origin, self.ok, self.nodes, self.result, self.exact
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
 
     def node(self, name: str) -> NodeDiff:
         for nd in self.nodes:

@@ -63,7 +63,6 @@ network's store.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field as dc_field
 
 
 class PktsetError(ValueError):
@@ -82,35 +81,45 @@ class StoreMismatchError(PktsetError):
     """Two formulas from different stores were combined."""
 
 
-@dataclass(frozen=True)
 class HeaderLayout:
-    """Ordered (name, width) field declarations for a packet header."""
+    """Ordered (name, width) field declarations for a packet header.
+    Layouts are equal when their fields are."""
 
-    fields: tuple[tuple[str, int], ...]
-    total_bits: int = dc_field(init=False, repr=False, compare=False)
-    # name -> (index, offset, width, shift, mask), built once per layout;
-    # shift and mask locate the field inside a header int
-    _slots: dict = dc_field(init=False, repr=False, compare=False)
-    _masks: dict = dc_field(init=False, repr=False, compare=False)  # mask_names cache
+    # _slots: name -> (index, offset, width, shift, mask), built once per
+    # layout; shift and mask locate the field inside a header int.
+    # _masks: the mask_names cache.
+    __slots__ = ("fields", "total_bits", "_slots", "_masks")
 
-    def __post_init__(self):
-        if not self.fields:
+    def __init__(self, fields: tuple[tuple[str, int], ...]):
+        if not fields:
             raise PktsetError("layout needs at least one field")
-        names = [n for n, _ in self.fields]
+        names = [n for n, _ in fields]
         if len(set(names)) != len(names):
             raise PktsetError("duplicate field names in layout")
-        for name, width in self.fields:
+        for name, width in fields:
             if width < 1:
                 raise PktsetError(f"field {name!r} has non-positive width")
-        total = sum(w for _, w in self.fields)
+        total = sum(w for _, w in fields)
         slots = {}
         off = 0
-        for i, (name, width) in enumerate(self.fields):
+        for i, (name, width) in enumerate(fields):
             slots[name] = (i, off, width, total - off - width, (1 << width) - 1)
             off += width
-        object.__setattr__(self, "total_bits", total)
-        object.__setattr__(self, "_slots", slots)
-        object.__setattr__(self, "_masks", {})
+        self.fields = fields
+        self.total_bits = total
+        self._slots = slots
+        self._masks = {}
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.fields == other.fields
+
+    def __hash__(self) -> int:
+        return hash(self.fields)
+
+    def __repr__(self) -> str:
+        return f"HeaderLayout(fields={self.fields!r})"
 
     @property
     def field_count(self) -> int:
@@ -175,21 +184,29 @@ def _normalize_ranges(ranges) -> tuple[tuple[int, int], ...]:
     return tuple(merged)
 
 
-@dataclass(frozen=True)
 class FieldValueSet:
     """Union of inclusive integer ranges of one field, optionally negated.
     Its hash is computed once, as a guard's is."""
 
-    field: str
-    ranges: tuple[tuple[int, int], ...]
-    negated: bool = False
+    __slots__ = ("field", "ranges", "negated", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "ranges", _normalize_ranges(self.ranges))
-        object.__setattr__(self, "_hash", hash((self.field, self.ranges, self.negated)))
+    def __init__(self, field: str, ranges: tuple[tuple[int, int], ...], negated: bool = False):
+        self.field = field
+        self.ranges = _normalize_ranges(ranges)
+        self.negated = negated
+        self._hash = hash((field, self.ranges, negated))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.ranges, self.negated) == (other.field, other.ranges, other.negated)
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return (f"FieldValueSet(field={self.field!r}, ranges={self.ranges!r}, "
+                f"negated={self.negated!r})")
 
     def contains(self, value: int) -> bool:
         inside = any(lo <= value <= hi for lo, hi in self.ranges)

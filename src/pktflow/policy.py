@@ -15,8 +15,8 @@ routing or NAT choices — worth an operator's attention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from operator import attrgetter
+from typing import NamedTuple
 
 from .engine import AnalysisResult, analyze, analyze_relations
 from .netmodel import Network
@@ -28,26 +28,53 @@ class PolicyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class PolicySummary:
-    zone: str
-    accept: Formula  # over original-header space
-    reject: Formula  # over original-header space
-    overlap: Formula  # accept AND reject
-    net: Network = dc_field(repr=False, compare=False)
-    _result: AnalysisResult | None = dc_field(default=None, repr=False, compare=False)
+    """A zone's inferred policy.  Summaries are equal when their zones and
+    formulas are."""
+
+    __slots__ = ("zone", "accept", "reject", "overlap", "net", "_result")
+
+    def __init__(
+        self,
+        zone: str,
+        accept: Formula,  # over original-header space
+        reject: Formula,  # over original-header space
+        overlap: Formula,  # accept AND reject
+        net: Network,
+        _result: AnalysisResult | None = None,
+    ):
+        self.zone = zone
+        self.accept = accept
+        self.reject = reject
+        self.overlap = overlap
+        self.net = net
+        self._result = _result
+
+    def _key(self) -> tuple:
+        return self.zone, self.accept, self.reject, self.overlap
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"PolicySummary(zone={self.zone!r}, accept={self.accept!r}, "
+                f"reject={self.reject!r}, overlap={self.overlap!r})")
 
     @property
     def result(self) -> AnalysisResult:
         """The packet variant-2 run from the zone: the one the summary was
         given, or else one run on first access."""
         if self._result is None:
-            object.__setattr__(self, "_result", analyze(self.net, self.zone, "v2"))
+            self._result = analyze(self.net, self.zone, "v2")
         return self._result
 
 
-@dataclass(frozen=True)
-class TestPacket:
+class TestPacket(NamedTuple):
     zone: str  # destination zone the witness reaches
     orig: int  # header as it left the origin
     curr: int  # header as it arrives at the zone

@@ -18,7 +18,7 @@ formula and leaves the store's node count as the analysis left it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import AbstractValue, AnalysisResult, get_lattice
 from .netmodel import Network, range_to_text
@@ -52,8 +52,7 @@ def format_field_data(ranges: Ranges, width: int) -> str:
     return ",".join(range_to_text(lo, hi, width) for lo, hi in ranges)
 
 
-@dataclass(frozen=True)
-class RenderedPacket:
+class RenderedPacket(NamedTuple):
     curr: dict[str, Ranges]
     curr_exact: dict[str, bool]
     orig: dict[str, Ranges] | None

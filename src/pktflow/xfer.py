@@ -41,14 +41,13 @@ on another zone's sources; from a ``rest`` zone it leaves out none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .netmodel import DROP, Firewall, FilterRule, NatRule, Network, guard_to_formula
 from .pktset import Formula, FormulaStore, atom_test
 
 
-@dataclass(frozen=True)
-class AbstractPacket:
+class AbstractPacket(NamedTuple):
     """Symbolic packet summary: the current header forms, the pre-NAT
     original forms (``v2`` packets only), and the bitmask of fields
     rewritten so far.  ``v1`` holds any header set in ``curr``, ``ia`` the

@@ -234,7 +234,7 @@ def test_cycle_family_fixpoint_matches_oracle(k, variant):
 def assert_same_exploration(net, origin, **kw):
     """Every ExactResult field, states_explored included, equals the
     rule-by-rule reference's."""
-    assert vars(simulate(net, origin, **kw)) == vars(reference_simulate(net, origin, **kw)), (
+    assert simulate(net, origin, **kw) == reference_simulate(net, origin, **kw), (
         origin, kw,
     )
 
