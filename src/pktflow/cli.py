@@ -22,6 +22,7 @@ from .netmodel import (
     MAX_WIDTH_GUARD,
     ConfigError,
     Network,
+    PktflowError,
     load_network_file,
     network_from_config,
 )
@@ -31,12 +32,9 @@ from .netmodel import (
 # then calls it through this module's namespace, so a wrapper set on this
 # module's attribute (as perfbench/tracer.py sets) is what runs.
 _LAZY = {
-    "EngineError": "engine",
     "analyze": "engine",
     "random_network": "gen",
-    "WidthGuardExceeded": "oracle",
     "compare": "oracle",
-    "PolicyError": "policy",
     "generate_test_packets": "policy",
     "infer_policy": "policy",
     "overlap_report": "policy",
@@ -65,17 +63,6 @@ def _bind(*names: str) -> None:
     for name in names:
         if name not in bound:
             __getattr__(name)
-
-
-def _errors() -> tuple[type, ...]:
-    """The errors ``main`` reports as one line and exit 2.  A module the
-    command did not load cannot have raised its error, so that class is
-    left out rather than loaded."""
-    errors = [ConfigError, OSError]
-    for name in ("EngineError", "PolicyError", "WidthGuardExceeded"):
-        if f"{__package__}.{_LAZY[name]}" in sys.modules:
-            errors.append(__getattr__(name))
-    return tuple(errors)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,7 +328,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _errors() as e:
+    except (PktflowError, OSError) as e:
         print(f"pktflow: error: {e}", file=sys.stderr)
         return 2
 

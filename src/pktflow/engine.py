@@ -44,14 +44,14 @@ or reorder operations that create nodes.  One tie remains: ``v2`` packets
 with equal per-field sets but different exactness flags print in node
 order (``render.render_value``).  ``V2Lattice`` plans each split once per
 (guard, NAT mask): the guard's atom tests for ``curr``, those of its
-reduced guard for ``orig``, and whether it needs first-failing-atom
-pieces.  A split then works on node ids and skips each conjunction of a
-packet's ``curr`` or ``orig`` with a guard, its negation or one atom that
-the formula's field summary settles (``settles``): when an atom admits
-none of its field's values the result is empty, and when every atom admits
-all of them it is the formula itself.  The summary creates no node
-(``FormulaStore.field_summary``), and a guard's node and its negation are
-built only for a conjunction that runs.
+reduced guard for ``orig``, and its unmatched pieces, one per atom for a
+guard mixing NATed and un-NATed fields and one for any other guard.  Every
+conjunction of a split goes through ``V2Lattice._meet``, which works on
+node ids and skips one that the formula's field summary settles
+(``settles``): when an atom admits none of its field's values the result
+is empty, and when every atom admits all of them it is the formula itself.
+The summary creates no node (``FormulaStore.field_summary``), and a guard's
+node and its negation are built only for a conjunction that runs.
 
 The diagnostics are built packet by packet, for every lattice: each packet
 that arrives at a zone adds its part outside the zone's addresses, and each
@@ -80,7 +80,14 @@ import time
 from collections import deque
 from typing import NamedTuple
 
-from .netmodel import Guard, Network, guard_to_formula, reduce_guard, zone_departure_formula
+from .netmodel import (
+    Guard,
+    Network,
+    PktflowError,
+    guard_to_formula,
+    reduce_guard,
+    zone_departure_formula,
+)
 from .pktset import Formula, FormulaStore, HeaderLayout, atom_test
 from .xfer import (
     AbstractPacket,
@@ -94,7 +101,7 @@ from .xfer import (
 )
 
 
-class EngineError(RuntimeError):
+class EngineError(PktflowError, RuntimeError):
     pass
 
 
@@ -212,9 +219,9 @@ class V2Lattice(_Lattice):
     guard into a single orig would either drop true originals or merge
     branches whose originals differ, losing the per-packet pair guarantee.
 
-    Each (guard, NAT mask) is planned once per lattice (``_plan``), and the
-    splits work on node ids: a ``Formula`` is built only for a returned
-    packet.
+    Each (guard, NAT mask) is planned once per lattice (``_plan``), every
+    split conjunction goes through ``_meet`` on node ids, and a ``Formula``
+    is built only for a returned packet.
     """
 
     variant = "v2"
@@ -231,9 +238,9 @@ class V2Lattice(_Lattice):
         """``(tests, orig_tests, reduced, pieces)`` for splitting packets of
         mask ``nated`` on ``guard``: the ``atom_test`` pairs of the guard's
         atoms, for ``curr``; those of the atoms on un-NATed fields, which
-        form the ``reduced`` guard, for ``orig``; and, when the guard tests
-        both NATed and un-NATed fields, per atom ``((test,), one-atom guard,
-        NATed?)`` for the first-failing-atom pieces, else None.  Nodes are
+        form the ``reduced`` guard, for ``orig``; and the unmatched pieces,
+        each ``(tests, guard, NATed?)``: one per atom when the guard tests
+        both NATed and un-NATed fields, else the guard itself.  Nodes are
         built by the conjunctions that need them, not here."""
         key = (guard, nated)
         plan = self._plans.get(key)
@@ -241,16 +248,14 @@ class V2Lattice(_Lattice):
             layout = self.layout
             tests = tuple(atom_test(fvs, layout) for _, fvs in guard.atoms)
             reduced = reduce_guard(guard, nated, layout)
-            if len(reduced.atoms) == len(tests):
-                plan = (tests, tests, guard, None)
-            elif not reduced.atoms:
-                plan = (tests, (), reduced, None)
-            else:
+            if 0 < len(reduced.atoms) < len(tests):
                 names = layout.mask_names(nated)
                 pieces = tuple(((t,), Guard((a,)), a[0] in names)
                                for t, a in zip(tests, guard.atoms))
-                plan = (tests, tuple(t for (t,), _, n in pieces if not n), reduced, pieces)
-            self._plans[key] = plan
+            else:
+                pieces = ((tests, guard, not reduced.atoms),)
+            orig_tests = tuple(t for ts, _, n in pieces if not n for t in ts)
+            plan = self._plans[key] = (tests, orig_tests, reduced, pieces)
         return plan
 
     def _meet(self, node: int, tests, guard: Guard, negated: bool = False) -> int:
@@ -278,31 +283,22 @@ class V2Lattice(_Lattice):
         if matched is not None and matched.curr == p.curr:
             return []
         store = self.store
-        tests, orig_tests, _, pieces = self._plan(guard, p.nated)
-        if pieces is None:
-            c = p.curr
-            if matched is not None:
-                g = guard_to_formula(guard, store).node
-                c = Formula(store, store._and(c.node, store._not(g)))
-            if not orig_tests:
-                # guard only constrains NATed fields: says nothing about orig
-                return [AbstractPacket(c, p.orig, p.nated)]
-            # no atom touches a NATed field: the negation holds on orig too
-            o = self._meet(p.orig.node, tests, guard, True)
-            return [AbstractPacket(c, Formula(store, o), p.nated)]
+        pieces = self._plan(guard, p.nated)[3]
         out = []
         prefix_c, prefix_o = p.curr.node, p.orig.node
         last = len(pieces) - 1
-        for i, (test, one, nated) in enumerate(pieces):
-            c = self._meet(prefix_c, test, one, True)
+        for i, (tests, g, nated) in enumerate(pieces):
+            # matched is None: a one-piece guard misses curr whole, so its
+            # negation keeps curr without an ``&``
+            c = prefix_c if matched is None and not last else self._meet(prefix_c, tests, g, True)
             if c:
-                o = prefix_o if nated else self._meet(prefix_o, test, one, True)
+                o = prefix_o if nated else self._meet(prefix_o, tests, g, True)
                 out.append(AbstractPacket(Formula(store, c), Formula(store, o), p.nated))
             # nothing reads the prefixes after the last atom
             if i < last:
-                prefix_c = self._meet(prefix_c, test, one)
+                prefix_c = self._meet(prefix_c, tests, g)
                 if not nated:
-                    prefix_o = self._meet(prefix_o, test, one)
+                    prefix_o = self._meet(prefix_o, tests, g)
         return out
 
     def apply_nat(self, p: AbstractPacket, rule) -> AbstractPacket:

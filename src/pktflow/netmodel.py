@@ -49,7 +49,11 @@ DEFAULT_WIDTH_GUARD = 12
 MAX_WIDTH_GUARD = 16
 
 
-class ConfigError(ValueError):
+class PktflowError(Exception):
+    """An error that the CLI reports as one line and exit status 2."""
+
+
+class ConfigError(PktflowError, ValueError):
     """Configuration parse or validation failure."""
 
 
@@ -523,7 +527,7 @@ def network_from_config(cfg: dict) -> Network:
             for k, rraw in enumerate(_objects(fraw.get(key, []), f"{ctx}.{key}")):
                 rctx = f"{ctx}.{key}[{k}]"
                 _require("field" in rraw and "to" in rraw, f"{rctx}: needs field and to")
-                fname = str(rraw["field"])
+                fname = _string(rraw["field"], f"{rctx}.field")
                 _require(
                     fname in writable and fname in layout.names(),
                     f"{rctx}: {key} cannot write field {fname!r}",
@@ -584,6 +588,8 @@ def network_from_config(cfg: dict) -> Network:
     _require(
         len({f.name for f in firewalls}) == len(firewalls), "duplicate firewall names"
     )
+    clash = sorted({z.name for z in zones} & {f.name for f in firewalls})
+    _require(not clash, f"zones and firewalls share names: {', '.join(map(repr, clash))}")
     rule_ids = [
         r.rule_id for fw in firewalls for r in (*fw.dnat, *fw.filter, *fw.snat)
     ]

@@ -42,11 +42,19 @@ from __future__ import annotations
 from collections import deque
 
 from .engine import AbstractValue, AnalysisResult, analyze, get_lattice
-from .netmodel import DEFAULT_WIDTH_GUARD, DROP, MAX_WIDTH_GUARD, Firewall, Guard, Network
+from .netmodel import (
+    DEFAULT_WIDTH_GUARD,
+    DROP,
+    MAX_WIDTH_GUARD,
+    Firewall,
+    Guard,
+    Network,
+    PktflowError,
+)
 from .pktset import FieldValueSet, HeaderLayout
 
 
-class WidthGuardExceeded(ValueError):
+class WidthGuardExceeded(PktflowError, ValueError):
     """The layout is too wide for exhaustive concrete exploration."""
 
 

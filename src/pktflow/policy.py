@@ -19,12 +19,12 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .engine import AnalysisResult, analyze, analyze_relations
-from .netmodel import Network
+from .netmodel import Network, PktflowError
 from .pktset import Formula
 from .render import field_sets
 
 
-class PolicyError(ValueError):
+class PolicyError(PktflowError, ValueError):
     pass
 
 

@@ -251,6 +251,15 @@ def _empty_zone_ports(cfg):
     cfg["zones"][0]["ports"] = "!*"
 
 
+def _zone_named_like_firewall(cfg):
+    # links name interfaces, so only the node names clash
+    cfg["zones"][1]["name"] = "F2"
+
+
+def _nat_field_list(cfg):
+    cfg["firewalls"][1]["snat"][0]["field"] = ["s"]
+
+
 def _set_rule_id(value):
     # F2's first filter rule has the explicit id 1
     return lambda cfg: cfg["firewalls"][1]["filter"][0].update(id=value)
@@ -277,6 +286,8 @@ def _set_rule_id(value):
     pytest.param(_fig1_small_with(_firewall_interface_int), id="firewall-interface-int"),
     pytest.param(_fig1_small_with(_link_endpoint_int), id="link-endpoint-int"),
     pytest.param(_fig1_small_with(_empty_zone_ports), id="zone-ports-empty"),
+    pytest.param(_fig1_small_with(_zone_named_like_firewall), id="zone-firewall-name-clash"),
+    pytest.param(_fig1_small_with(_nat_field_list), id="nat-field-list"),
     pytest.param(b'{"schema": 1, "layout": "addr2\xff"}', id="not-utf8"),
     pytest.param(b"[" * 100_000, id="deep-nesting"),
 ])

@@ -395,8 +395,15 @@ def test_v2_split_plans_equal_reference():
     a packet the orig of another mask.  A split that the field summaries
     settle runs no ``&``: the curr conjunction with the guard, and the orig
     conjunction with the reduced guard when curr matches whole, or with the
-    negated guard when curr misses it and no atom tests a NATed field."""
+    negated guard when curr misses it and no atom tests a NATed field.
+
+    Every plan is a list of unmatched pieces.  Each of three shapes splits a
+    partly matched packet here: one un-NATed piece, one NATed piece of two
+    or more atoms, and a piece per atom.  When a one-piece guard
+    misses curr whole, the split keeps curr as it is: no ``&`` takes curr's
+    node, and only orig's conjunction with the negated guard may run."""
     seen = set()
+    partly = set()
     for seed in range(60):
         rng = random.Random(1100 + seed)
         net = small_net()
@@ -410,9 +417,15 @@ def test_v2_split_plans_equal_reference():
                 q = p
                 for i, field in enumerate(("s", "d")):
                     if mask >> i & 1:
-                        to = parse_value_set(f"{rng.randrange(8)}", field, 3)
+                        # an even value opens a pair, so that NATed fields
+                        # can meet a guard in part
+                        v = rng.randrange(8)
+                        to = parse_value_set(f"{v}" if v % 2 else f"{v}-{v + 1}", field, 3)
                         q = lat.apply_nat(q, NatRule(Guard(), field, to, 20 + i))
                 packets.append(q)
+            # what misses a two-atom guard ties its fields together, so that
+            # only ``&`` can tell that it misses the guard whole
+            packets.extend(lat.refine_unmatch(p, guards[0], lat.refine_match(p, guards[0])))
         rng.shuffle(packets)
         for p in packets:
             names = layout.mask_names(p.nated)
@@ -430,9 +443,10 @@ def test_v2_split_plans_equal_reference():
                     settled = False
                 calls = []
                 kernel_and = store._and
-                store._and = lambda a, b: calls.append(1) or kernel_and(a, b)
+                store._and = lambda a, b: calls.append(a) or kernel_and(a, b)
                 try:
                     matched = lat.refine_match(p, guard)
+                    split_calls = len(calls)
                     unmatched = lat.refine_unmatch(p, guard, matched)
                 finally:
                     store._and = kernel_and
@@ -440,10 +454,25 @@ def test_v2_split_plans_equal_reference():
                 assert unmatched == reference_refine_unmatch(lat, p, guard)
                 if settled:
                     assert not calls
+                pieces = lat._plan(guard, p.nated)[3]
+                if len(pieces) > 1:
+                    shape = "per-atom"
+                elif not pieces[0][2]:
+                    shape = "un-NATed"
+                else:
+                    shape = "NATed" if len(guard.atoms) > 1 else "NATed, under two atoms"
+                if matched is not None and matched.curr != p.curr:
+                    partly.add(shape)
+                if matched is None and len(pieces) == 1:
+                    runs = shape == "un-NATed" and settles(orig, kept) is None
+                    assert calls[split_calls:] == ([p.orig.node] if runs else [])
+                    if p.curr.node != p.orig.node:
+                        assert p.curr.node not in calls[split_calls:]
                 seen.add((p.nated, in_c, settled, len(unmatched) > 1))
     assert {n for n, *_ in seen} == {0, 1, 2, 3}
     assert {(c, s) for _, c, s, _ in seen} >= {(True, True), (False, True), (None, False)}
     assert any(k for n, *_, k in seen if n in (1, 2))
+    assert partly >= {"un-NATed", "NATed", "per-atom"}
 
 
 @pytest.mark.parametrize("seed", range(20))
