@@ -63,8 +63,9 @@ re-queues the firewall and an expansion never changes the expanding node's
 own value, so the latest expansion saw the final value.
 
 ``v1`` and the relational lattice filter with each table's compiled accept
-region (``xfer.accept_region``), over the rules each packet can meet
-(``xfer.live_rules``), and record no ledger while propagating.
+region (``xfer.accept_region``), over the rules each packet can meet and
+their guards cofactored by the packet's top block (``xfer.live_rules``),
+and record no ledger while propagating.
 When the worklist is empty, each expanded firewall runs its DNAT once on
 its final value and ``xfer.filter_table_drops`` records what each DROP rule
 discards from it, inside ``stats.wall_time_s``.  That equals the union over

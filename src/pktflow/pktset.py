@@ -38,12 +38,13 @@ Kernel invariants (``FormulaStore``):
   ``relabel`` memos, and the guard and accept-region memos
   (``guard_formulas``, filled by ``netmodel.guard_to_formula``, and
   ``accept_regions``, filled by ``xfer.accept_region`` and keyed by the
-  table, or by (table, live rule indices) when some rules are left out,
-  which hold node ids) are never invalidated: they rely on nodes never
-  being freed or renumbered, so a future store reset must clear them too.
+  table, or by (table, live rules with their cofactored guards), which hold
+  node ids) are never invalidated: they rely on nodes never being freed or
+  renumbered, so a future store reset must clear them too.
 * ``field_summary`` and ``top_block`` only read the node lists: they
   create no node, so reading a summary or a block never moves the
-  numbering of later nodes.
+  numbering of later nodes.  The summary walk carries a field's values as
+  flat boundary tuples and steps along one-way chains in a loop.
 * A store holds no ``Formula``: ``store.false`` and ``store.true`` build
   their handles on demand and the memos hold node ids, so a store is in no
   reference cycle and reference counting frees it.
@@ -236,22 +237,6 @@ def atom_test(fvs: FieldValueSet, layout: HeaderLayout) -> tuple[int, tuple[tupl
     if fvs.negated:
         ranges = complement_ranges(ranges, layout.width(fvs.field))
     return layout.index(fvs.field), ranges
-
-
-def _spread(ranges, gap: int, bits: int) -> tuple[tuple[int, int], ...]:
-    """Ranges over ``bits`` low bits, repeated under each value of ``gap``
-    free bits above them."""
-    size = 1 << bits
-    if ranges == ((0, size - 1),):
-        return ((0, (size << gap) - 1),)
-    out: list[tuple[int, int]] = []
-    for t in range(0, size << gap, size):
-        for a, b in ranges:
-            if out and out[-1][1] + 1 == a + t:
-                out[-1] = (out[-1][0], b + t)
-            else:
-                out.append((a + t, b + t))
-    return tuple(out)
 
 
 def _combine(pairs) -> tuple:
@@ -479,7 +464,12 @@ class FormulaStore:
         reaches one exit.  The node's own field is walked from the node,
         with a memo for that call; every later field is read from the
         summaries of the exits, which are cached in the store by node like
-        the node's own.
+        the node's own.  The walk carries values as flat boundaries
+        ``(start, stop, start, stop, ...)``, stop exclusive, so the halves
+        of a node join by concatenation and shift by one ``map``.  A
+        one-way chain (one child false, the other testing the next variable
+        of the field) is followed in a loop and shifted once at its end.
+        The pairs are built once per summary.
         """
         s = self._summaries.get(node)
         if s is None:
@@ -488,43 +478,52 @@ class FormulaStore:
 
     def _summarize(self, node: int) -> tuple:
         var, low, high = self._var, self._lo, self._hi
-        v = var[node]
-        k = self._field_of[v]
+        k = self._field_of[var[node]]
         off, end = self._spans[k]
         memo: dict[int, tuple] = {}
         exits: set[int] = set()
 
-        def walk(n: int, v: int) -> tuple:
-            # the values over the field's bits from v on, and the one exit
-            # they lead to (-1 when there are several)
+        def spread(b: tuple, v: int, u: int) -> tuple:
+            # boundaries b of the bits from u on, under free bits v..u-1
+            while u > v:
+                u -= 1
+                t = tuple(map((1 << (end - u - 1)).__add__, b))
+                b = b[:-1] + t[1:] if b[-1] == t[0] else b + t
+            return b
+
+        def walk(n: int) -> tuple:
+            # the boundaries of the values over the field's bits from the
+            # node's variable on, and their one exit (-1 when there are
+            # several); each node of a one-way chain adds a prefix bit
+            v, prefix = var[n], 0
+            while (low[n] == 0 or high[n] == 0) and var[low[n] or high[n]] == v + 1 < end:
+                prefix = prefix << 1 | (low[n] == 0)
+                n, v = low[n] or high[n], v + 1
             half = 1 << (end - v - 1)
-            ranges, one, shift = (), 0, 0
-            for c in (low[n], high[n]):
+            r, one = (), 0
+            for c, shift in ((low[n], 0), (high[n], half)):
                 if c:
                     cv = var[c]
                     if cv >= end:
-                        r, x = ((shift, shift + half - 1),), c
+                        b, x = (shift, shift + half), c
                         exits.add(c)
                     else:
-                        m = memo.get(c)
-                        if m is None:
-                            m = memo[c] = walk(c, cv)
-                        r, x = m
+                        if c not in memo:
+                            memo[c] = walk(c)
+                        b, x = memo[c]
                         if cv > v + 1:
-                            r = _spread(r, cv - v - 1, end - cv)
+                            b = spread(b, v + 1, cv)
                         if shift:
-                            r = tuple((a + shift, b + shift) for a, b in r)
-                    if ranges and ranges[-1][1] + 1 == r[0][0]:
-                        ranges = (*ranges[:-1], (ranges[-1][0], r[0][1]), *r[1:])
-                    else:
-                        ranges += r
+                            b = tuple(map(shift.__add__, b))
+                    r = r[:-1] + b[1:] if r and r[-1] == b[0] else r + b
                     one = x if one == 0 or one == x else -1
-                shift = half
-            return ranges, one
+            if prefix:
+                r = tuple(map((prefix << (end - v)).__add__, r))
+            return r, one
 
-        ranges, one = walk(node, v)
-        if v > off:
-            ranges = _spread(ranges, v - off, end - v)
+        r, one = walk(node)
+        r = spread(r, off, var[node])
+        ranges = tuple(zip(r[::2], map((-1).__add__, r[1::2])))
         if one > 0:
             tail = self.field_summary(one)[k + 1:]
         else:

@@ -30,20 +30,25 @@ the engine calls it once at the fixpoint.  ``v2`` packets and ``ia`` keep
 the rule-by-rule ``filter_table_tf`` (a ``v2`` guard refines ``orig`` too,
 and ``ia``'s negation is approximate).
 
-Both compiled paths see only the rules a packet can meet (``live_rules``):
-a rule whose atom on the packet's top field misses the block that field is
-confined to (``FormulaStore.top_block``, read without creating a node)
-matches no header of the packet.  Leaving it out changes neither ``p &
-region`` nor any drop entry of ``p``, so only fewer nodes are built.  From
-a zone, whose departure fixes a source prefix, that leaves out every rule
-on another zone's sources; from a ``rest`` zone it leaves out none.
+Both compiled paths see only the rules a packet can meet, through guards
+cofactored by what the packet fixes (``live_rules``).  The packet's top
+field is confined to a block (``FormulaStore.top_block``, read without
+creating a node).  A rule whose atom on that field misses the block
+matches no header of the packet, so it is left out; an atom that admits
+the whole block holds on every header of the packet, so it is dropped from
+the guard.  Neither changes ``p & region`` nor any drop entry of ``p``, so
+only fewer and smaller nodes are built.  From a zone, whose departure fixes
+a source prefix, that leaves out every rule on another zone's sources and
+drops every source atom that covers the zone; from a ``rest`` zone the
+block is the whole field, and it changes nothing.  ``_overlapping`` reads
+the full guards, which is still exact.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .netmodel import DROP, Firewall, FilterRule, NatRule, Network, guard_to_formula
+from .netmodel import DROP, Firewall, FilterRule, Guard, NatRule, Network, guard_to_formula
 from .pktset import Formula, FormulaStore, atom_test
 
 
@@ -144,46 +149,52 @@ def filter_table_tf(table, pset, ledger: DropLedger | None, lat):
     return accepted
 
 
-def live_rules(table, store: FormulaStore, node: int) -> tuple[int, ...]:
-    """The indices of the rules of ``table`` that can match a header of the
-    non-false ``node``.  A rule with an atom on the field of the node's top
-    block (``FormulaStore.top_block``) that admits no value of the block
-    matches none of its headers, so it is left out."""
+def live_rules(table, store: FormulaStore, node: int) -> tuple[tuple[int, Guard], ...]:
+    """``(i, guard)`` for each rule i of ``table`` that can match a header of
+    the non-false ``node``, with its guard cofactored by the node's top
+    block (``FormulaStore.top_block``).  A rule with an atom on the block's
+    field that admits no value of the block matches none of the node's
+    headers, so it is left out; an atom that admits every value of the
+    block holds on all of them, so it is dropped from the guard."""
     k, lo, hi = store.top_block(node)
     name = store.layout.fields[k][0]
     live = []
     for i, rule in enumerate(table):
-        for f, fvs in rule.guard.atoms:
-            if f == name:
-                _, ranges = atom_test(fvs, store.layout)
+        guard = rule.guard
+        for atom in guard.atoms:
+            if atom[0] == name:
+                _, ranges = atom_test(atom[1], store.layout)
                 if not any(a <= hi and lo <= b for a, b in ranges):
                     break
+                if any(a <= lo and hi <= b for a, b in ranges):
+                    guard = Guard(tuple(x for x in guard.atoms if x is not atom))
         else:
-            live.append(i)
+            live.append((i, guard))
     return tuple(live)
 
 
-def accept_region(table, store: FormulaStore, live: tuple[int, ...] | None = None) -> Formula:
-    """The headers that the ``live`` rules of a filter table accept (by
-    default every rule), compiled once per store, table and live rules.
+def accept_region(table, store: FormulaStore, live: tuple | None = None) -> Formula:
+    """The headers that the ``live`` rules of a filter table accept, each
+    through its ``(i, guard)`` pair (by default every rule through its own
+    guard), compiled once per store, table and live rules.
 
     The rules fold backwards from false: an ACCEPT rule gives ``g | R`` and
     a DROP rule ``~g & R``, so ``R`` holds what first-match semantics accepts
-    from that rule on.  A packet that no left-out rule matches meets this
-    region as it meets the whole table's.  The memo holds the node id, not a
-    handle, so the store holds no reference to itself.
+    from that rule on.  A packet that no left-out rule matches, and on which
+    each guard agrees with its rule's, meets this region as it meets the
+    whole table's.  The memo holds the node id, not a handle, so the store
+    holds no reference to itself.
     """
-    if live is None or len(live) == len(table):
-        key, live = table, range(len(table))
+    if live is None:
+        key, live = table, tuple((i, rule.guard) for i, rule in enumerate(table))
     else:
         key = (table, live)
     node = store.accept_regions.get(key)
     if node is None:
         region = store.false
-        for i in reversed(live):
-            rule = table[i]
-            g = guard_to_formula(rule.guard, store)
-            region = ~g & region if rule.action == DROP else g | region
+        for i, guard in reversed(live):
+            g = guard_to_formula(guard, store)
+            region = ~g & region if table[i].action == DROP else g | region
         node = store.accept_regions[key] = region.node
     return Formula(store, node)
 
@@ -213,24 +224,25 @@ def filter_table_drops(table, pset, ledger: DropLedger, lat) -> None:
     (``live_rules``) drop nothing from it and leave ``p & g_i`` unchanged,
     so they are skipped, and so is every rule j whose guard shares no
     header with ``g_i`` (``_overlapping``), for then ``p & g_i`` lies
-    inside ``~g_j``."""
+    inside ``~g_j``.  Each ``g`` is the live rule's cofactored guard, which
+    meets ``p`` as the full guard does."""
     store = lat.store
     overlaps = store.rule_overlaps.setdefault(table, {})
     for p in pset:
         live = live_rules(table, store, p.curr.node)
-        for n, i in enumerate(live):
+        for n, (i, guard) in enumerate(live):
             rule = table[i]
             if rule.action != DROP:
                 continue
             near = overlaps.get(i)
             if near is None:
                 near = overlaps[i] = _overlapping(table, i, store.layout)
-            c = p.curr & guard_to_formula(rule.guard, store)
-            for j in live[:n]:
+            c = p.curr & guard_to_formula(guard, store)
+            for j, earlier in live[:n]:
                 if c.is_empty():
                     break
                 if j in near:
-                    c = c & ~guard_to_formula(table[j].guard, store)
+                    c = c & ~guard_to_formula(earlier, store)
             if not c.is_empty():
                 ledger.record(rule.rule_id, lat.ledger_form(AbstractPacket(c, None, p.nated)))
 

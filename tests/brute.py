@@ -8,7 +8,9 @@ definition of a lattice's guard split, computed from the guard alone with
 plain formula operations; ``reference_no_route`` and
 ``reference_misdelivery`` build the diagnostics from the union of the
 packets they cover; ``reference_formula_fields`` keeps the projection
-definition of the per-field summary that rendering prints;
+definition of the per-field summary that rendering prints, and
+``reference_field_summary`` the recursive pair-based walk that
+``FormulaStore.field_summary`` optimizes;
 ``reference_accept_region`` and ``reference_filter_table_drops`` compile a
 filter table over every rule, whatever the packet.
 """
@@ -348,3 +350,103 @@ def reference_formula_fields(formula, layout: HeaderLayout) -> tuple[dict, dict]
         exact = tuple(formula == (proj & formula.exists_field(name))
                       for proj, name in zip(projs, names))
     return dict(zip(names, ranges)), dict(zip(names, exact))
+
+
+def _spread(ranges, gap: int, bits: int) -> tuple[tuple[int, int], ...]:
+    """Ranges over ``bits`` low bits, repeated under each value of ``gap``
+    free bits above them."""
+    size = 1 << bits
+    if ranges == ((0, size - 1),):
+        return ((0, (size << gap) - 1),)
+    out: list[tuple[int, int]] = []
+    for t in range(0, size << gap, size):
+        for a, b in ranges:
+            if out and out[-1][1] + 1 == a + t:
+                out[-1] = (out[-1][0], b + t)
+            else:
+                out.append((a + t, b + t))
+    return tuple(out)
+
+
+def _combine(pairs) -> tuple:
+    """One field's ``(ranges, independent)`` over the union of several
+    nodes' entries."""
+    first = pairs[0][0]
+    if all(r == first for r, _ in pairs):
+        return first, all(ind for _, ind in pairs)
+    out: list[tuple[int, int]] = []
+    for a, b in sorted(x for r, _ in pairs for x in r):
+        if out and a <= out[-1][1] + 1:
+            if b > out[-1][1]:
+                out[-1] = (out[-1][0], b)
+        else:
+            out.append((a, b))
+    return tuple(out), False
+
+
+def reference_field_summary(store, node: int, cache: dict | None = None) -> tuple:
+    """``FormulaStore.field_summary`` by a recursive walk over (lo, hi)
+    pairs that recurses and shifts once per bit and spreads over skipped
+    variables; ``cache`` (by node) is its own, not the store's.  Per field,
+    ``(ranges, independent)``: the values leading from the field's entry
+    nodes to its exits, and whether every entry gives the same values and
+    reaches one exit."""
+    cache = {} if cache is None else cache
+    layout = store.layout
+    spans, field_of = [], []
+    for k, (name, w) in enumerate(layout.fields):
+        spans.append((layout.offset(name), layout.offset(name) + w))
+        field_of += [k] * w
+    var, low, high = store._var, store._lo, store._hi
+
+    def summary(node: int) -> tuple:
+        s = cache.get(node)
+        if s is not None:
+            return s
+        if node < 2:
+            return tuple((((0, (1 << w) - 1),) if node else (), True) for _, w in layout.fields)
+        v = var[node]
+        k = field_of[v]
+        off, end = spans[k]
+        memo: dict[int, tuple] = {}
+        exits: set[int] = set()
+
+        def walk(n: int, v: int) -> tuple:
+            half = 1 << (end - v - 1)
+            ranges, one, shift = (), 0, 0
+            for c in (low[n], high[n]):
+                if c:
+                    cv = var[c]
+                    if cv >= end:
+                        r, x = ((shift, shift + half - 1),), c
+                        exits.add(c)
+                    else:
+                        m = memo.get(c)
+                        if m is None:
+                            m = memo[c] = walk(c, cv)
+                        r, x = m
+                        if cv > v + 1:
+                            r = _spread(r, cv - v - 1, end - cv)
+                        if shift:
+                            r = tuple((a + shift, b + shift) for a, b in r)
+                    if ranges and ranges[-1][1] + 1 == r[0][0]:
+                        ranges = (*ranges[:-1], (ranges[-1][0], r[0][1]), *r[1:])
+                    else:
+                        ranges += r
+                    one = x if one == 0 or one == x else -1
+                shift = half
+            return ranges, one
+
+        ranges, one = walk(node, v)
+        if v > off:
+            ranges = _spread(ranges, v - off, end - v)
+        free = tuple((((0, (1 << w) - 1),), True) for _, w in layout.fields[:k])
+        if one > 0:
+            tail = summary(one)[k + 1:]
+        else:
+            sums = [summary(x) for x in exits]
+            tail = tuple(_combine([s[j] for s in sums]) for j in range(k + 1, len(spans)))
+        s = cache[node] = (*free, (ranges, one > 0), *tail)
+        return s
+
+    return summary(node)

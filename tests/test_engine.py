@@ -438,8 +438,8 @@ STORE_NODES = {
     ("fig3.json", "v1"): {"Z1": 1230, "Z2": 1355, "Z3": 1070, "Z4": 1651},
     ("fig3.json", "ia"): {"Z1": 1161, "Z2": 1221, "Z3": 1277, "Z4": 1571},
     ("fig3.json", "v2"): {"Z1": 1295, "Z2": 1285, "Z3": 929, "Z4": 1393},
-    ("mesh-6x8-1.json", "v1"): {"Z0": 5735, "Z1": 5814, "Z2": 5053, "Z3": 6003, "Z4": 5654,
-                                "Z5": 5056, "REST": 8034},
+    ("mesh-6x8-1.json", "v1"): {"Z0": 5229, "Z1": 5312, "Z2": 4555, "Z3": 5500, "Z4": 5150,
+                                "Z5": 4554, "REST": 8034},
 }
 
 

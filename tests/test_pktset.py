@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import gc
+import random
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from brute import (
     formula_set,
     headers_where,
     in_value_set,
+    reference_field_summary,
     reference_formula_fields,
 )
 from pktflow.pktset import (
@@ -24,7 +27,11 @@ from pktflow.pktset import (
     StoreMismatchError,
     UnknownFieldError,
 )
+from pktflow.engine import analyze
+from pktflow.netmodel import load_network
 from pktflow.render import field_sets, formula_fields
+
+DATA = Path(__file__).resolve().parent / "data"
 
 T2X2 = HeaderLayout((("f1", 2), ("f2", 2)))
 
@@ -476,6 +483,133 @@ def test_mask_names_decode_field_bits():
     assert T3X3.mask_names(0b101) == ("a", "c")
     assert T3X3.mask_names(~0b101) == ("b",)
     assert T3X3.mask_names(~0) == ("a", "b", "c")
+
+
+# three 8-bit fields: fields wide enough for long one-way chains
+W3X8 = HeaderLayout((("s", 8), ("d", 8), ("p", 8)))
+
+
+def wide_atom(rng, name):
+    """A prefix block, a host, a plain range or a bit pattern (the values
+    that fix some bits, not only leading ones) of an 8-bit field, negated
+    about a third of the time."""
+    kind = rng.randrange(4)
+    if kind == 3:
+        mask, value = rng.randrange(1, 256), rng.randrange(256)
+        ranges = tuple((v, v) for v in range(256) if v & mask == value & mask)
+    elif kind == 0:
+        free = rng.randint(0, 6)
+        lo = rng.randrange(256) >> free << free
+        ranges = ((lo, lo + (1 << free) - 1),)
+    elif kind == 1:
+        v = rng.randrange(256)
+        ranges = ((v, v),)
+    else:
+        ranges = (tuple(sorted((rng.randrange(256), rng.randrange(256)))),)
+    return FieldValueSet(name, ranges, rng.random() < 0.3)
+
+
+def wide_formula(rng, store):
+    """A union of one to four guards, each a conjunction of atoms on one to
+    three fields."""
+    f = store.false
+    for _ in range(rng.randint(1, 4)):
+        g = store.true
+        for name in rng.sample(W3X8.names(), rng.randint(1, 3)):
+            g = g & store.atom(wide_atom(rng, name))
+        f = f | g
+    return f
+
+
+def walk_shapes(store, root):
+    """The shapes the summary walk meets below ``root``: one-way chains
+    (one child false, the other testing the next variable of the field)
+    longer than 2 bits, chains ending at an exit or at a skipped variable,
+    entry nodes with several exits, and a root below its field's first
+    variable."""
+    var, low, high = store._var, store._lo, store._hi
+    spans = [(W3X8.offset(n), W3X8.offset(n) + w) for n, w in W3X8.fields]
+    end_of = {v: end for off, end in spans for v in range(off, end)}
+    shapes = set()
+    if root > 1 and var[root] not in {off for off, _ in spans}:
+        shapes.add("top-skip")
+    seen, stack = set(), [root]
+    while stack:
+        n = stack.pop()
+        if n < 2 or n in seen:
+            continue
+        seen.add(n)
+        stack += [low[n], high[n]]
+        end, m, length = end_of[var[n]], n, 0
+        while (low[m] == 0) != (high[m] == 0):
+            c = low[m] or high[m]
+            if var[c] >= end:
+                if length:
+                    shapes.add("chain-exit")
+                break
+            if var[c] > var[m] + 1:
+                if length:
+                    shapes.add("chain-skip")
+                break
+            m, length = c, length + 1
+        if length > 2:
+            shapes.add("chain>2")
+        exits, inner = set(), [n]
+        while inner:
+            m = inner.pop()
+            if m >= 2 and var[m] < end:
+                inner += [low[m], high[m]]
+            elif m:
+                exits.add(m)
+        if len(exits) > 1:
+            shapes.add("several-exits")
+    return shapes
+
+
+def test_field_summary_on_wide_fields_equals_references():
+    """On 8-bit fields, the summary equals the recursive pair-based walk and
+    the projection definition, over formulas whose walks follow long
+    chains, chains that end at an exit or a skipped variable, and entries
+    with several exits."""
+    rng = random.Random(1800)
+    seen = set()
+    for _ in range(150):
+        store = FormulaStore(W3X8)
+        f = wide_formula(rng, store)
+        nodes = store.node_count()
+        got = formula_fields(f, W3X8)
+        assert store.node_count() == nodes
+        assert store.field_summary(f.node) == reference_field_summary(store, f.node)
+        seen |= walk_shapes(store, f.node)
+        assert got == reference_formula_fields(f, W3X8)
+    assert seen == {"top-skip", "chain>2", "chain-exit", "chain-skip", "several-exits"}
+
+
+def analysis_nodes(result):
+    """The node of every fact, ledger entry and diagnostic of a result."""
+    nodes = [f.node for _, f in result.ledger.items()]
+    nodes += [f.node for f in (*result.misdelivered.values(), *result.no_route.values())]
+    for value in result.facts.values():
+        for p in value.packets:
+            nodes += [p.curr.node] if p.orig is None else [p.curr.node, p.orig.node]
+    return nodes
+
+
+@pytest.mark.parametrize("name, variant", [("mesh-6x8-1.json", "v1"), ("ring-4x4-1.json", "v2")])
+def test_field_summary_equals_reference_walk_after_analysis(name, variant):
+    """Node for node, on what every zone's analysis prints: the summaries
+    the analysis cached while it ran and those rendering reads after it."""
+    text = (DATA / name).read_text(encoding="utf-8")
+    checked = 0
+    for zone in load_network(text).zones:
+        net = load_network(text)
+        result = analyze(net, zone.name, variant)
+        cache: dict = {}
+        for node in analysis_nodes(result):
+            assert (net.store.field_summary(node)
+                    == reference_field_summary(net.store, node, cache))
+            checked += 1
+    assert checked > 100
 
 
 # ---------------------------------------------------------------- relabel

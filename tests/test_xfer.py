@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +46,9 @@ from pktflow.xfer import (
     update_original,
 )
 from test_loader_fuzz import revalued_configs
+
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
@@ -727,34 +731,41 @@ def test_top_block_holds_every_header_and_is_exact_on_cubes(relational):
 
 def live_equals_reference(lat, table, packets, ledger_store):
     """The live-rule region and drops of each packet against the
-    whole-table reference; returns how many rules were left out."""
+    whole-table reference, and each cofactored guard against its rule's;
+    returns how many rules were left out and how many atoms cofactored."""
     store = lat.store
-    dead = 0
+    dead = cut = 0
     for p in packets:
-        live = live_rules(table, store, p.curr.node)
+        guards = dict(live_rules(table, store, p.curr.node))
         for i, rule in enumerate(table):
-            if i not in live:
-                assert (p.curr & guard_to_formula(rule.guard, store)).is_empty()
-        dead += len(table) - len(live)
-        assert (p.curr & accept_region(table, store, live)
+            full = p.curr & guard_to_formula(rule.guard, store)
+            if i in guards:
+                atoms = guards[i].atoms
+                assert set(atoms) <= set(rule.guard.atoms)
+                assert p.curr & guard_to_formula(guards[i], store) == full
+                cut += len(rule.guard.atoms) - len(atoms)
+            else:
+                assert full.is_empty()
+        dead += len(table) - len(guards)
+        assert (p.curr & accept_region(table, store, live_rules(table, store, p.curr.node))
                 == p.curr & reference_accept_region(table, store))
     got, want = DropLedger(ledger_store), DropLedger(ledger_store)
     filter_table_drops(table, packets, got, lat)
     reference_filter_table_drops(table, packets, want, lat)
     assert got.items() == want.items()
-    return dead
+    return dead, cut
 
 
 @pytest.mark.parametrize("relational", [False, True])
 def test_live_rules_compile_equals_whole_table(relational):
     """On random tables and random formulas, the accept region of the live
-    rules meets each packet as the whole table's does, and the drops equal
-    the whole-table ledger; for the relational store, with and without
-    ``s`` in the NAT mask."""
+    rules, through their cofactored guards, meets each packet as the whole
+    table's does, and the drops equal the whole-table ledger; for the
+    relational store, with and without ``s`` in the NAT mask."""
     lat = relational_fig3_small() if relational else get_lattice("v1", small_net())
     net = lat.net
     rng = random.Random(800 + relational)
-    dead = 0
+    dead = cut = 0
     for _ in range(150):
         table = random_table(rng, net.layout)
         packets = []
@@ -762,8 +773,28 @@ def test_live_rules_compile_equals_whole_table(relational):
             f = random_formula(rng, lat.store)
             if not f.is_empty():
                 packets.append(AbstractPacket(f, None, rng.randint(0, 1) if relational else 0))
-        dead += live_equals_reference(lat, table, packets, net.store)
-    assert dead > 30
+        d, c = live_equals_reference(lat, table, packets, net.store)
+        dead += d
+        cut += c
+    assert dead > 30 and cut > 20
+
+
+def test_nothing_is_cofactored_from_a_rest_zone():
+    """From the rest zone every rule a firewall's packet meets keeps its own
+    guard; from a zone the packets' source block leaves out rules and
+    cofactors atoms."""
+    text = (DATA / "mesh-6x8-1.json").read_text(encoding="utf-8")
+    changed = {}
+    for origin in ("REST", "Z0"):
+        net = load_network(text)
+        result = analyze(net, origin, "v1")
+        changed[origin] = 0
+        for fw in net.firewalls:
+            for p in result.facts[fw.name].packets:
+                live = live_rules(fw.filter, net.store, p.curr.node)
+                changed[origin] += len(fw.filter) - sum(
+                    g is fw.filter[i].guard for i, g in live)
+    assert changed["REST"] == 0 and changed["Z0"] > 10
 
 
 @contextlib.contextmanager
