@@ -47,7 +47,9 @@ Kernel invariants (``FormulaStore``):
   flat boundary tuples and steps along one-way chains in a loop.
 * A store holds no ``Formula``: ``store.false`` and ``store.true`` build
   their handles on demand and the memos hold node ids, so a store is in no
-  reference cycle and reference counting frees it.
+  reference cycle and reference counting frees it.  The kernel's closures
+  call themselves, so only the cyclic collector frees them; the store
+  empties their child lists and tables when it goes (``_var`` stays whole).
 
 Relabelling (``Formula.relabel``) is Bryant's order-preserving ``replace``:
 it rebuilds a formula with every variable v renamed to ``varmap[v]``, in the
@@ -258,7 +260,9 @@ def _combine(pairs) -> tuple:
 def _kernel(var: list[int], low: list[int], high: list[int]):
     """The node operations of one store, as closures over its node lists.
 
-    Returns ``(mk, and_, or_, not_, exists)``.  Each call of ``and_``/``or_``
+    Returns ``(mk, and_, or_, not_, exists, tables)``, where ``tables``
+    holds the child lists and the unique and computed tables that the
+    closures share.  Each call of ``and_``/``or_``
     tests the terminal cases before it builds a cache key, and creates its
     result node inline; ``exists(a, vars_fs, vmax, cache)`` takes the cache
     of its variable set from the caller.
@@ -384,7 +388,7 @@ def _kernel(var: list[int], low: list[int], high: list[int]):
             cache[a] = r
         return r
 
-    return mk, and_, or_, not_, exists
+    return mk, and_, or_, not_, exists, (low, high, uniq, and_cache, or_cache, not_cache)
 
 
 class FormulaStore:
@@ -401,9 +405,8 @@ class FormulaStore:
         self._var = [self.nbits, self.nbits]
         self._lo = [0, 1]
         self._hi = [0, 1]
-        self._mk, self._and, self._or, self._not, self._exists = _kernel(
-            self._var, self._lo, self._hi
-        )
+        (self._mk, self._and, self._or, self._not, self._exists,
+         self._tables) = _kernel(self._var, self._lo, self._hi)
         # (field, keep the field?) -> (quantified vars, their max, cache)
         self._quants: dict[tuple[str, bool], tuple[frozenset[int], int, dict[int, int]]] = {}
         self._quant_caches: dict[frozenset[int], dict[int, int]] = {}
@@ -426,6 +429,10 @@ class FormulaStore:
         # target store -> varmap -> node memo of Formula.relabel; weak, so
         # that a copy into a short-lived store does not keep it alive
         self._relabels: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+    def __del__(self):
+        for table in self._tables:
+            table.clear()
 
     # handles are built on demand: a store that held a Formula would be in a
     # reference cycle with it, and only the cyclic collector could free it
@@ -557,26 +564,15 @@ class FormulaStore:
 
     # -- range atoms -------------------------------------------------------
 
-    def _bits_ge(self, off: int, w: int, value: int) -> int:
+    def _bits_bound(self, off: int, w: int, value: int, ge: int) -> int:
+        """The values of the field at ``off`` that are >= ``value`` when
+        ``ge`` is 1, and <= it when ``ge`` is 0."""
         node = 1
         for i in range(w - 1, -1, -1):
-            bit = (value >> (w - 1 - i)) & 1
-            var = off + i
-            if bit:
-                node = self._mk(var, 0, node)
+            if value >> (w - 1 - i) & 1:
+                node = self._mk(off + i, 1 - ge, node)
             else:
-                node = self._mk(var, node, 1)
-        return node
-
-    def _bits_le(self, off: int, w: int, value: int) -> int:
-        node = 1
-        for i in range(w - 1, -1, -1):
-            bit = (value >> (w - 1 - i)) & 1
-            var = off + i
-            if bit:
-                node = self._mk(var, 1, node)
-            else:
-                node = self._mk(var, node, 0)
+                node = self._mk(off + i, node, ge)
         return node
 
     def atom(self, fvs: FieldValueSet) -> Formula:
@@ -594,8 +590,8 @@ class FormulaStore:
                     raise RangeError(
                         f"range [{lo}, {hi}] exceeds {w}-bit field {fvs.field!r}"
                     )
-                node = self._or(node, self._and(self._bits_ge(off, w, lo),
-                                                self._bits_le(off, w, hi)))
+                node = self._or(node, self._and(self._bits_bound(off, w, lo, 1),
+                                                self._bits_bound(off, w, hi, 0)))
             if fvs.negated:
                 node = self._not(node)
             self._atom_cache[key] = node

@@ -670,3 +670,22 @@ def test_relabel_memo_does_not_keep_its_target_alive():
     del target, copy
     gc.collect()
     assert ref() is None
+
+
+def test_a_freed_store_empties_its_kernel_tables_without_the_collector():
+    """The kernel's closures are freed only by the cyclic collector, so the
+    store empties what they hold when reference counting frees it; its
+    variable list stays whole for readers that took it, such as tracers."""
+    gc.disable()
+    try:
+        store = FormulaStore(T3X3)
+        f = ~(store.atom(fvs("a", (1, 2))) & store.atom(fvs("c", (0, 5))))
+        f = f | store.atom(fvs("b", (3, 3)))
+        tables, var, nodes = store._tables, store._var, store.node_count()
+        assert all(tables) and not f.is_empty()
+        ref = weakref.ref(store)
+        del store, f
+        assert ref() is None
+        assert not any(tables) and len(var) == nodes
+    finally:
+        gc.enable()
