@@ -18,6 +18,8 @@ from brute import (
     reference_field_summary,
     reference_formula_fields,
 )
+from pktflow.engine import analyze
+from pktflow.netmodel import load_network
 from pktflow.pktset import (
     FieldValueSet,
     FormulaStore,
@@ -27,8 +29,6 @@ from pktflow.pktset import (
     StoreMismatchError,
     UnknownFieldError,
 )
-from pktflow.engine import analyze
-from pktflow.netmodel import load_network
 from pktflow.render import field_sets, formula_fields
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -494,18 +494,18 @@ def wide_atom(rng, name):
     that fix some bits, not only leading ones) of an 8-bit field, negated
     about a third of the time."""
     kind = rng.randrange(4)
-    if kind == 3:
-        mask, value = rng.randrange(1, 256), rng.randrange(256)
-        ranges = tuple((v, v) for v in range(256) if v & mask == value & mask)
-    elif kind == 0:
+    if kind == 0:
         free = rng.randint(0, 6)
         lo = rng.randrange(256) >> free << free
         ranges = ((lo, lo + (1 << free) - 1),)
     elif kind == 1:
         v = rng.randrange(256)
         ranges = ((v, v),)
-    else:
+    elif kind == 2:
         ranges = (tuple(sorted((rng.randrange(256), rng.randrange(256)))),)
+    else:
+        mask, value = rng.randrange(1, 256), rng.randrange(256)
+        ranges = tuple((v, v) for v in range(256) if v & mask == value & mask)
     return FieldValueSet(name, ranges, rng.random() < 0.3)
 
 
