@@ -86,7 +86,6 @@ from .netmodel import (
     Network,
     PktflowError,
     guard_to_formula,
-    reduce_guard,
     zone_departure_formula,
 )
 from .pktset import Formula, FormulaStore, HeaderLayout, atom_test
@@ -96,9 +95,7 @@ from .xfer import (
     filter_table_drops,
     firewall_tf,
     link_tf,
-    nat_packet,
     nat_table_tf,
-    update_original,
 )
 
 
@@ -170,9 +167,6 @@ class _Lattice:
     def curr_of(self, p) -> Formula:
         return p.curr
 
-    def orig_of(self, p) -> Formula | None:
-        return p.orig
-
 
 class V1Lattice(_Lattice):
     """One formula per NAT mask, refined by conjunction on ``curr``; ``v1``
@@ -211,10 +205,11 @@ class V1Lattice(_Lattice):
 
 
 class V2Lattice(_Lattice):
-    """curr/orig/nated packets with the keyed optimized join.
+    """curr/orig/nated packets, with origin tracking and the keyed join.
 
     Guard refinements touch orig only through atoms on fields that have not
-    been NATed yet (those agree between curr and orig).  On the unmatched
+    been NATed yet (those agree between curr and orig), which ``_plan``
+    keeps as the reduced guard; ``apply_nat`` updates orig.  On the unmatched
     side a guard mixing NATed and un-NATed fields is decomposed into
     first-failing-atom pieces: negating only the un-NATed residue of such a
     guard into a single orig would either drop true originals or merge
@@ -246,11 +241,10 @@ class V2Lattice(_Lattice):
         key = (guard, nated)
         plan = self._plans.get(key)
         if plan is None:
-            layout = self.layout
-            tests = tuple(atom_test(fvs, layout) for _, fvs in guard.atoms)
-            reduced = reduce_guard(guard, nated, layout)
+            names = self.layout.mask_names(nated)
+            tests = tuple(atom_test(fvs, self.layout) for _, fvs in guard.atoms)
+            reduced = Guard(tuple(a for a in guard.atoms if a[0] not in names))
             if 0 < len(reduced.atoms) < len(tests):
-                names = layout.mask_names(nated)
                 pieces = tuple(((t,), Guard((a,)), a[0] in names)
                                for t, a in zip(tests, guard.atoms))
             else:
@@ -303,11 +297,22 @@ class V2Lattice(_Lattice):
         return out
 
     def apply_nat(self, p: AbstractPacket, rule) -> AbstractPacket:
+        """Rewrite the rule's field in ``curr``.  On the field's first NAT,
+        ``orig`` first conjoins ``curr`` projected off the fields NATed
+        earlier: ``curr`` still carries the field's original values and
+        their correlation with the other un-NATed fields, which must live in
+        ``orig`` once ``curr`` is overwritten.  Overwriting ``orig``'s field
+        alone would drop correlations that only ``orig`` holds, against
+        fields NATed earlier, and admit unrealizable (curr, orig) pairs."""
         name = rule.nat_field
         bit = 1 << self.layout.index(name)
-        p1 = update_original(p, rule, self.layout) if not p.nated & bit else p
-        p2 = nat_packet(p1, rule)
-        return AbstractPacket(p2.curr, p2.orig, p.nated | bit)
+        orig = p.orig
+        if not p.nated & bit:
+            proj = p.curr
+            for earlier in self.layout.mask_names(p.nated):
+                proj = proj.exists_field(earlier)
+            orig = orig & proj
+        return AbstractPacket(p.curr.overwrite_field(name, rule.action), orig, p.nated | bit)
 
     def ledger_form(self, p: AbstractPacket) -> Formula:
         return p.orig
@@ -499,7 +504,6 @@ def analyze(
     worklist: str = "fifo",
     max_iterations: int | None = None,
     observer=None,
-    _initial=None,
 ) -> AnalysisResult:
     """Run the propagation to fixpoint from ``origin`` and collect per-node
     values, the drop ledger, and diagnostics.
@@ -518,16 +522,15 @@ def analyze(
     ledger = DropLedger(net.store)
     stats = AnalysisStats()
     misdelivered: dict[str, Formula] = {z.name: net.store.false for z in net.zones}
-    initial_packets = lattice.initial(origin) if _initial is None else list(_initial)
     facts, survivors = _propagate(
-        net, lattice, origin, initial_packets, ledger, stats,
+        net, lattice, origin, lattice.initial(origin), ledger, stats,
         worklist=worklist, ceiling=ceiling, observer=observer, misdelivered=misdelivered,
     )
     stats.wall_time_s = time.perf_counter() - started
     return AnalysisResult(
         net, origin, lattice.variant, facts, ledger, stats,
         misdelivered={z: f for z, f in misdelivered.items() if not f.is_empty()},
-        no_route=_no_route(net, lattice, survivors),
+        no_route=_no_route(net, survivors),
     )
 
 
@@ -608,7 +611,7 @@ def _propagate(net, lattice, origin, initial_packets, ledger, stats, *,
                 continue
             if peer in outside:
                 for p in out:
-                    misdelivered[peer] = misdelivered[peer] | (lattice.curr_of(p) & outside[peer])
+                    misdelivered[peer] = misdelivered[peer] | (p.curr & outside[peer])
             new_value = lattice.join([*facts[peer].packets, *out])
             stats.joins += 1
             if new_value == facts[peer]:
@@ -628,7 +631,7 @@ def _propagate(net, lattice, origin, initial_packets, ledger, stats, *,
     return facts, survivors
 
 
-def _no_route(net: Network, lattice, survivors) -> dict[str, Formula]:
+def _no_route(net: Network, survivors) -> dict[str, Formula]:
     """Packets that clear a firewall's tables but match no routing guard:
     the OR over the survivors of each one's part outside the routed set,
     equal to the survivors' union outside it."""
@@ -643,7 +646,7 @@ def _no_route(net: Network, lattice, survivors) -> dict[str, Formula]:
         unrouted = ~routed
         leftover = net.store.false
         for p in s:
-            leftover = leftover | (lattice.curr_of(p) & unrouted)
+            leftover = leftover | (p.curr & unrouted)
         if not leftover.is_empty():
             out[fw.name] = leftover
     return out

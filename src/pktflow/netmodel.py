@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+from collections import Counter
 from typing import NamedTuple
 
 from .pktset import (
@@ -220,12 +221,6 @@ def guard_to_formula(guard: Guard, store: FormulaStore) -> Formula:
             f = f & store.atom(fvs)
         node = store.guard_formulas[guard] = f.node
     return Formula(store, node)
-
-
-def reduce_guard(guard: Guard, nated_mask: int, layout: HeaderLayout) -> Guard:
-    """Drop every atom whose field has its mask bit set; empty result is true."""
-    nated = layout.mask_names(nated_mask)
-    return Guard(tuple((f, v) for f, v in guard.atoms if f not in nated))
 
 
 class FilterRule(NamedTuple):
@@ -585,15 +580,10 @@ def network_from_config(cfg: dict) -> Network:
         )
         for name, interfaces, dnat, filt, snat, routing in fw_specs
     )
-    _require(
-        len({f.name for f in firewalls}) == len(firewalls), "duplicate firewall names"
-    )
-    clash = sorted({z.name for z in zones} & {f.name for f in firewalls})
+    fw_names = {f.name for f in firewalls}
+    _require(len(fw_names) == len(firewalls), "duplicate firewall names")
+    clash = sorted({z.name for z in zones} & fw_names)
     _require(not clash, f"zones and firewalls share names: {', '.join(map(repr, clash))}")
-    rule_ids = [
-        r.rule_id for fw in firewalls for r in (*fw.dnat, *fw.filter, *fw.snat)
-    ]
-    _require(len(set(rule_ids)) == len(rule_ids), "duplicate rule ids")
 
     # interface ownership
     owner: dict[str, str] = {}
@@ -606,7 +596,7 @@ def network_from_config(cfg: dict) -> Network:
             owner[i] = f.name
 
     # links
-    links: list[tuple[str, str]] = []
+    links: dict[tuple[str, str], None] = {}  # in order, each once
     for k, pair in enumerate(cfg["links"]):
         _require(
             isinstance(pair, list) and len(pair) == 2,
@@ -615,21 +605,19 @@ def network_from_config(cfg: dict) -> Network:
         i1, i2 = (_string(i, f"links[{k}]") for i in pair)
         _require(i1 in owner and i2 in owner, f"links[{k}]: unknown interface")
         _require(i1 != i2, f"links[{k}]: link must join two distinct interfaces")
-        n1, n2 = owner[i1], owner[i2]
-        fw_names = {f.name for f in firewalls}
+        # a zone owns one interface, so only a firewall can own both
         _require(
-            not (n1 == n2 and n1 in fw_names),
+            owner[i1] != owner[i2],
             f"links[{k}]: interfaces {i1!r} and {i2!r} belong to the same firewall",
         )
-        _require(n1 != n2, f"links[{k}]: a link cannot join a node to itself")
         key = tuple(sorted((i1, i2)))
         _require(key not in links, f"links[{k}]: duplicate link")
-        links.append(key)
+        links[key] = None
 
-    linked = [i for pair in links for i in pair]
+    linked = Counter(i for pair in links for i in pair)
     for z in zones:
         _require(
-            linked.count(z.interface) == 1,
+            linked[z.interface] == 1,
             f"zone {z.name!r} must appear in exactly one link",
         )
 

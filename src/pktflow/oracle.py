@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .engine import AbstractValue, AnalysisResult, analyze, get_lattice
+from .engine import AbstractValue, AnalysisResult, analyze
 from .netmodel import (
     DEFAULT_WIDTH_GUARD,
     DROP,
@@ -297,14 +297,13 @@ def _enumeration_cap(net: Network, max_width: int) -> int:
 
 
 def concretize_currs(
-    value: AbstractValue, variant: str, net: Network, *, max_width: int = DEFAULT_WIDTH_GUARD
+    value: AbstractValue, net: Network, *, max_width: int = DEFAULT_WIDTH_GUARD
 ) -> set[int]:
     """Concrete current-header set of an abstract value."""
     cap = _enumeration_cap(net, max_width)
-    lattice = get_lattice(variant, net)
     out: set[int] = set()
     for p in value.packets:
-        out.update(lattice.curr_of(p).enumerate(cap))
+        out.update(p.curr.enumerate(cap))
     return out
 
 
@@ -319,14 +318,11 @@ def concretize_pairs(
     with the group its own bits there select.
     """
     cap = _enumeration_cap(net, max_width)
-    layout = net.layout
     pairs: set[tuple[int, int]] = set()
     for p in value.packets:
         if p.orig is None:
             raise ValueError("pair concretization needs variant-2 packets")
-        agree = (1 << layout.total_bits) - 1  # header bits outside the mask
-        for name in layout.mask_names(p.nated):
-            agree = layout.with_value(agree, name, 0)
+        agree = net.layout.mask_bits(~p.nated)  # header bits outside the mask
         origs: dict[int, list[int]] = {}
         for o in p.orig.enumerate(cap):
             origs.setdefault(o & agree, []).append(o)
@@ -342,7 +338,7 @@ def concretize(
     """Pairs for variant 2, plain current-header sets for v1/ia."""
     if variant == "v2":
         return concretize_pairs(value, net, max_width=max_width)
-    return concretize_currs(value, variant, net, max_width=max_width)
+    return concretize_currs(value, net, max_width=max_width)
 
 
 # ------------------------------------------------------------ comparison

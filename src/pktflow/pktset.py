@@ -8,7 +8,8 @@ equality and emptiness tests on handles are O(1).
 A field mask, such as the NAT mask ``nated`` of a variant-2 packet, is an int
 whose bit i stands for layout field i.  ``HeaderLayout.mask_names`` is the one
 decoder: it gives the masked field names in layout order, and
-``mask_names(~mask)`` gives the other fields.
+``mask_names(~mask)`` gives the other fields.  ``mask_bits`` gives the header
+bits of the same fields.
 
 Variable order is field-major in layout declaration order, most-significant
 bit first within a field.  Headers are plain ints: variable i is bit
@@ -37,9 +38,9 @@ Kernel invariants (``FormulaStore``):
   ``field_summary``), the atom cache, the quantification caches, the
   ``relabel`` memos, and the guard and accept-region memos
   (``guard_formulas``, filled by ``netmodel.guard_to_formula``, and
-  ``accept_regions``, filled by ``xfer.accept_region`` and keyed by the
-  table, or by (table, live rules with their cofactored guards), which hold
-  node ids) are never invalidated: they rely on nodes never being freed or
+  ``accept_regions``, filled by ``xfer.accept_region`` and keyed by
+  (table, live rules with their cofactored guards), which hold node ids)
+  are never invalidated: they rely on nodes never being freed or
   renumbered, so a future store reset must clear them too.
 * ``field_summary`` and ``top_block`` only read the node lists: they
   create no node, so reading a summary or a block never moves the
@@ -50,6 +51,8 @@ Kernel invariants (``FormulaStore``):
   reference cycle and reference counting frees it.  The kernel's closures
   call themselves, so only the cyclic collector frees them; the store
   empties their child lists and tables when it goes (``_var`` stays whole).
+  A per-call recursive walker (``count``, ``enumerate``, ...) deletes its
+  closure when it returns, so it leaves no cycle that holds its memo.
 
 Relabelling (``Formula.relabel``) is Bryant's order-preserving ``replace``:
 it rebuilds a formula with every variable v renamed to ``varmap[v]``, in the
@@ -160,6 +163,16 @@ class HeaderLayout:
                 name for i, (name, _) in enumerate(self.fields) if mask >> i & 1
             )
         return names
+
+    def mask_bits(self, mask: int) -> int:
+        """The header bits of the fields whose bit is set in a field mask,
+        as an int over header values; ``mask_bits(~mask)`` gives the
+        others'."""
+        bits = 0
+        for name in self.mask_names(mask):
+            _, _, _, shift, m = self._slots[name]
+            bits |= m << shift
+        return bits
 
     def extract_value(self, header: int, name: str) -> int:
         """Field value inside a concrete header int."""
@@ -529,6 +542,7 @@ class FormulaStore:
             return r, one
 
         r, one = walk(node)
+        del walk  # break the self-reference
         r = spread(r, off, var[node])
         ranges = tuple(zip(r[::2], map((-1).__add__, r[1::2])))
         if one > 0:
@@ -693,7 +707,9 @@ class Formula:
                 r = memo[a] = mk(varmap[var[a]], rec(low[a]), rec(high[a]))
             return r
 
-        return Formula(target, rec(self.node))
+        node = rec(self.node)
+        del rec  # break the self-reference
+        return Formula(target, node)
 
     # -- concretization -----------------------------------------------------
 
@@ -715,10 +731,8 @@ class Formula:
                 sat[node] = r
             return r
 
-        if not feasible(self.node):
-            return None
         out = header & keep  # the free bits the walk never tests stay 0
-        node = self.node
+        node = self.node if feasible(self.node) else 0
         while node > 1:
             shift = top - var[node]
             if keep >> shift & 1:
@@ -728,7 +742,8 @@ class Formula:
             else:
                 out |= 1 << shift
                 node = high[node]
-        return out
+        del feasible  # break the self-reference
+        return out if node else None
 
     def enumerate(self, limit: int) -> list[int]:
         """Up to ``limit`` satisfying headers, ascending."""
@@ -755,26 +770,24 @@ class Formula:
                     return
 
         rec(self.node, 0, 0)
+        del rec  # break the self-reference
         return out
 
     def count(self) -> int:
         """Number of satisfying headers."""
-        store = self.store
+        var, low, high = self.store._var, self.store._lo, self.store._hi
         memo: dict[int, int] = {0: 0, 1: 1}
 
         def rec(node: int) -> int:
             r = memo.get(node)
             if r is None:
-                v = store._var[node]
-                lo, hi = store._lo[node], store._hi[node]
-                r = (rec(lo) << (store._var[lo] - v - 1)) + (
-                    rec(hi) << (store._var[hi] - v - 1)
-                )
-                memo[node] = r
+                v, lo, hi = var[node], low[node], high[node]
+                r = memo[node] = (rec(lo) << (var[lo] - v - 1)) + (rec(hi) << (var[hi] - v - 1))
             return r
 
-        top = store._var[self.node] if self.node > 1 else store.nbits
-        return rec(self.node) << top
+        n = rec(self.node) << var[self.node]
+        del rec  # break the self-reference
+        return n
 
     def field_ranges(self, field: str) -> tuple[tuple[int, int], ...]:
         """The projected field value set as merged inclusive ranges."""

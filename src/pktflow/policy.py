@@ -141,16 +141,13 @@ def generate_test_packets(
         raise PolicyError("test-packet generation needs a variant-2 analysis")
     if result.origin != origin:
         raise PolicyError(f"analysis origin {result.origin!r} does not match origin {origin!r}")
-    layout = net.layout
     out: list[TestPacket] = []
     for z in net.zones:
         if z.name == origin:
             continue
         pairs = []
         for p in result.facts[z.name].packets:
-            keep = 0  # the header bits of the fields the packet has not NATed
-            for name in layout.mask_names(~p.nated):
-                keep = layout.with_value(keep, name, (1 << layout.width(name)) - 1)
+            keep = net.layout.mask_bits(~p.nated)  # the fields it has not NATed
             for o in p.orig.enumerate(per_pair):
                 arrival = p.curr.smallest_agreeing(o, keep)
                 if arrival is not None:

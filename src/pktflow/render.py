@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .engine import AbstractValue, AnalysisResult, get_lattice
+from .engine import AbstractValue, AnalysisResult
 from .netmodel import Network, range_to_text
 from .pktset import Formula, HeaderLayout, complement_ranges
 
@@ -87,17 +87,15 @@ def formula_fields(formula: Formula, layout: HeaderLayout) -> tuple[dict, dict]:
             {name: ok for name, (_, ok) in zip(names, summary)})
 
 
-def render_value(value: AbstractValue, variant: str, net: Network) -> list[RenderedPacket]:
+def render_value(value: AbstractValue, net: Network) -> list[RenderedPacket]:
     """Deterministically ordered rendering of a node's abstract packets."""
     layout = net.layout
-    lattice = get_lattice(variant, net)
     rendered = []
     for p in value.packets:
-        curr, curr_exact = formula_fields(lattice.curr_of(p), layout)
-        orig = lattice.orig_of(p)
+        curr, curr_exact = formula_fields(p.curr, layout)
         orig_sets = orig_exact = None
-        if orig is not None:
-            orig_sets, orig_exact = formula_fields(orig, layout)
+        if p.orig is not None:
+            orig_sets, orig_exact = formula_fields(p.orig, layout)
         nated = layout.mask_names(p.nated)
         rendered.append(RenderedPacket(curr, curr_exact, orig_sets, orig_exact, nated))
     rendered.sort(key=lambda r: (str(r.orig), r.nated, str(r.curr)))
@@ -127,10 +125,10 @@ def packet_to_text(p: RenderedPacket, layout: HeaderLayout) -> str:
     return text
 
 
-def value_to_text(value: AbstractValue, variant: str, net: Network) -> str:
+def value_to_text(value: AbstractValue, net: Network) -> str:
     if value.is_bottom():
         return "(unreachable)"
-    return " ".join(packet_to_text(p, net.layout) for p in render_value(value, variant, net))
+    return " ".join(packet_to_text(p, net.layout) for p in render_value(value, net))
 
 
 def formula_to_text(formula: Formula, layout: HeaderLayout) -> str:
@@ -140,7 +138,7 @@ def formula_to_text(formula: Formula, layout: HeaderLayout) -> str:
 def result_to_text(result: AnalysisResult, net: Network) -> str:
     lines = []
     for node in net.node_names():
-        lines.append(f"facts({node}) = {value_to_text(result.facts[node], result.variant, net)}")
+        lines.append(f"facts({node}) = {value_to_text(result.facts[node], net)}")
     if result.ledger.rule_ids():
         lines.append("")
         for rid, formula in result.ledger.items():
@@ -166,7 +164,7 @@ def result_to_json(result: AnalysisResult, net: Network, network_name: str) -> d
     facts = {}
     for node in net.node_names():
         packets = []
-        for p in render_value(result.facts[node], result.variant, net):
+        for p in render_value(result.facts[node], net):
             entry = {"curr": data_sets(p.curr, layout), "curr_exact": p.curr_exact}
             if p.orig is not None:
                 entry["orig"] = data_sets(p.orig, layout)

@@ -64,33 +64,6 @@ class AbstractPacket(NamedTuple):
     nated: int = 0
 
 
-def nat_packet(p: AbstractPacket, rule: NatRule) -> AbstractPacket:
-    """Overwrite the rule's target field in curr with the action range;
-    every other field of curr is preserved."""
-    return AbstractPacket(p.curr.overwrite_field(rule.nat_field, rule.action), p.orig, p.nated)
-
-
-def update_original(p: AbstractPacket, rule: NatRule, layout) -> AbstractPacket:
-    """Record the target field's pre-rewrite content in orig (first NAT of
-    the field only; the caller checks the mask).
-
-    Until now the field agreed between curr and orig, so curr carries its
-    original content; once curr is overwritten that knowledge must live in
-    orig explicitly.  Conjoining the projection of curr that forgets only
-    already-NATed fields transfers exactly the agreement's information —
-    the field's values together with any correlation to other not-yet-NATed
-    fields.  Overwriting orig's field component in isolation would instead
-    discard correlations that only orig still carries (against fields NATed
-    earlier), admitting unrealizable (curr, orig) combinations.  On
-    correlation-free (per-field product) formulas this reduces to plainly
-    copying the field's value set from curr into orig.
-    """
-    proj = p.curr
-    for name in layout.mask_names(p.nated):
-        proj = proj.exists_field(name)
-    return AbstractPacket(p.curr, p.orig & proj, p.nated)
-
-
 class DropLedger:
     """Per-DROP-rule accumulation of the forms discarded by that rule.
 
@@ -173,10 +146,10 @@ def live_rules(table, store: FormulaStore, node: int) -> tuple[tuple[int, Guard]
     return tuple(live)
 
 
-def accept_region(table, store: FormulaStore, live: tuple | None = None) -> Formula:
+def accept_region(table, store: FormulaStore, live: tuple) -> Formula:
     """The headers that the ``live`` rules of a filter table accept, each
-    through its ``(i, guard)`` pair (by default every rule through its own
-    guard), compiled once per store, table and live rules.
+    through its ``(i, guard)`` pair, compiled once per store, table and
+    live rules.
 
     The rules fold backwards from false: an ACCEPT rule gives ``g | R`` and
     a DROP rule ``~g & R``, so ``R`` holds what first-match semantics accepts
@@ -185,10 +158,7 @@ def accept_region(table, store: FormulaStore, live: tuple | None = None) -> Form
     whole table's.  The memo holds the node id, not a handle, so the store
     holds no reference to itself.
     """
-    if live is None:
-        key, live = table, tuple((i, rule.guard) for i, rule in enumerate(table))
-    else:
-        key = (table, live)
+    key = (table, live)
     node = store.accept_regions.get(key)
     if node is None:
         region = store.false

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 
 from pktflow.engine import IALattice, V2Lattice
-from pktflow.netmodel import DROP, Guard, Network, guard_to_formula, reduce_guard
+from pktflow.netmodel import DROP, Guard, Network, guard_to_formula
 from pktflow.oracle import DEFAULT_WIDTH_GUARD, ExactResult, _enumeration_cap
 from pktflow.pktset import FieldValueSet, HeaderLayout
 from pktflow.xfer import AbstractPacket, DropLedger
@@ -167,6 +167,11 @@ def reference_simulate(
 
 # ------------------------------------------------- reference guard split
 
+def _reduced(guard: Guard, nated: int, layout: HeaderLayout) -> Guard:
+    """The atoms of ``guard`` on the fields outside the NAT mask ``nated``."""
+    return Guard(tuple(a for a in guard.atoms if not nated >> layout.index(a[0]) & 1))
+
+
 def reference_refine_match(lat, p: AbstractPacket, guard: Guard) -> AbstractPacket | None:
     """The semantic definition of ``lat.refine_match``: the branch of ``p``
     that matches ``guard``, or None when it is empty.  A ``v2`` packet's
@@ -176,7 +181,7 @@ def reference_refine_match(lat, p: AbstractPacket, guard: Guard) -> AbstractPack
         return None
     if not isinstance(lat, V2Lattice):
         return AbstractPacket(c, None, p.nated)
-    reduced = reduce_guard(guard, p.nated, lat.layout)
+    reduced = _reduced(guard, p.nated, lat.layout)
     return AbstractPacket(c, p.orig & guard_to_formula(reduced, lat.store), p.nated)
 
 
@@ -195,19 +200,18 @@ def reference_refine_unmatch(lat, p: AbstractPacket, guard: Guard) -> list[Abstr
         return [] if c.is_empty() else [AbstractPacket(c, None, p.nated)]
     if (p.curr & ~gf).is_empty():
         return []
-    reduced = reduce_guard(guard, p.nated, lat.layout)
+    reduced = _reduced(guard, p.nated, lat.layout)
     if len(reduced.atoms) == len(guard.atoms):
         # no atom touches a NATed field: the negation holds on orig too
         return [AbstractPacket(p.curr & ~gf, p.orig & ~gf, p.nated)]
     if not reduced.atoms:
         # guard only constrains NATed fields: says nothing about orig
         return [AbstractPacket(p.curr & ~gf, p.orig, p.nated)]
-    nated_names = lat.layout.mask_names(p.nated)
     pieces = []
     prefix_c, prefix_o = p.curr, p.orig
     for name, fvs in guard.atoms:
         atom = store.atom(fvs)
-        nated = name in nated_names
+        nated = p.nated >> lat.layout.index(name) & 1
         c = prefix_c & ~atom
         if not c.is_empty():
             o = prefix_o if nated else prefix_o & ~atom

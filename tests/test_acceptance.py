@@ -13,7 +13,7 @@ import pytest
 
 from helpers import facts_line, packet_text_to_formulas
 from pktflow.cli import main
-from pktflow.engine import analyze, default_iteration_ceiling
+from pktflow.engine import V2Lattice, analyze, default_iteration_ceiling
 from pktflow.gen import (
     cycle_network,
     cycle_required_hops,
@@ -21,10 +21,17 @@ from pktflow.gen import (
     fixture_text,
     random_network,
 )
-from pktflow.netmodel import Guard, NatRule, load_network, network_from_config, parse_value_set
+from pktflow.netmodel import (
+    Guard,
+    NatRule,
+    Network,
+    load_network,
+    network_from_config,
+    parse_value_set,
+)
 from pktflow.oracle import compare, simulate
 from pktflow.pktset import FieldValueSet, FormulaStore, HeaderLayout
-from pktflow.xfer import AbstractPacket, nat_packet, update_original
+from pktflow.xfer import AbstractPacket
 
 TRIAL_SEEDS = range(1000, 1100)  # 100 fixed-seed networks for criteria 4-7
 
@@ -197,7 +204,8 @@ def test_criterion_7_termination_and_order():
 @pytest.mark.acceptance(label="8 two-field worked example for NAT transfer (exact)")
 def test_criterion_8_worked_example():
     layout = HeaderLayout((("f1", 2), ("f2", 2)))
-    store = FormulaStore(layout)
+    net = Network(layout, (), (), (), FormulaStore(layout))
+    store = net.store
     b1 = store.atom(FieldValueSet("f1", ((2, 3),)))  # (b1 and not b2) or (b1 and b2)
     f2_is_1 = store.atom(FieldValueSet("f2", ((1, 1),)))  # not b3 and b4
     curr = b1 & f2_is_1
@@ -206,15 +214,14 @@ def test_criterion_8_worked_example():
     p = AbstractPacket(curr, orig, 0b10)
     rule = NatRule(Guard(), "f1", FieldValueSet("f1", ((0, 0),)), 1)
 
-    updated = update_original(p, rule, layout)
+    # the original is updated first, then the field is rewritten
+    rewritten = V2Lattice(net).apply_nat(p, rule)
     expected_orig = store.atom(FieldValueSet("f1", ((2, 3),))) & store.atom(
         FieldValueSet("f2", ((0, 0),))
     )  # c1 and not c3 and not c4
-    assert updated.orig == expected_orig
-
-    rewritten = nat_packet(updated, rule)
     expected_curr = store.atom(FieldValueSet("f1", ((0, 0),))) & store.atom(
         FieldValueSet("f2", ((1, 1),))
     )  # not b1 and not b2 and not b3 and b4
     assert rewritten.curr == expected_curr
+    assert rewritten.nated == 0b11
     assert rewritten.orig == expected_orig

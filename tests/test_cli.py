@@ -73,10 +73,10 @@ def test_dotted_display(fig3):
 def test_value_to_text_fig3(fig3):
     res = analyze(fig3, "Z1", "v2")
     assert (
-        value_to_text(res.facts["Z2"], "v2", fig3)
+        value_to_text(res.facts["Z2"], fig3)
         == "<[202.67.34.6-10 : 10.192.28.1-255] [10.192.29.1-255 : 10.192.28.1-255]>"
     )
-    assert value_to_text(res.facts["Z3"], "v2", fig3) == "(unreachable)"
+    assert value_to_text(res.facts["Z3"], fig3) == "(unreachable)"
 
 
 def test_relational_value_gets_approx_flags():
@@ -102,7 +102,7 @@ def test_relational_value_gets_approx_flags():
     }
     net = network_from_config(cfg)
     res = analyze(net, "A", "v1")
-    (rp,) = render_value(res.facts["B"], "v1", net)
+    (rp,) = render_value(res.facts["B"], net)
     assert rp.curr_exact == {"s": False, "d": False}
     assert "(approx: s, d)" in packet_to_text(rp, net.layout)
 
@@ -114,7 +114,6 @@ def test_fully_exact_rendering_reparses_to_original(fixture, variant):
     the formula, not an approximation of it."""
     net = load_network(fixture_text(fixture))
     res = analyze(net, "Z1", variant)
-    lat = get_lattice(variant, net)
     layout = net.layout
 
     def rebuild(sets):
@@ -126,9 +125,9 @@ def test_fully_exact_rendering_reparses_to_original(fixture, variant):
 
     for node in net.node_names():
         packets = res.facts[node].packets
-        currs = {lat.curr_of(p) for p in packets}
-        origs = {lat.orig_of(p) for p in packets}
-        for rendered in render_value(res.facts[node], variant, net):
+        currs = {p.curr for p in packets}
+        origs = {p.orig for p in packets}
+        for rendered in render_value(res.facts[node], net):
             if all(rendered.curr_exact.values()):
                 assert rebuild(rendered.curr) in currs, (fixture, variant, node)
             if rendered.orig is not None and all(rendered.orig_exact.values()):
@@ -141,7 +140,7 @@ def test_rendering_orders_packets_deterministically(fig3):
     p2 = lat.initial("Z2")[0]
     v_ab = lat.join([p1, p2])
     v_ba = lat.join([p2, p1])
-    assert render_value(v_ab, "v2", fig3) == render_value(v_ba, "v2", fig3)
+    assert render_value(v_ab, fig3) == render_value(v_ba, fig3)
 
 
 # ------------------------------------------------------------- CLI commands
@@ -159,6 +158,15 @@ def test_validate_bad_config(tmp_path, capsys):
     bad.write_text(json.dumps(cfg))
     assert main(["validate", "--network", str(bad)]) == 2
     assert "missing default rule" in capsys.readouterr().err
+
+
+def test_validate_link_repeated_in_reverse(tmp_path, capsys):
+    cfg = json.loads(fixture_text("fig3.json"))
+    cfg["links"].append(cfg["links"][0][::-1])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert main(["validate", "--network", str(bad)]) == 2
+    assert "duplicate link" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2():

@@ -18,7 +18,13 @@ from pktflow.engine import (
     get_lattice,
 )
 from pktflow.gen import fixture_text, random_network
-from pktflow.netmodel import load_network, network_from_config, parse_value_set
+from pktflow.netmodel import (
+    Guard,
+    guard_to_formula,
+    load_network,
+    network_from_config,
+    parse_value_set,
+)
 from pktflow.xfer import AbstractPacket, DropLedger, firewall_tf, link_tf
 from test_loader_fuzz import revalued_configs
 
@@ -119,6 +125,26 @@ def test_v2_value_equals_detects_curr_change(fig3):
     assert x != y
 
 
+def test_v2_plan_reduces_guard(fig3):
+    layout, lat = fig3.layout, get_lattice("v2", fig3)
+    g = guard_of(layout, s="10.192.29.1-255", d="209.85.153.85")
+    s_bit = 1 << layout.index("s")
+    reduced = lat._plan(g, s_bit)[2]
+    assert reduced.fields() == ("d",)
+    assert lat._plan(g, 0)[2] == g
+    only_s = guard_of(layout, s="10.192.29.1-255")
+    assert lat._plan(only_s, s_bit)[2].is_true()
+
+
+def test_v2_plan_reduced_guard_distributes(fig3):
+    layout, store, lat = fig3.layout, fig3.store, get_lattice("v2", fig3)
+    g = guard_of(layout, s="10.0.0.0/8", d="!1.2.3.4")
+    for mask in range(4):
+        kept = lat._plan(g, mask)[2]
+        removed = Guard(tuple(a for a in g.atoms if a not in kept.atoms))
+        assert guard_to_formula(kept, store) & guard_to_formula(removed, store) == guard_to_formula(g, store)
+
+
 # ------------------------------------------------------------- analyze
 
 def test_fig3_v2_reproduces_published_values(fig3):
@@ -159,11 +185,6 @@ def test_fig1_cycle_reaches_z2(fig1):
     (p,) = res.facts["Z2"].packets
     assert p.curr == atom(fig1, "s", "198.51.100.1") & atom(fig1, "d", "10.1.2.1-255")
     assert p.orig == atom(fig1, "s", "10.1.1.1-255") & atom(fig1, "d", "10.1.2.1-255")
-
-
-def test_empty_initial_value_leaves_all_bottom(fig3):
-    res = analyze(fig3, "Z1", "v2", _initial=[])
-    assert all(res.facts[n].is_bottom() for n in fig3.node_names())
 
 
 def test_unknown_origin(fig3):
@@ -278,15 +299,16 @@ def union_first_diagnostics(net, origin, variant):
     seen = {}
 
     def spy_link(net, node, interface, pset, lat):
+        seen["lat"] = lat
         out = link_tf(net, node, interface, pset, lat)
         for own, _, peer in net.out_links(node):
             if own == interface and peer in arrivals:
                 arrivals[peer].extend(out)
         return out
 
-    def spy_no_route(net, lat, survivors):
-        seen["lat"], seen["survivors"] = lat, survivors
-        return no_route(net, lat, survivors)
+    def spy_no_route(net, survivors):
+        seen["survivors"] = survivors
+        return no_route(net, survivors)
 
     no_route = engine._no_route
     with pytest.MonkeyPatch.context() as mp:

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from helpers import guard_of
 from pktflow.engine import get_lattice
 from pktflow.gen import FIXTURES, fixture_text, random_network
 from pktflow.netmodel import (
@@ -15,7 +14,6 @@ from pktflow.netmodel import (
     network_from_config,
     network_to_config,
     parse_value_set,
-    reduce_guard,
     value_set_to_text,
 )
 from pktflow.pktset import FieldValueSet
@@ -253,26 +251,6 @@ def test_guard_to_formula_two_atoms(fig3):
         parse_value_set("209.85.153.85", "d", 32)
     )
     assert guard_to_formula(rule1.guard, fig3.store) == expected
-
-
-def test_reduce_guard(fig3):
-    layout = fig3.layout
-    g = guard_of(layout, s="10.192.29.1-255", d="209.85.153.85")
-    s_bit = 1 << layout.index("s")
-    reduced = reduce_guard(g, s_bit, layout)
-    assert reduced.fields() == ("d",)
-    assert reduce_guard(g, 0, layout) == g
-    only_s = guard_of(layout, s="10.192.29.1-255")
-    assert reduce_guard(only_s, s_bit, layout).is_true()
-
-
-def test_reduce_guard_distributes(fig3):
-    layout, store = fig3.layout, fig3.store
-    g = guard_of(layout, s="10.0.0.0/8", d="!1.2.3.4")
-    for mask in range(4):
-        kept = reduce_guard(g, mask, layout)
-        removed = Guard(tuple(a for a in g.atoms if a not in kept.atoms))
-        assert guard_to_formula(kept, store) & guard_to_formula(removed, store) == guard_to_formula(g, store)
 
 
 # ------------------------------------------------------------- initial values

@@ -151,7 +151,7 @@ def test_concretize_matches_oracle_at_z2(small3):
 
 def test_concretize_currs_ia_is_product(small3):
     res = analyze(small3, "Z1", "ia")
-    got = concretize_currs(res.facts["Z2"], "ia", small3)
+    got = concretize_currs(res.facts["Z2"], small3)
     assert got  # non-empty product of the per-field sets
     sim = simulate(small3, "Z1")
     assert got >= sim.currs("Z2")
@@ -163,8 +163,8 @@ def test_concretize_join_distributes(small3, variant):
     res = analyze(small3, "Z1", variant)
     a, b = res.facts["Z2"], res.facts["Z4"]
     joined = lat.join([*a.packets, *b.packets])
-    got = concretize_currs(joined, variant, small3)
-    want = concretize_currs(a, variant, small3) | concretize_currs(b, variant, small3)
+    got = concretize_currs(joined, small3)
+    want = concretize_currs(a, small3) | concretize_currs(b, small3)
     if variant == "v1":
         assert got == want
     else:

@@ -689,3 +689,27 @@ def test_a_freed_store_empties_its_kernel_tables_without_the_collector():
         assert not any(tables) and len(var) == nodes
     finally:
         gc.enable()
+
+
+def test_recursive_walkers_leave_no_garbage_cycle():
+    """Each per-call recursive walker ends its self-reference when its call
+    returns, so reference counting frees its memo, and a counted formula
+    does not keep its store alive."""
+    store = FormulaStore(T3X3)
+    f = store.atom(fvs("a", (1, 2))) & store.atom(fvs("c", (0, 5)))
+    f = f | store.atom(fvs("b", (3, 3)))
+    gc.collect()
+    gc.disable()
+    try:
+        assert f.count() > 0
+        assert f.enumerate(5)
+        assert f.smallest_agreeing(0, 0b111) is not None
+        assert f.relabel(tuple(range(9))) == f
+        g = f & ~store.atom(fvs("b", (2, 6)))
+        store.field_summary(g.node)
+        assert gc.collect() == 0
+        ref = weakref.ref(store)
+        del store, f, g
+        assert ref() is None
+    finally:
+        gc.enable()

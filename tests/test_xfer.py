@@ -40,10 +40,8 @@ from pktflow.xfer import (
     firewall_tf,
     link_tf,
     live_rules,
-    nat_packet,
     nat_rule_tf,
     nat_table_tf,
-    update_original,
 )
 from test_loader_fuzz import revalued_configs
 
@@ -170,31 +168,35 @@ def test_nat_table_two_packets(fig3, lat):
     assert currs == {atom(fig3, "s", "202.67.34.6-10"), atom(fig3, "s", "202.67.34.1-5")}
 
 
-# ------------------------------------------------- nat_packet / update_original
+# ------------------------------------------------------------- V2Lattice.apply_nat
 
-def test_nat_packet_trivials(fig3, lat):
+def test_apply_nat_trivials(fig3, lat):
     p = z1_packet(fig3, lat)
     full = NatRule(Guard(), "s", parse_value_set("*", "s", 32), 50)
-    assert nat_packet(p, full).curr == p.curr.exists_field("s")
+    assert lat.apply_nat(p, full).curr == p.curr.exists_field("s")
     empty = type(p)(fig3.store.false, fig3.store.false, 0)
     ranged = NatRule(Guard(), "s", parse_value_set("1.1.1.1", "s", 32), 51)
-    assert nat_packet(empty, ranged).curr == fig3.store.false
+    assert lat.apply_nat(empty, ranged).curr == fig3.store.false
 
 
-def test_update_original_full_projection(fig3, lat):
+def test_apply_nat_full_projection(fig3, lat):
     # curr unconstrained on s: orig's s component stays unconstrained too
     p = type(z1_packet(fig3, lat))(fig3.store.true, atom(fig3, "d", "9.9.9.9"), 0)
     rule = NatRule(Guard(), "s", parse_value_set("1.1.1.1", "s", 32), 52)
-    out = update_original(p, rule, fig3.layout)
+    out = lat.apply_nat(p, rule)
     assert out.orig.extract_field("s") == fig3.store.true
     assert out.orig == atom(fig3, "d", "9.9.9.9")
-    assert out.curr == p.curr
+    assert out.curr == atom(fig3, "s", "1.1.1.1")
+    assert out.nated == 1 << fig3.layout.index("s")
+    # a later NAT of the same field rewrites curr only
+    again = lat.apply_nat(out, NatRule(Guard(), "s", parse_value_set("2.2.2.2", "s", 32), 53))
+    assert again.orig == out.orig and again.curr == atom(fig3, "s", "2.2.2.2")
 
 
-def test_update_original_fig3_rule3(fig3, lat):
+def test_apply_nat_fig3_rule3(fig3, lat):
     rule3 = fig3.firewall("F1").snat[0]
     p = z1_packet(fig3, lat)
-    out = update_original(p, rule3, fig3.layout)
+    out = lat.apply_nat(p, rule3)
     assert out.orig.extract_field("s") == atom(fig3, "s", "10.192.29.1-255")
 
 
@@ -630,7 +632,7 @@ def compiled_equals_fold(table, pset, lat, ledger_store):
     pieces = filter_table_tf(table, pset, folded, lat)
     compiled = filter_region_tf(table, pset, lat)
     assert lat.join(compiled) == lat.join(pieces)
-    region = accept_region(table, lat.store)
+    region = reference_accept_region(table, lat.store)
     assert [q.curr for q in compiled] == [
         p.curr & region for p in pset if not (p.curr & region).is_empty()]
     deferred = DropLedger(ledger_store)
@@ -802,7 +804,7 @@ def whole_table_compile():
     """Filter with the whole-table reference compile and drops."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(xfer, "accept_region",
-                   lambda table, store, live=None: reference_accept_region(table, store))
+                   lambda table, store, live: reference_accept_region(table, store))
         mp.setattr(engine, "filter_table_drops", reference_filter_table_drops)
         yield
 
