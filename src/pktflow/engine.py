@@ -14,9 +14,10 @@ Three variants share one propagation loop:
 
 ``analyze_relations`` runs ``v2`` on the same loop with ``RelationalLattice``:
 one relation between current and original headers per NAT mask, in a
-private store.  It serves the set-level outputs (``policy.infer_policy``);
-``analyze`` keeps the packet lattice, whose per-packet splitting its text
-and ``testgen`` print.
+private store.  It serves the set-level outputs: ``policy.infer_policy``
+runs it in class space, on the network over its per-field value classes
+(``policy.class_quotient``).  ``analyze`` keeps the packet lattice, whose
+per-packet splitting its text and ``testgen`` print.
 
 Propagation: the origin zone emits its departure value once; whenever a
 firewall's value grows it is re-queued.  Each expansion hands the survivors
@@ -541,7 +542,9 @@ def analyze_relations(net: Network, origin: str):
     private store holds the relations, the per-node values, and the drop
     ledger of original headers in ``net.store``.  ``lattice.orig_of`` copies
     a relation's original view into ``net.store``.  No diagnostics are
-    computed.
+    computed.  ``policy.infer_policy`` passes the class network of
+    ``policy.class_quotient`` as ``net``, so its relations and ledger are
+    over class indices.
     """
     if not net.is_zone(origin):
         raise EngineError(f"origin {origin!r} is not a zone of the network")

@@ -36,7 +36,7 @@ Kernel invariants (``FormulaStore``):
   2**32 nodes per store.  Quantification caches are kept per variable set.
 * The field summaries (``_summaries``, by node, filled by
   ``field_summary``), the atom cache, the quantification caches, the
-  ``relabel`` memos, and the guard and accept-region memos
+  ``relabel`` and ``expand`` memos, and the guard and accept-region memos
   (``guard_formulas``, filled by ``netmodel.guard_to_formula``, and
   ``accept_regions``, filled by ``xfer.accept_region`` and keyed by
   (table, live rules with their cofactored guards), which hold node ids)
@@ -64,6 +64,18 @@ node still tests a smaller variable than its children; the map need not be
 injective elsewhere.  The relational ``v2`` engine uses it to move a field
 onto its shadow copy and to copy original-header views back into the
 network's store.
+
+Class expansion (``Formula.expand``) reads a formula over a class layout,
+whose field k holds an index into ascending runs of the values of field k
+of a value layout, and builds in the value layout's store the headers whose
+per-field classes the formula holds: the preimage of the class set.  Per
+field, a walk gives the runs of class indices that lead to each exit (a
+node past the field, or a terminal); each run starts at its first class's
+first value, indices past the last class are never a value's class and are
+skipped, and neighbouring runs whose exits expand to the same node merge.
+The exits are expanded first, then the field's value bits are built by
+halving the value range, so only the result's nodes are created.  The memo
+is kept per (target, class starts), beside ``relabel``'s.
 """
 
 from __future__ import annotations
@@ -439,8 +451,9 @@ class FormulaStore:
         # first and end variable of each field, and the field of each variable
         self._spans = tuple((layout.offset(n), layout.offset(n) + w) for n, w in layout.fields)
         self._field_of = [i for i, (_, w) in enumerate(layout.fields) for _ in range(w)]
-        # target store -> varmap -> node memo of Formula.relabel; weak, so
-        # that a copy into a short-lived store does not keep it alive
+        # target store -> varmap (or class starts) -> node memo of
+        # Formula.relabel (or Formula.expand); weak, so that a copy into a
+        # short-lived store does not keep it alive
         self._relabels: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def __del__(self):
@@ -709,6 +722,88 @@ class Formula:
 
         node = rec(self.node)
         del rec  # break the self-reference
+        return Formula(target, node)
+
+    def expand(self, starts: tuple[tuple[int, ...], ...], target: FormulaStore) -> "Formula":
+        """The headers of ``target``'s layout whose classes form a header of
+        this formula, built in ``target``; see the module docstring.
+        ``starts[k]`` lists, ascending from 0, the first value of each class
+        of field k; field k of this store's layout holds the class index."""
+        src = self.store
+        memos = src._relabels.setdefault(target, {})
+        memo = memos.get(starts)
+        if memo is None:
+            memo = memos[starts] = {0: 0, 1: 1}
+        var, low, high, field_of, spans = src._var, src._lo, src._hi, src._field_of, src._spans
+        mk = target._mk
+        runs_of: dict[int, list] = {}
+
+        def repeat(runs: list, times: int, period: int) -> list:
+            # the runs of ``times`` copies of a pattern of 2**period indices
+            if times == 1 or len(runs) == 1:
+                return runs
+            out = []
+            for j in range(0, times << period, 1 << period):
+                for s, x in runs:
+                    if not out or out[-1][1] != x:
+                        out.append((j + s, x))
+            return out
+
+        def walk(n: int, end: int) -> list:
+            # (first index, exit) runs over the field's bits from var[n] on
+            v = var[n]
+            out = []
+            for c, base in ((low[n], 0), (high[n], 1 << (end - v - 1))):
+                cv = var[c]
+                if cv >= end:
+                    runs = [(0, c)]
+                else:
+                    runs = runs_of.get(c)
+                    if runs is None:
+                        runs = runs_of[c] = walk(c, end)
+                    runs = repeat(runs, 1 << (cv - v - 1), end - cv)
+                for s, x in runs:
+                    if not out or out[-1][1] != x:
+                        out.append((base + s, x))
+            return out
+
+        def rec(n: int) -> int:
+            r = memo.get(n)
+            if r is not None:
+                return r
+            k = field_of[var[n]]
+            off, end = spans[k]
+            first = starts[k]
+            runs = repeat(walk(n, end), 1 << (var[n] - off), end - var[n])
+            values, exits = [], []
+            for s, x in runs:
+                if s >= len(first):
+                    break  # past the last class: its spare indices
+                t = rec(x)
+                if not exits or exits[-1] != t:
+                    values.append(first[s])
+                    exits.append(t)
+            toff, tend = target._spans[k]
+
+            def build(i: int, v: int, lo: int) -> int:
+                # the values lo.. that share the bits before variable v; run
+                # i holds lo
+                size = 1 << (tend - v)
+                if i + 1 == len(values) or values[i + 1] >= lo + size:
+                    return exits[i]
+                half = size >> 1
+                a = build(i, v + 1, lo)
+                j = i
+                while j + 1 < len(values) and values[j + 1] <= lo + half:
+                    j += 1
+                return mk(v, a, build(j, v + 1, lo + half))
+
+            r = memo[n] = build(0, toff, 0)
+            del build  # break the self-reference
+            return r
+
+        node = rec(self.node)
+        del rec, walk  # break the self-references
         return Formula(target, node)
 
     # -- concretization -----------------------------------------------------

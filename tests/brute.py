@@ -12,17 +12,20 @@ definition of the per-field summary that rendering prints, and
 ``reference_field_summary`` the recursive pair-based walk that
 ``FormulaStore.field_summary`` optimizes;
 ``reference_accept_region`` and ``reference_filter_table_drops`` compile a
-filter table over every rule, whatever the packet.
+filter table over every rule, whatever the packet; and
+``reference_infer_policy`` runs the relational engine on the network's own
+value layout, where ``policy.infer_policy`` runs it in class space.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from pktflow.engine import IALattice, V2Lattice
+from pktflow.engine import IALattice, V2Lattice, analyze_relations
 from pktflow.netmodel import DROP, Guard, Network, guard_to_formula
 from pktflow.oracle import DEFAULT_WIDTH_GUARD, ExactResult, _enumeration_cap
 from pktflow.pktset import FieldValueSet, HeaderLayout
+from pktflow.policy import PolicySummary
 from pktflow.xfer import AbstractPacket, DropLedger
 
 
@@ -292,6 +295,25 @@ def reference_filter_table_drops(table, pset, ledger: DropLedger, lat) -> None:
                 c = c & ~guard_to_formula(earlier.guard, store)
             if not c.is_empty():
                 ledger.record(rule.rule_id, lat.ledger_form(AbstractPacket(c, None, p.nated)))
+
+
+# ------------------------------------------------ reference policy
+
+def reference_infer_policy(net: Network, zone: str) -> PolicySummary:
+    """A zone's policy from a relational run over the network's value
+    layout, with the relations' original views and the ledger copied into
+    ``net.store`` as they come; ``policy.infer_policy`` must equal it."""
+    lattice, facts, ledger = analyze_relations(net, zone)
+    accept = net.store.false
+    for z in net.zones:
+        if z.name == zone:
+            continue
+        for p in facts[z.name].packets:
+            accept = accept | lattice.orig_of(p)
+    reject = net.store.false
+    for _, dropped in ledger.items():
+        reject = reject | dropped
+    return PolicySummary(zone, accept, reject, accept & reject, net)
 
 
 # ------------------------------------------------ reference field summary

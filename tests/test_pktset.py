@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import random
 import weakref
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
@@ -648,6 +649,43 @@ def test_relabel_into_another_store_round_trips(start, ops):
     assert formula_set(copy) == {h for h in all_headers(T4X3) if narrow(h) in f_set}
     back = tuple(INTO_T4X3.index(v) if v in INTO_T4X3 else 0 for v in range(12))
     assert copy.relabel(back, store) == f
+
+
+# T3X3 as class indices into the values of a wider layout: 1-8 classes per
+# field, so indices past the last class occur and must not be read
+VALUES = HeaderLayout((("a", 4), ("b", 3), ("c", 5)))
+class_starts = st.tuples(*(
+    st.sets(st.integers(1, (1 << w) - 1), max_size=7).map(lambda s: (0, *sorted(s)))
+    for _, w in VALUES.fields
+))
+
+
+def reachable(store, node: int) -> set[int]:
+    seen, todo = set(), [node]
+    while todo:
+        n = todo.pop()
+        if n > 1 and n not in seen:
+            seen.add(n)
+            todo += [store._lo[n], store._hi[n]]
+    return seen
+
+
+@settings(max_examples=80, deadline=None)
+@given(value_sets3, chain_ops, class_starts)
+def test_expand_is_the_preimage_of_the_class_set(start, ops, starts):
+    store, values = FormulaStore(T3X3), FormulaStore(VALUES)
+    f, f_set = run_chain(store, start, ops)
+    expanded = f.expand(starts, values)
+    assert expanded.store is values
+
+    def classes(h):
+        return sum((bisect_right(first, VALUES.extract_value(h, name)) - 1) << 3 * (2 - i)
+                   for i, (first, name) in enumerate(zip(starts, T3X3_FIELDS)))
+
+    assert formula_set(expanded) == {h for h in all_headers(VALUES) if classes(h) in f_set}
+    # only the result's nodes are built
+    assert values.node_count() == 2 + len(reachable(values, expanded.node))
+    assert f.expand(starts, values) == expanded
 
 
 @settings(max_examples=80, deadline=None)

@@ -2,19 +2,24 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import importlib.util
 import io
 import weakref
 from pathlib import Path
 
 import pytest
 
-from pktflow import cli
+from brute import reference_infer_policy
+from helpers import port_rest_network
+from pktflow import cli, policy
 from pktflow.engine import RelationalLattice, analyze
 from pktflow.gen import FIXTURES, fixture_text, random_network
 from pktflow.netmodel import load_network, network_from_config, parse_value_set
 from pktflow.oracle import simulate
+from pktflow.pktset import FieldValueSet
 from pktflow.policy import (
     PolicyError,
+    class_quotient,
     generate_test_packets,
     infer_policy,
     overlap_report,
@@ -23,6 +28,10 @@ from pktflow.policy import (
 
 DATA = Path(__file__).resolve().parent / "data"
 RINGS = tuple(f"ring-4x4-{seed}.json" for seed in (1, 2, 3))
+_spec = importlib.util.spec_from_file_location(
+    "netgen", Path(__file__).resolve().parent.parent / "perfbench" / "netgen.py")
+netgen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(netgen)
 
 
 @pytest.fixture
@@ -304,6 +313,124 @@ def test_relational_policy_equals_packet_policy():
     assert cases == 773
 
 
+def policy_cases():
+    for name in FIXTURES:
+        yield name, load_network(fixture_text(name))
+    for path in sorted(DATA.glob("*-*.json")):
+        yield path.name, load_network(path.read_text(encoding="utf-8"))
+    for seed in range(200):
+        yield f"random-{seed}", network_from_config(random_network(seed)[0])
+    for seed in range(300):
+        yield f"port-rest-{seed}", network_from_config(port_rest_network(seed))
+    for n_fw, n_rules in ((3, 4), (4, 4), (5, 8)):
+        for seed in range(3):
+            yield f"ring-{n_fw}x{n_rules}-{seed}", network_from_config(
+                netgen.ring(n_fw, n_rules, seed))
+    yield "mesh-6x8-0", network_from_config(netgen.mesh(6, 8, 2, 0))
+
+
+def test_class_space_policy_equals_value_space_reference():
+    # accept, reject and overlap as formulas of the network's store
+    cases = 0
+    for name, net in policy_cases():
+        for zone in net.zones:
+            assert infer_policy(net, zone.name) == reference_infer_policy(net, zone.name), (
+                name, zone.name)
+            cases += 1
+    assert cases == 1497
+
+
+def test_class_space_policy_equals_oracle_on_port_rest_networks():
+    # DNAT on dp, zone ports and rest zones, certified without the symbolic
+    # reference: accept is what the oracle delivers to the other zones, and
+    # reject what its DROP rules discard
+    narrowed = 0
+    for seed in range(300):
+        net = network_from_config(port_rest_network(seed))
+        narrowed += class_quotient(net)[0].layout.total_bits < net.layout.total_bits
+        for zone in net.zones:
+            summary = infer_policy(net, zone.name)
+            sim = simulate(net, zone.name)
+            delivered = set().union(*(sim.origs(z.name) for z in net.zones if z != zone))
+            assert all_headers(net, summary.accept) == delivered, (seed, zone.name)
+            dropped = set().union(*sim.per_rule_dropped.values())
+            assert all_headers(net, summary.reject) == dropped, (seed, zone.name)
+    assert narrowed == 22
+
+
+def value_sets(net):
+    """Every value set the network tests or writes, the zones' addresses
+    also as destinations."""
+    for z in net.zones:
+        yield z.addr
+        yield FieldValueSet("d", z.addr.ranges, z.addr.negated)
+        if z.ports is not None:
+            yield z.ports
+    for fw in net.firewalls:
+        for r in (*fw.dnat, *fw.snat):
+            yield r.action
+        for g in [r.guard for r in (*fw.dnat, *fw.filter, *fw.snat)] + [g for _, g in fw.routing]:
+            for _, fvs in g.atoms:
+                yield fvs
+
+
+def test_class_images_expand_back_to_their_value_sets():
+    for name, net in policy_cases():
+        quotient, starts = class_quotient(net)
+        for fvs, image in zip(value_sets(net), value_sets(quotient), strict=True):
+            expanded = quotient.store.atom(image).expand(starts, net.store)
+            assert expanded == net.store.atom(fvs), (name, fvs)
+            # the indices past the last class go with the last class
+            last = len(starts[net.layout.index(fvs.field)]) - 1
+            spares = range(last, 1 << quotient.layout.width(fvs.field))
+            assert len({image.contains(c) for c in spares}) == 1, (name, fvs)
+
+
+def test_class_quotient_keeps_structure_and_grows_no_width():
+    for name, net in policy_cases():
+        quotient, starts = class_quotient(net)
+        assert quotient.layout.names() == net.layout.names()
+        assert starts[net.layout.index("s")] == starts[net.layout.index("d")], name
+        for (field, width), (_, narrow), first in zip(
+                net.layout.fields, quotient.layout.fields, starts):
+            assert first[0] == 0 and list(first) == sorted(set(first)), (name, field)
+            assert len(first) <= 1 << narrow <= max(2, 2 * len(first) - 2), (name, field)
+            assert narrow <= width, (name, field)
+        assert [z[:2] for z in quotient.zones] == [z[:2] for z in net.zones]
+        assert quotient.links == net.links
+        for fw, q in zip(net.firewalls, quotient.firewalls, strict=True):
+            assert (q.name, q.interfaces) == (fw.name, fw.interfaces)
+            assert [r.rule_id for r in (*q.dnat, *q.filter, *q.snat)] == [
+                r.rule_id for r in (*fw.dnat, *fw.filter, *fw.snat)]
+
+
+@pytest.mark.parametrize("name", ["fig1.json", "fig3.json"])
+def test_fixture_quotients_narrow_from_64_to_8_bits(name):
+    net = load_network(fixture_text(name))
+    quotient, _ = class_quotient(net)
+    assert net.layout.total_bits == 64
+    assert quotient.layout.fields == (("s", 4), ("d", 4))
+
+
+# net.store.node_count() after each zone's infer_policy, the zones in order on
+# one network; these may only fall
+POLICY_STORE_NODES = {
+    "fig3.json": {"Z1": 214, "Z2": 308, "Z3": 344, "Z4": 520},
+    "ring-4x4-1.json": {"Z0": 299, "Z1": 610, "Z2": 866, "Z3": 1091, "REST": 1345},
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLICY_STORE_NODES))
+def test_policy_sweep_creates_the_same_store_nodes(name):
+    path = DATA / name
+    net = load_network(path.read_text(encoding="utf-8") if path.exists() else fixture_text(name))
+    got = {}
+    for zone in net.zones:
+        infer_policy(net, zone.name)
+        got[zone.name] = net.store.node_count()
+    assert got == POLICY_STORE_NODES[name]
+
+
 def test_relational_store_shadows_only_rewritten_fields(fig3):
     lattice = RelationalLattice(fig3)
     assert fig3.layout.names() == ("s", "d")  # fig3 rewrites only s
@@ -315,19 +442,27 @@ def test_stores_are_freed_by_reference_counting(monkeypatch):
     # both die as soon as the last outside reference goes, with no collector
     stores = []
     init = RelationalLattice.__init__
+    quotient = policy.class_quotient
 
     def recording_init(self, net):
         init(self, net)
         stores.append(weakref.ref(self.store))
 
+    def recording_quotient(net):
+        out = quotient(net)
+        stores.append(weakref.ref(out[0].store))
+        return out
+
     monkeypatch.setattr(RelationalLattice, "__init__", recording_init)
+    monkeypatch.setattr(policy, "class_quotient", recording_quotient)
     net = load_network(fixture_text("fig3.json"))
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         summary = infer_policy(net, "Z1")
         assert not summary.reject.is_empty()
-        assert len(stores) == 1 and stores[0]() is None
+        # the class network's store and the relational one
+        assert len(stores) == 2 and all(ref() is None for ref in stores)
         net_store = weakref.ref(net.store)
         del net, summary
         assert net_store() is None
