@@ -144,7 +144,7 @@ def _cmd_analyze(args) -> int:
         _emit(json.dumps(result_to_json(result, net, args.network), indent=1) + "\n", args.out)
     else:
         _emit(result_to_text(result, net), args.out)
-    return 1 if result.misdelivered else 0
+    return 1 if result.classes.misdelivered else 0
 
 
 def _cmd_policy(args) -> int:

@@ -14,10 +14,22 @@ Three variants share one propagation loop:
 
 ``analyze_relations`` runs ``v2`` on the same loop with ``RelationalLattice``:
 one relation between current and original headers per NAT mask, in a
-private store.  It serves the set-level outputs: ``policy.infer_policy``
-runs it in class space, on the network over its per-field value classes
-(``policy.class_quotient``).  ``analyze`` keeps the packet lattice, whose
-per-packet splitting its text and ``testgen`` print.
+private store.  It serves the set-level outputs (``policy.infer_policy``).
+``analyze`` keeps the packet lattice, whose per-packet splitting its text
+and ``testgen`` print.
+
+Both run in class space, on ``class_quotient(net)``: the network over the
+per-field classes of its header values (the atomic predicates of Yang and
+Lam, ICNP 2013), whose fields are a few bits wide.  That is exact: every
+value set the network tests or writes is a union of classes, so two values
+of one class meet every guard, NAT action and zone alike, and conjunction,
+negation, quantification and union commute with the map from values to
+classes.  Both take their iteration ceiling from the value network.  An
+``AnalysisResult`` keeps the class values (``classes``), which the
+renderer maps to value ranges through the class starts, and expands its
+value-space views (``facts``, ``ledger``, ``misdelivered``, ``no_route``)
+into ``net.store`` only when they are read.  A network that no field
+narrows is its own class network, and the views are its values.
 
 Propagation: the origin zone emits its departure value once; whenever a
 firewall's value grows it is re-queued.  Each expansion hands the survivors
@@ -42,15 +54,16 @@ of headers, ``testgen`` sorts its witnesses by header, and the renderer
 sorts packets by their per-field sets.  So output depends neither on node
 ids nor on what the store built before an analysis, and a speedup may drop
 or reorder operations that create nodes.  One tie remains: ``v2`` packets
-with equal per-field sets but different exactness flags print in node
-order (``render.render_value``).  ``V2Lattice`` plans each split once per
-(guard, NAT mask): the guard's atom tests for ``curr``, those of its
-reduced guard for ``orig``, and its unmatched pieces, one per atom for a
-guard mixing NATed and un-NATed fields and one for any other guard.  Every
-conjunction of a split goes through ``V2Lattice._meet``, which works on
-node ids and skips one that the formula's field summary settles
-(``settles``): when an atom admits none of its field's values the result
-is empty, and when every atom admits all of them it is the formula itself.
+with equal per-field sets but different exactness flags print in the node
+order of the class network's store (``render.render_value``).
+``V2Lattice`` plans each split once per (guard, NAT mask): the guard's
+atom tests for ``curr``, those of its reduced guard for ``orig``, and its
+unmatched pieces, one per atom for a guard mixing NATed and un-NATed
+fields and one for any other guard.  Every conjunction of a split goes
+through ``V2Lattice._meet``, which works on node ids and skips one that
+the formula's field summary settles (``settles``): when an atom admits
+none of its field's values the result is empty, and when every atom
+admits all of them it is the formula itself.
 The summary creates no node (``FormulaStore.field_summary``), and a guard's
 node and its negation are built only for a conjunction that runs.
 
@@ -79,17 +92,22 @@ from __future__ import annotations
 
 import sys
 import time
+from bisect import bisect_right
 from collections import deque
 from typing import NamedTuple
 
 from .netmodel import (
+    FilterRule,
+    Firewall,
     Guard,
+    NatRule,
     Network,
     PktflowError,
+    Zone,
     guard_to_formula,
     zone_departure_formula,
 )
-from .pktset import Formula, FormulaStore, HeaderLayout, atom_test
+from .pktset import FieldValueSet, Formula, FormulaStore, HeaderLayout, atom_test
 from .xfer import (
     AbstractPacket,
     DropLedger,
@@ -438,6 +456,87 @@ def get_lattice(variant: str, net: Network):
         raise EngineError(f"unknown analysis variant {variant!r}") from None
 
 
+# ------------------------------------------------------------- class space
+
+def class_quotient(net: Network) -> tuple[Network, tuple]:
+    """The network over the classes of its header values, and per field the
+    first value of each class, ascending from 0.
+
+    Each field is cut at every endpoint of every value set the network tests
+    or writes: filter, NAT and routing guard atoms, NAT targets, zone
+    addresses and zone ports.  ``s`` and ``d`` share one set of cuts, since
+    zone addresses name both.  A field gets ``max(1, (classes - 1)
+    .bit_length())`` bits, never more than its own, and holds a class index;
+    the indices past the last class belong to the last class.  The class
+    network has the same names, interfaces, links and rule ids, every value
+    set rewritten as class index ranges, and a store of its own.
+
+    When no field narrows, the quotient is ``net`` itself, each value its
+    own class (``starts[k]`` is ``range(1 << width)``): building a class
+    network then saves no work, and expanding into ``net.store`` is free."""
+    layout = net.layout
+    cuts = {name: set() for name in layout.names()}
+    cuts["d"] = cuts["s"]
+    sets = [z.addr for z in net.zones] + [z.ports for z in net.zones if z.ports is not None]
+    for fw in net.firewalls:
+        guards = [r.guard for r in (*fw.dnat, *fw.filter, *fw.snat)]
+        guards += [g for _, g in fw.routing]
+        sets += [fvs for g in guards for _, fvs in g.atoms]
+        sets += [r.action for r in (*fw.dnat, *fw.snat)]
+    for fvs in sets:
+        for lo, hi in fvs.ranges:
+            cuts[fvs.field].update((lo, hi + 1))
+    starts = tuple(
+        tuple(sorted({0}.union(c for c in cuts[name] if c < 1 << width)))
+        for name, width in layout.fields
+    )
+    class_layout = HeaderLayout(tuple(
+        (name, max(1, (len(first) - 1).bit_length()))
+        for name, first in zip(layout.names(), starts)
+    ))
+    if class_layout == layout:
+        return net, tuple(range(1 << width) for _, width in layout.fields)
+    mapped: dict[FieldValueSet, FieldValueSet] = {}
+
+    def cls(fvs: FieldValueSet) -> FieldValueSet:
+        out = mapped.get(fvs)
+        if out is None:
+            first = starts[layout.index(fvs.field)]
+            top = (1 << class_layout.width(fvs.field)) - 1
+            ranges = []
+            for lo, hi in fvs.ranges:
+                c_hi = bisect_right(first, hi) - 1
+                ranges.append((bisect_right(first, lo) - 1,
+                               top if c_hi == len(first) - 1 else c_hi))
+            out = mapped[fvs] = FieldValueSet(fvs.field, tuple(ranges), fvs.negated)
+        return out
+
+    def guard(g: Guard) -> Guard:
+        return Guard(tuple((name, cls(fvs)) for name, fvs in g.atoms))
+
+    def nat(rules) -> tuple[NatRule, ...]:
+        return tuple(NatRule(guard(r.guard), r.nat_field, cls(r.action), r.rule_id)
+                     for r in rules)
+
+    zones = tuple(
+        Zone(z.name, z.interface, cls(z.addr), None if z.ports is None else cls(z.ports), z.rest)
+        for z in net.zones
+    )
+    firewalls = tuple(
+        Firewall(
+            fw.name,
+            fw.interfaces,
+            nat(fw.dnat),
+            tuple(FilterRule(guard(r.guard), r.action, r.rule_id) for r in fw.filter),
+            nat(fw.snat),
+            tuple((i, guard(g)) for i, g in fw.routing),
+        )
+        for fw in net.firewalls
+    )
+    return (Network(class_layout, zones, firewalls, net.links, FormulaStore(class_layout)),
+            starts)
+
+
 # --------------------------------------------------------------- results
 
 class AnalysisStats:
@@ -459,29 +558,74 @@ class AnalysisStats:
                 f"wall_time_s={self.wall_time_s!r})")
 
 
-class AnalysisResult:
-    __slots__ = ("net", "origin", "variant", "facts", "ledger", "stats",
-                 "misdelivered", "no_route")
+class ClassSpace(NamedTuple):
+    """What an analysis computed, over the class indices of ``net``, the
+    class network of ``class_quotient``; ``starts`` maps them to values."""
 
-    def __init__(
-        self,
-        net: Network,
-        origin: str,
-        variant: str,
-        facts: dict[str, AbstractValue],
-        ledger: DropLedger,
-        stats: AnalysisStats,
-        misdelivered: dict[str, Formula] | None = None,
-        no_route: dict[str, Formula] | None = None,
-    ):
+    net: Network
+    starts: tuple
+    facts: dict[str, AbstractValue]
+    ledger: DropLedger
+    misdelivered: dict[str, Formula]  # only the non-empty ones
+    no_route: dict[str, Formula]
+
+
+class AnalysisResult:
+    """An analysis of ``net`` from ``origin``.  It ran in class space, and
+    ``classes`` holds what it computed.  ``facts``, ``ledger``,
+    ``misdelivered`` and ``no_route`` are their views over ``net.store``,
+    each expanded on first read (``Formula.expand``) and then kept;
+    rendering reads ``classes`` and expands nothing."""
+
+    __slots__ = ("net", "origin", "variant", "stats", "classes",
+                 "_facts", "_ledger", "_misdelivered", "_no_route")
+
+    def __init__(self, net: Network, origin: str, variant: str, stats: AnalysisStats,
+                 classes: ClassSpace):
         self.net = net
         self.origin = origin
         self.variant = variant
-        self.facts = facts
-        self.ledger = ledger
         self.stats = stats
-        self.misdelivered = {} if misdelivered is None else misdelivered
-        self.no_route = {} if no_route is None else no_route
+        self.classes = classes
+        self._facts = self._ledger = self._misdelivered = self._no_route = None
+
+    def _expand(self, f: Formula) -> Formula:
+        return f.expand(self.classes.starts, self.net.store)
+
+    @property
+    def facts(self) -> dict[str, AbstractValue]:
+        if self._facts is None:
+            x = self._expand
+            self._facts = {}
+            for node, value in self.classes.facts.items():
+                packets = [AbstractPacket(x(p.curr), None if p.orig is None else x(p.orig),
+                                          p.nated)
+                           for p in value.packets]
+                if len(packets) > 1:  # v2: the join's order, by (orig, mask)
+                    packets.sort(key=lambda p: (p.orig.node, p.nated))
+                self._facts[node] = AbstractValue(tuple(packets))
+        return self._facts
+
+    @property
+    def ledger(self) -> DropLedger:
+        if self._ledger is None:
+            self._ledger = DropLedger(self.net.store)
+            for rid, f in self.classes.ledger.items():
+                self._ledger.record(rid, self._expand(f))
+        return self._ledger
+
+    @property
+    def misdelivered(self) -> dict[str, Formula]:
+        if self._misdelivered is None:
+            self._misdelivered = {z: self._expand(f)
+                                  for z, f in self.classes.misdelivered.items()}
+        return self._misdelivered
+
+    @property
+    def no_route(self) -> dict[str, Formula]:
+        if self._no_route is None:
+            self._no_route = {n: self._expand(f) for n, f in self.classes.no_route.items()}
+        return self._no_route
 
     def _key(self) -> tuple:
         return (self.net, self.origin, self.variant, self.facts, self.ledger, self.stats,
@@ -507,62 +651,67 @@ def analyze(
     observer=None,
 ) -> AnalysisResult:
     """Run the propagation to fixpoint from ``origin`` and collect per-node
-    values, the drop ledger, and diagnostics.
+    values, the drop ledger, and diagnostics, on ``class_quotient(net)``.
 
     ``worklist`` selects the queue discipline ("fifo" or "lifo"); the
-    fixpoint is the same either way.  ``observer(node, old, new)`` is called
-    on every accepted value update (used by monotonicity tests).
+    fixpoint is the same either way.  The iteration ceiling defaults to
+    ``default_iteration_ceiling(net)``, of the value network.
+    ``observer(node, old, new)`` is called on every accepted value update
+    (used by monotonicity tests), with the class values.
     """
     if not net.is_zone(origin):
         raise EngineError(f"origin {origin!r} is not a zone of the network")
     if worklist not in ("fifo", "lifo"):
         raise EngineError(f"unknown worklist discipline {worklist!r}")
-    lattice = get_lattice(variant, net)
     ceiling = max_iterations if max_iterations is not None else default_iteration_ceiling(net)
     started = time.perf_counter()
-    ledger = DropLedger(net.store)
+    classes, starts = class_quotient(net)
+    lattice = get_lattice(variant, classes)
+    ledger = DropLedger(classes.store)
     stats = AnalysisStats()
-    misdelivered: dict[str, Formula] = {z.name: net.store.false for z in net.zones}
+    misdelivered: dict[str, Formula] = {z.name: classes.store.false for z in classes.zones}
     facts, survivors = _propagate(
-        net, lattice, origin, lattice.initial(origin), ledger, stats,
+        classes, lattice, origin, lattice.initial(origin), ledger, stats,
         worklist=worklist, ceiling=ceiling, observer=observer, misdelivered=misdelivered,
     )
     stats.wall_time_s = time.perf_counter() - started
-    return AnalysisResult(
-        net, origin, lattice.variant, facts, ledger, stats,
-        misdelivered={z: f for z, f in misdelivered.items() if not f.is_empty()},
-        no_route=_no_route(net, survivors),
-    )
+    return AnalysisResult(net, origin, lattice.variant, stats, ClassSpace(
+        classes, starts, facts, ledger,
+        {z: f for z, f in misdelivered.items() if not f.is_empty()},
+        _no_route(classes, survivors),
+    ))
 
 
 def analyze_relations(net: Network, origin: str):
-    """Run ``v2`` from ``origin`` as one relation per NAT mask.
+    """Run ``v2`` from ``origin`` as one relation per NAT mask, on
+    ``class_quotient(net)`` and under ``default_iteration_ceiling(net)``.
 
-    Returns ``(lattice, facts, ledger)``: the ``RelationalLattice`` whose
-    private store holds the relations, the per-node values, and the drop
-    ledger of original headers in ``net.store``.  ``lattice.orig_of`` copies
-    a relation's original view into ``net.store``.  No diagnostics are
-    computed.  ``policy.infer_policy`` passes the class network of
-    ``policy.class_quotient`` as ``net``, so its relations and ledger are
-    over class indices.
+    Returns ``(lattice, facts, ledger, starts)``: the ``RelationalLattice``
+    over the class network, whose private store holds the relations; the
+    per-node values; the drop ledger of original headers in the class
+    network's store; and the class starts, which expand a formula of that
+    store into ``net.store`` (``Formula.expand``).  ``lattice.orig_of``
+    copies a relation's original view into the class network's store.  No
+    diagnostics are computed.
     """
     if not net.is_zone(origin):
         raise EngineError(f"origin {origin!r} is not a zone of the network")
-    lattice = RelationalLattice(net)
-    ledger = DropLedger(net.store)
+    ceiling = default_iteration_ceiling(net)
+    classes, starts = class_quotient(net)
+    lattice = RelationalLattice(classes)
+    ledger = DropLedger(classes.store)
     # a relation over curr and shadow variables may test twice as many
     # variables as the header has, and the kernel recurses once per variable
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, lattice.store.nbits + 1000))
     try:
         facts, _ = _propagate(
-            net, lattice, origin, lattice.initial(origin), ledger, AnalysisStats(),
-            worklist="fifo", ceiling=default_iteration_ceiling(net), observer=None,
-            misdelivered=None,
+            classes, lattice, origin, lattice.initial(origin), ledger, AnalysisStats(),
+            worklist="fifo", ceiling=ceiling, observer=None, misdelivered=None,
         )
     finally:
         sys.setrecursionlimit(limit)
-    return lattice, facts, ledger
+    return lattice, facts, ledger, starts
 
 
 def _propagate(net, lattice, origin, initial_packets, ledger, stats, *,

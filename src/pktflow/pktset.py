@@ -75,7 +75,9 @@ first value, indices past the last class are never a value's class and are
 skipped, and neighbouring runs whose exits expand to the same node merge.
 The exits are expanded first, then the field's value bits are built by
 halving the value range, so only the result's nodes are created.  The memo
-is kept per (target, class starts), beside ``relabel``'s.
+is kept per (target, class starts), beside ``relabel``'s.  A network that
+no field narrows is its own class network (``engine.class_quotient``), so
+a formula of the target's own store expands to itself.
 """
 
 from __future__ import annotations
@@ -728,8 +730,12 @@ class Formula:
         """The headers of ``target``'s layout whose classes form a header of
         this formula, built in ``target``; see the module docstring.
         ``starts[k]`` lists, ascending from 0, the first value of each class
-        of field k; field k of this store's layout holds the class index."""
+        of field k; field k of this store's layout holds the class index.
+        A formula of ``target`` itself is over the values, each its own
+        class, and is its own expansion."""
         src = self.store
+        if src is target:
+            return self
         memos = src._relabels.setdefault(target, {})
         memo = memos.get(starts)
         if memo is None:

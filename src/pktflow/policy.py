@@ -12,25 +12,26 @@ the packets' orig components; both ways give the same formulas.  A
 non-empty overlap means the fate of a packet depends on nondeterministic
 routing or NAT choices — worth an operator's attention.
 
-The relational run is in class space: on ``class_quotient(net)``, the
-network over the per-field classes of its header values (the atomic
+The relational run is in class space: on ``engine.class_quotient(net)``,
+the network over the per-field classes of its header values (the atomic
 predicates of Yang and Lam, ICNP 2013), whose fields are a few bits wide.
 Both unions are taken there and only they are expanded into ``net.store``
 (``Formula.expand``).  That is exact: every value set the network tests or
 writes is a union of classes, so two values of one class meet every guard,
 NAT action and zone alike, and conjunction, ``relabel``, quantification and
-union commute with the map from values to classes.
+union commute with the map from values to classes.  A packet ``result``
+is read through its value-space views (``AnalysisResult.facts`` and
+``ledger``).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from operator import attrgetter
 from typing import NamedTuple
 
 from .engine import AnalysisResult, analyze, analyze_relations
-from .netmodel import FilterRule, Firewall, Guard, NatRule, Network, PktflowError, Zone
-from .pktset import FieldValueSet, Formula, FormulaStore, HeaderLayout
+from .netmodel import Network, PktflowError
+from .pktset import Formula
 from .render import field_sets
 
 
@@ -90,79 +91,6 @@ class TestPacket(NamedTuple):
     curr: int  # header as it arrives at the zone
 
 
-def class_quotient(net: Network) -> tuple[Network, tuple[tuple[int, ...], ...]]:
-    """The network over the classes of its header values, and per field the
-    first value of each class, ascending from 0.
-
-    Each field is cut at every endpoint of every value set the network tests
-    or writes: filter, NAT and routing guard atoms, NAT targets, zone
-    addresses and zone ports.  ``s`` and ``d`` share one set of cuts, since
-    zone addresses name both.  A field gets ``max(1, (classes - 1)
-    .bit_length())`` bits, never more than its own, and holds a class index;
-    the indices past the last class belong to the last class.  The class
-    network has the same names, interfaces, links and rule ids, every value
-    set rewritten as class index ranges, and a store of its own."""
-    layout = net.layout
-    cuts = {name: set() for name in layout.names()}
-    cuts["d"] = cuts["s"]
-    sets = [z.addr for z in net.zones] + [z.ports for z in net.zones if z.ports is not None]
-    for fw in net.firewalls:
-        guards = [r.guard for r in (*fw.dnat, *fw.filter, *fw.snat)]
-        guards += [g for _, g in fw.routing]
-        sets += [fvs for g in guards for _, fvs in g.atoms]
-        sets += [r.action for r in (*fw.dnat, *fw.snat)]
-    for fvs in sets:
-        for lo, hi in fvs.ranges:
-            cuts[fvs.field].update((lo, hi + 1))
-    starts = tuple(
-        tuple(sorted({0}.union(c for c in cuts[name] if c < 1 << width)))
-        for name, width in layout.fields
-    )
-    class_layout = HeaderLayout(tuple(
-        (name, max(1, (len(first) - 1).bit_length()))
-        for name, first in zip(layout.names(), starts)
-    ))
-    mapped: dict[FieldValueSet, FieldValueSet] = {}
-
-    def cls(fvs: FieldValueSet) -> FieldValueSet:
-        out = mapped.get(fvs)
-        if out is None:
-            first = starts[layout.index(fvs.field)]
-            top = (1 << class_layout.width(fvs.field)) - 1
-            ranges = []
-            for lo, hi in fvs.ranges:
-                c_hi = bisect_right(first, hi) - 1
-                ranges.append((bisect_right(first, lo) - 1,
-                               top if c_hi == len(first) - 1 else c_hi))
-            out = mapped[fvs] = FieldValueSet(fvs.field, tuple(ranges), fvs.negated)
-        return out
-
-    def guard(g: Guard) -> Guard:
-        return Guard(tuple((name, cls(fvs)) for name, fvs in g.atoms))
-
-    def nat(rules) -> tuple[NatRule, ...]:
-        return tuple(NatRule(guard(r.guard), r.nat_field, cls(r.action), r.rule_id)
-                     for r in rules)
-
-    zones = tuple(
-        Zone(z.name, z.interface, cls(z.addr), None if z.ports is None else cls(z.ports), z.rest)
-        for z in net.zones
-    )
-    firewalls = tuple(
-        Firewall(
-            fw.name,
-            fw.interfaces,
-            nat(fw.dnat),
-            tuple(FilterRule(guard(r.guard), r.action, r.rule_id) for r in fw.filter),
-            nat(fw.snat),
-            tuple((i, guard(g)) for i, g in fw.routing),
-        )
-        for fw in net.firewalls
-    )
-    return (Network(class_layout, zones, firewalls, net.links, FormulaStore(class_layout)),
-            starts)
-
-
 def _unions(net: Network, zone: str, facts, ledger, orig_of) -> tuple[Formula, Formula]:
     """The originals that reach another zone, and those the ledger drops."""
     accept = net.store.false
@@ -180,13 +108,12 @@ def _unions(net: Network, zone: str, facts, ledger, orig_of) -> tuple[Formula, F
 def infer_policy(net: Network, zone: str, *, result: AnalysisResult | None = None) -> PolicySummary:
     """Infer the accept/reject policy of ``zone``: from the given variant-2
     ``result``, or else from a relational variant-2 run with ``zone`` as
-    origin, on the class network of ``class_quotient``."""
+    origin, in class space (``engine.analyze_relations``)."""
     if not net.is_zone(zone):
         raise PolicyError(f"zone {zone!r} is not a zone of the network")
     if result is None:
-        quotient, starts = class_quotient(net)
-        lattice, facts, ledger = analyze_relations(quotient, zone)
-        accept, reject = _unions(quotient, zone, facts, ledger, lattice.orig_of)
+        lattice, facts, ledger, starts = analyze_relations(net, zone)
+        accept, reject = _unions(lattice.net, zone, facts, ledger, lattice.orig_of)
         accept, reject = accept.expand(starts, net.store), reject.expand(starts, net.store)
     else:
         if result.variant != "v2":

@@ -14,6 +14,14 @@ field whose values are entangled with other fields is flagged approximate
 and the text line lists the flagged fields.  Both come from the store's
 field summary (``FormulaStore.field_summary``), so rendering builds no
 formula and leaves the store's node count as the analysis left it.
+
+An analysis result renders from its class-space values
+(``AnalysisResult.classes``): each field's class-index ranges map to value
+ranges through the class starts (``value_ranges``), and the exactness flags
+carry over as they are, since a class formula correlates two fields
+exactly when its value-space expansion does.  So rendering a result
+expands nothing into the network's store.  Each function that takes
+``starts`` reads a class formula with it, and a value formula without.
 """
 
 from __future__ import annotations
@@ -25,6 +33,21 @@ from .netmodel import Network, range_to_text
 from .pktset import Formula, HeaderLayout, complement_ranges
 
 Ranges = tuple[tuple[int, int], ...]
+
+
+def value_ranges(ranges: Ranges, first, width: int) -> Ranges:
+    """The values of a field's classes ``ranges``, where class k begins at
+    value ``first[k]`` (``engine.class_quotient``) and the field has
+    ``width`` bits.  The last class runs to the field's top value and holds
+    the indices past it.  Merged class ranges map to merged value ranges:
+    a gap of one class is a gap of at least one value."""
+    n = len(first)
+    out = []
+    for a, b in ranges:
+        if a >= n:
+            break  # indices past the last class, which ``out`` already holds
+        out.append((first[a], first[b + 1] - 1 if b + 1 < n else (1 << width) - 1))
+    return tuple(out)
 
 
 def format_field_display(ranges: Ranges, width: int) -> str:
@@ -66,13 +89,20 @@ class RenderedPacket(NamedTuple):
         return tuple(bad)
 
 
-def field_sets(formula: Formula, layout: HeaderLayout) -> dict[str, Ranges]:
+def _to_values(sets: dict[str, Ranges], layout: HeaderLayout, starts) -> dict[str, Ranges]:
+    """A class formula's per-field ranges as value ranges."""
+    return {name: value_ranges(sets[name], first, width)
+            for (name, width), first in zip(layout.fields, starts)}
+
+
+def field_sets(formula: Formula, layout: HeaderLayout, starts=None) -> dict[str, Ranges]:
     """Per-field range projections alone, for output that prints no
     exactness flags: ledger lines, diagnostics and policies."""
-    return {name: formula.field_ranges(name) for name in layout.names()}
+    sets = {name: formula.field_ranges(name) for name in layout.names()}
+    return sets if starts is None else _to_values(sets, layout, starts)
 
 
-def formula_fields(formula: Formula, layout: HeaderLayout) -> tuple[dict, dict]:
+def formula_fields(formula: Formula, layout: HeaderLayout, starts=None) -> tuple[dict, dict]:
     """Per-field range projections plus per-field exactness flags, for fact
     packets and the JSON ledger, which print the flags.
 
@@ -83,19 +113,20 @@ def formula_fields(formula: Formula, layout: HeaderLayout) -> tuple[dict, dict]:
     """
     summary = formula.store.field_summary(formula.node)
     names = layout.names()
-    return ({name: r for name, (r, _) in zip(names, summary)},
+    sets = {name: r for name, (r, _) in zip(names, summary)}
+    return (sets if starts is None else _to_values(sets, layout, starts),
             {name: ok for name, (_, ok) in zip(names, summary)})
 
 
-def render_value(value: AbstractValue, net: Network) -> list[RenderedPacket]:
+def render_value(value: AbstractValue, net: Network, starts=None) -> list[RenderedPacket]:
     """Deterministically ordered rendering of a node's abstract packets."""
     layout = net.layout
     rendered = []
     for p in value.packets:
-        curr, curr_exact = formula_fields(p.curr, layout)
+        curr, curr_exact = formula_fields(p.curr, layout, starts)
         orig_sets = orig_exact = None
         if p.orig is not None:
-            orig_sets, orig_exact = formula_fields(p.orig, layout)
+            orig_sets, orig_exact = formula_fields(p.orig, layout, starts)
         nated = layout.mask_names(p.nated)
         rendered.append(RenderedPacket(curr, curr_exact, orig_sets, orig_exact, nated))
     rendered.sort(key=lambda r: (str(r.orig), r.nated, str(r.curr)))
@@ -125,29 +156,31 @@ def packet_to_text(p: RenderedPacket, layout: HeaderLayout) -> str:
     return text
 
 
-def value_to_text(value: AbstractValue, net: Network) -> str:
+def value_to_text(value: AbstractValue, net: Network, starts=None) -> str:
     if value.is_bottom():
         return "(unreachable)"
-    return " ".join(packet_to_text(p, net.layout) for p in render_value(value, net))
+    return " ".join(packet_to_text(p, net.layout) for p in render_value(value, net, starts))
 
 
-def formula_to_text(formula: Formula, layout: HeaderLayout) -> str:
-    return bracket(field_sets(formula, layout), layout)
+def formula_to_text(formula: Formula, layout: HeaderLayout, starts=None) -> str:
+    return bracket(field_sets(formula, layout, starts), layout)
 
 
 def result_to_text(result: AnalysisResult, net: Network) -> str:
+    classes = result.classes
+    layout, starts = net.layout, classes.starts
     lines = []
     for node in net.node_names():
-        lines.append(f"facts({node}) = {value_to_text(result.facts[node], net)}")
-    if result.ledger.rule_ids():
+        lines.append(f"facts({node}) = {value_to_text(classes.facts[node], net, starts)}")
+    if classes.ledger.rule_ids():
         lines.append("")
-        for rid, formula in result.ledger.items():
-            lines.append(f"dropped({rid}) = {formula_to_text(formula, net.layout)}")
+        for rid, formula in classes.ledger.items():
+            lines.append(f"dropped({rid}) = {formula_to_text(formula, layout, starts)}")
     diag = []
-    for zone, formula in sorted(result.misdelivered.items()):
-        diag.append(f"misdelivered({zone}) = {formula_to_text(formula, net.layout)}")
-    for node, formula in sorted(result.no_route.items()):
-        diag.append(f"no-route({node}) = {formula_to_text(formula, net.layout)}")
+    for zone, formula in sorted(classes.misdelivered.items()):
+        diag.append(f"misdelivered({zone}) = {formula_to_text(formula, layout, starts)}")
+    for node, formula in sorted(classes.no_route.items()):
+        diag.append(f"no-route({node}) = {formula_to_text(formula, layout, starts)}")
     if diag:
         lines.append("")
         lines.extend(diag)
@@ -160,11 +193,12 @@ def data_sets(sets: dict[str, Ranges], layout: HeaderLayout) -> dict[str, str]:
 
 
 def result_to_json(result: AnalysisResult, net: Network, network_name: str) -> dict:
-    layout = net.layout
+    classes = result.classes
+    layout, starts = net.layout, classes.starts
     facts = {}
     for node in net.node_names():
         packets = []
-        for p in render_value(result.facts[node], net):
+        for p in render_value(classes.facts[node], net, starts):
             entry = {"curr": data_sets(p.curr, layout), "curr_exact": p.curr_exact}
             if p.orig is not None:
                 entry["orig"] = data_sets(p.orig, layout)
@@ -174,18 +208,18 @@ def result_to_json(result: AnalysisResult, net: Network, network_name: str) -> d
         facts[node] = packets
     ledger = {}
     ledger_exact = {}
-    for rid, formula in result.ledger.items():
-        sets, exact = formula_fields(formula, layout)
+    for rid, formula in classes.ledger.items():
+        sets, exact = formula_fields(formula, layout, starts)
         ledger[str(rid)] = data_sets(sets, layout)
         ledger_exact[str(rid)] = exact
     diagnostics = {
         "misdelivered": {
-            z: data_sets(field_sets(f, layout), layout)
-            for z, f in sorted(result.misdelivered.items())
+            z: data_sets(field_sets(f, layout, starts), layout)
+            for z, f in sorted(classes.misdelivered.items())
         },
         "no_route": {
-            n: data_sets(field_sets(f, layout), layout)
-            for n, f in sorted(result.no_route.items())
+            n: data_sets(field_sets(f, layout, starts), layout)
+            for n, f in sorted(classes.no_route.items())
         },
     }
     return {

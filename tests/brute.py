@@ -13,15 +13,28 @@ definition of the per-field summary that rendering prints, and
 ``FormulaStore.field_summary`` optimizes;
 ``reference_accept_region`` and ``reference_filter_table_drops`` compile a
 filter table over every rule, whatever the packet; and
-``reference_infer_policy`` runs the relational engine on the network's own
-value layout, where ``policy.infer_policy`` runs it in class space.
+``reference_analyze`` and ``reference_infer_policy`` run the engine on the
+network's own value layout, where ``engine.analyze`` and
+``policy.infer_policy`` run it in class space.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from pktflow.engine import IALattice, V2Lattice, analyze_relations
+import sys
+
+from pktflow import engine
+from pktflow.engine import (
+    AnalysisResult,
+    AnalysisStats,
+    ClassSpace,
+    IALattice,
+    RelationalLattice,
+    V2Lattice,
+    default_iteration_ceiling,
+    get_lattice,
+)
 from pktflow.netmodel import DROP, Guard, Network, guard_to_formula
 from pktflow.oracle import DEFAULT_WIDTH_GUARD, ExactResult, _enumeration_cap
 from pktflow.pktset import FieldValueSet, HeaderLayout
@@ -297,13 +310,44 @@ def reference_filter_table_drops(table, pset, ledger: DropLedger, lat) -> None:
                 ledger.record(rule.rule_id, lat.ledger_form(AbstractPacket(c, None, p.nated)))
 
 
-# ------------------------------------------------ reference policy
+# ------------------------------------------------ reference analyses
+
+def reference_analyze(net: Network, origin: str, variant: str = "v2") -> AnalysisResult:
+    """``engine.analyze`` over the network's own value layout: the result
+    of a run in which every value is its own class.  ``analyze`` must equal
+    it in its views, its stats (but the wall time) and its rendered bytes."""
+    lattice = get_lattice(variant, net)
+    ledger = DropLedger(net.store)
+    stats = AnalysisStats()
+    misdelivered = {z.name: net.store.false for z in net.zones}
+    facts, survivors = engine._propagate(
+        net, lattice, origin, lattice.initial(origin), ledger, stats, worklist="fifo",
+        ceiling=default_iteration_ceiling(net), observer=None, misdelivered=misdelivered,
+    )
+    identity = tuple(range(1 << width) for _, width in net.layout.fields)
+    return AnalysisResult(net, origin, lattice.variant, stats, ClassSpace(
+        net, identity, facts, ledger,
+        {z: f for z, f in misdelivered.items() if not f.is_empty()},
+        engine._no_route(net, survivors),
+    ))
+
 
 def reference_infer_policy(net: Network, zone: str) -> PolicySummary:
     """A zone's policy from a relational run over the network's value
     layout, with the relations' original views and the ledger copied into
     ``net.store`` as they come; ``policy.infer_policy`` must equal it."""
-    lattice, facts, ledger = analyze_relations(net, zone)
+    lattice = RelationalLattice(net)
+    ledger = DropLedger(net.store)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, lattice.store.nbits + 1000))
+    try:
+        facts, _ = engine._propagate(
+            net, lattice, zone, lattice.initial(zone), ledger, AnalysisStats(),
+            worklist="fifo", ceiling=default_iteration_ceiling(net), observer=None,
+            misdelivered=None,
+        )
+    finally:
+        sys.setrecursionlimit(limit)
     accept = net.store.false
     for z in net.zones:
         if z.name == zone:

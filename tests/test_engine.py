@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import gc
+import json
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from brute import reference_misdelivery, reference_no_route
+from brute import reference_analyze, reference_misdelivery, reference_no_route
 from helpers import guard_of, port_rest_network
 from pktflow import engine
 from pktflow.engine import (
     BOTTOM,
+    VARIANTS,
     AbstractValue,
     EngineError,
     IterationCeilingExceeded,
@@ -17,7 +22,7 @@ from pktflow.engine import (
     default_iteration_ceiling,
     get_lattice,
 )
-from pktflow.gen import fixture_text, random_network
+from pktflow.gen import FIXTURES, fixture_text, random_network
 from pktflow.netmodel import (
     Guard,
     guard_to_formula,
@@ -25,6 +30,8 @@ from pktflow.netmodel import (
     network_from_config,
     parse_value_set,
 )
+from pktflow.policy import infer_policy
+from pktflow.render import result_to_json, result_to_text
 from pktflow.xfer import AbstractPacket, DropLedger, firewall_tf, link_tf
 from test_loader_fuzz import revalued_configs
 
@@ -207,16 +214,16 @@ def test_iteration_ceiling(fig1):
 
 @pytest.mark.parametrize("variant", ["v1", "v2", "ia"])
 def test_monotone_growth_at_every_update(fig1, variant):
-    lat = get_lattice(variant, fig1)
-
+    # the observer sees the class values, in the class network's store
     def union_curr(value):
-        acc = fig1.store.false
+        acc = value.packets[0].curr
         for p in value.packets:
-            acc = acc | lat.curr_of(p)
+            acc = acc | p.curr
         return acc
 
     def check(node, old, new):
-        assert union_curr(old).implies(union_curr(new))
+        if old.packets:
+            assert union_curr(old).implies(union_curr(new))
         if variant == "v2":
             old_keys = {(p.orig.node, p.nated) for p in old.packets}
             new_keys = {(p.orig.node, p.nated) for p in new.packets}
@@ -299,7 +306,7 @@ def union_first_diagnostics(net, origin, variant):
     seen = {}
 
     def spy_link(net, node, interface, pset, lat):
-        seen["lat"] = lat
+        seen["lat"], seen["net"] = lat, net
         out = link_tf(net, node, interface, pset, lat)
         for own, _, peer in net.out_links(node):
             if own == interface and peer in arrivals:
@@ -315,9 +322,10 @@ def union_first_diagnostics(net, origin, variant):
         mp.setattr(engine, "link_tf", spy_link)
         mp.setattr(engine, "_no_route", spy_no_route)
         res = analyze(net, origin, variant)
-    lat = seen["lat"]
-    return res, reference_no_route(net, lat, seen["survivors"]), \
-        reference_misdelivery(net, lat, arrivals)
+    # the analysis ran on the class network; so do the references
+    lat, classes = seen["lat"], seen["net"]
+    return res, reference_no_route(classes, lat, seen["survivors"]), \
+        reference_misdelivery(classes, lat, arrivals)
 
 
 def assert_diagnostics_equal_union_first(net, origin) -> set:
@@ -326,8 +334,8 @@ def assert_diagnostics_equal_union_first(net, origin) -> set:
     found = set()
     for variant in ("v1", "v2", "ia"):
         res, no_route, misdelivered = union_first_diagnostics(net, origin, variant)
-        assert res.no_route == no_route
-        assert res.misdelivered == misdelivered
+        assert res.classes.no_route == no_route
+        assert res.classes.misdelivered == misdelivered
         found |= {(variant, "no_route", n) for n in no_route}
         found |= {(variant, "misdelivered", z) for z in misdelivered}
     return found
@@ -443,25 +451,22 @@ def test_survivor_memo_premise_on_port_rest_networks(seed, variant):
 
 DATA = Path(__file__).resolve().parent / "data"
 
-# ``net.store.node_count()`` after one analysis from each zone, in a fresh
-# store.  The counts guard the store work an analysis does, not output
-# order: a change that adds a node-creating operation, or drops one, moves
-# them even when every rendered fact stays the same.
+# The node count of the store an analysis grows, the class network's, after
+# one analysis from each zone.  The counts guard the store work an analysis
+# does, not output order: a change that adds a node-creating operation, or
+# drops one, moves them even when every rendered fact stays the same.
 STORE_NODES = {
-    ("ring-4x4-1.json", "v2"): {"Z0": 15186, "Z1": 14763, "Z2": 14875, "Z3": 15024,
-                                "REST": 13895},
-    ("ring-4x4-2.json", "v2"): {"Z0": 15190, "Z1": 14739, "Z2": 14854, "Z3": 14999,
-                                "REST": 13900},
-    ("ring-4x4-3.json", "v2"): {"Z0": 15188, "Z1": 14773, "Z2": 14893, "Z3": 15027,
-                                "REST": 13904},
-    ("fig1.json", "v1"): {"Z1": 926, "Z2": 926},
-    ("fig1.json", "ia"): {"Z1": 926, "Z2": 926},
-    ("fig1.json", "v2"): {"Z1": 986, "Z2": 986},
-    ("fig3.json", "v1"): {"Z1": 1230, "Z2": 1355, "Z3": 1070, "Z4": 1651},
-    ("fig3.json", "ia"): {"Z1": 1161, "Z2": 1221, "Z3": 1277, "Z4": 1571},
-    ("fig3.json", "v2"): {"Z1": 1295, "Z2": 1285, "Z3": 929, "Z4": 1393},
-    ("mesh-6x8-1.json", "v1"): {"Z0": 5229, "Z1": 5312, "Z2": 4555, "Z3": 5500, "Z4": 5150,
-                                "Z5": 4554, "REST": 8034},
+    ("ring-4x4-1.json", "v2"): {"Z0": 4620, "Z1": 4531, "Z2": 4307, "Z3": 4936, "REST": 4803},
+    ("ring-4x4-2.json", "v2"): {"Z0": 4885, "Z1": 5154, "Z2": 4588, "Z3": 4604, "REST": 5731},
+    ("ring-4x4-3.json", "v2"): {"Z0": 4975, "Z1": 4253, "Z2": 4453, "Z3": 4490, "REST": 4730},
+    ("fig1.json", "v1"): {"Z1": 100, "Z2": 101},
+    ("fig1.json", "ia"): {"Z1": 99, "Z2": 101},
+    ("fig1.json", "v2"): {"Z1": 100, "Z2": 103},
+    ("fig3.json", "v1"): {"Z1": 133, "Z2": 141, "Z3": 126, "Z4": 164},
+    ("fig3.json", "ia"): {"Z1": 131, "Z2": 137, "Z3": 143, "Z4": 154},
+    ("fig3.json", "v2"): {"Z1": 149, "Z2": 146, "Z3": 115, "Z4": 137},
+    ("mesh-6x8-1.json", "v1"): {"Z0": 1616, "Z1": 1631, "Z2": 1507, "Z3": 1720, "Z4": 1589,
+                                "Z5": 1394, "REST": 2360},
 }
 
 
@@ -472,6 +477,103 @@ def test_analysis_creates_the_same_store_nodes(name, variant):
     got = {}
     for zone in load_network(text).zones:
         net = load_network(text)
-        analyze(net, zone.name, variant)
-        got[zone.name] = net.store.node_count()
+        got[zone.name] = analyze(net, zone.name, variant).classes.net.store.node_count()
     assert got == STORE_NODES[(name, variant)]
+
+
+# ------------------------------------------------------------- class space
+
+def class_space_cases():
+    """(label, network) for the fixtures, ``tests/data``, and
+    ``random_network`` and ``port_rest_network`` seeds 0-59."""
+    for name in FIXTURES:
+        yield name, load_network(fixture_text(name))
+    for path in sorted(p for p in DATA.glob("*.json") if p.name != "cli_golden.json"):
+        yield path.name, load_network(path.read_text(encoding="utf-8"))
+    for seed in range(60):
+        yield f"random {seed}", network_from_config(random_network(seed)[0])
+        yield f"port-rest {seed}", network_from_config(port_rest_network(seed))
+
+
+def json_bytes(result, net) -> str:
+    doc = result_to_json(result, net, "net")
+    doc["stats"]["wall_time_s"] = 0
+    return json.dumps(doc)
+
+
+def test_class_space_analysis_equals_value_space_reference():
+    seen = Counter()
+    for label, net in class_space_cases():
+        for variant in VARIANTS:
+            for zone in net.zones:
+                case = (label, variant, zone.name)
+                got = analyze(net, zone.name, variant)
+                want = reference_analyze(net, zone.name, variant)
+                # rendering reads class space and expands nothing
+                assert result_to_text(got, net) == result_to_text(want, net), case
+                assert json_bytes(got, net) == json_bytes(want, net), case
+                assert (got.stats.iterations, got.stats.joins) == (
+                    want.stats.iterations, want.stats.joins), case
+                assert got.facts == want.facts, case
+                assert got.ledger.items() == want.ledger.items(), case
+                assert got.misdelivered == want.misdelivered, case
+                assert got.no_route == want.no_route, case
+                seen["narrowed" if got.classes.net is not net else "identity"] += 1
+                seen["misdelivered"] += bool(got.misdelivered)
+                seen["no_route"] += bool(got.no_route)
+    assert sum(seen[k] for k in ("narrowed", "identity")) == 1083
+    assert all(seen[k] for k in ("narrowed", "identity", "misdelivered", "no_route")), seen
+
+
+@pytest.mark.parametrize("run", ["analyze", "infer_policy"])
+def test_class_space_runs_take_the_value_ceiling(monkeypatch, run):
+    nets = []
+    ceiling = engine.default_iteration_ceiling
+
+    def recording_ceiling(net):
+        nets.append(net)
+        return ceiling(net)
+
+    monkeypatch.setattr(engine, "default_iteration_ceiling", recording_ceiling)
+    net = load_network(fixture_text("fig3.json"))
+    if run == "analyze":
+        result = analyze(net, "Z1", "v2")
+        assert result.classes.net.layout.total_bits == 8
+    else:
+        infer_policy(net, "Z1")
+    assert [n.layout.total_bits for n in nets] == [64]
+
+
+def test_class_store_dies_with_its_result():
+    # as in test_policy's store test: no reference cycle keeps a store alive
+    net = load_network(fixture_text("fig3.json"))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = analyze(net, "Z1", "v2")
+        assert result.facts and result.ledger.items()  # the views expanded
+        store = weakref.ref(result.classes.net.store)
+        assert store() is not net.store
+        del result
+        assert store() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_rendering_builds_no_value_formula():
+    net = load_network(fixture_text("fig3.json"))
+    loaded = net.store.node_count()
+    for zone in net.zones:
+        for variant in VARIANTS:
+            result = analyze(net, zone.name, variant)
+            result_to_text(result, net)
+            result_to_json(result, net, "fig3.json")
+            assert net.store.node_count() == loaded, (zone.name, variant)
+
+
+def test_value_views_are_expanded_once():
+    net = load_network(fixture_text("fig3.json"))
+    result = analyze(net, "Z1", "v2")
+    for view in ("facts", "ledger", "misdelivered", "no_route"):
+        assert getattr(result, view) is getattr(result, view), view

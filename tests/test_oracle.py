@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from brute import reference_simulate
@@ -336,12 +338,21 @@ def test_port_rest_networks_match_oracle(first):
             assert_diagnostics_match(net, reports["v1"].exact, results, label)
 
 
-def relation_states(lat, value) -> set[tuple[int, int, int]]:
-    """The (curr, orig, mask) states of a relational value: a field in the
-    mask reads its current value on ``f`` and its original on ``f~``, any
-    other field reads both on ``f``."""
-    layout, rel = lat.layout, lat.store.layout
+def relation_states(lat, value, starts, layout) -> set[tuple[int, int, int]]:
+    """The (curr, orig, mask) value states of a relational value over the
+    class network of ``analyze_relations``.  A field in the mask reads its
+    current class on ``f`` and its original one on ``f~``, any other field
+    reads both on ``f``, one value for both; a class stands for each of its
+    values, from ``starts``, and an index past the last class for none."""
+    rel = lat.store.layout
     shadow = {name: rel.fields[rel.index(name) + 1][0] for name in lat._to_shadow}
+
+    def members(k: int, c: int) -> range:
+        first = starts[k]
+        if c >= len(first):
+            return range(0)
+        return range(first[c], first[c + 1] if c + 1 < len(first) else 1 << layout.fields[k][1])
+
     out = set()
     for p in value.packets:
         masked = layout.mask_names(p.nated)
@@ -351,13 +362,20 @@ def relation_states(lat, value) -> set[tuple[int, int, int]]:
             # state enumerates once
             r = r & lat.store.atom(FieldValueSet(shadow[name], ((0, 0),)))
         for h in r.enumerate(1 << rel.total_bits):
-            c = o = 0
-            for name, _ in layout.fields:
-                v = rel.extract_value(h, name)
-                c = layout.with_value(c, name, v)
-                o = layout.with_value(o, name, rel.extract_value(h, shadow[name])
-                                      if name in masked else v)
-            out.add((c, o, p.nated))
+            choices = []
+            for k, (name, _) in enumerate(layout.fields):
+                curr = members(k, rel.extract_value(h, name))
+                if name in masked:
+                    orig = members(k, rel.extract_value(h, shadow[name]))
+                    choices.append([(a, b) for a in curr for b in orig])
+                else:
+                    choices.append([(a, a) for a in curr])
+            for pairs in itertools.product(*choices):
+                c = o = 0
+                for (name, _), (a, b) in zip(layout.fields, pairs):
+                    c = layout.with_value(c, name, a)
+                    o = layout.with_value(o, name, b)
+                out.add((c, o, p.nated))
     return out
 
 
@@ -373,10 +391,12 @@ def test_relational_engine_equals_oracle_on_random_networks(first):
         for zone in net.zones:
             label = f"seed {seed} from {zone.name}"
             sim = simulate(net, zone.name)
-            lat, facts, ledger = analyze_relations(net, zone.name)
+            lat, facts, ledger, starts = analyze_relations(net, zone.name)
             for node, value in facts.items():
-                assert relation_states(lat, value) == sim.states(node), (node, label)
-            assert enumerated(dict(ledger.items()), cap) == sim.per_rule_dropped, label
+                assert relation_states(lat, value, starts, net.layout) == sim.states(node), (
+                    node, label)
+            dropped = {rid: f.expand(starts, net.store) for rid, f in ledger.items()}
+            assert enumerated(dropped, cap) == sim.per_rule_dropped, label
 
 
 # ------------------------------------------------------------- other origins

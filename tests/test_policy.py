@@ -11,15 +11,14 @@ import pytest
 
 from brute import reference_infer_policy
 from helpers import port_rest_network
-from pktflow import cli, policy
-from pktflow.engine import RelationalLattice, analyze
+from pktflow import cli, engine
+from pktflow.engine import RelationalLattice, analyze, class_quotient
 from pktflow.gen import FIXTURES, fixture_text, random_network
 from pktflow.netmodel import load_network, network_from_config, parse_value_set
 from pktflow.oracle import simulate
 from pktflow.pktset import FieldValueSet
 from pktflow.policy import (
     PolicyError,
-    class_quotient,
     generate_test_packets,
     infer_policy,
     overlap_report,
@@ -442,7 +441,7 @@ def test_stores_are_freed_by_reference_counting(monkeypatch):
     # both die as soon as the last outside reference goes, with no collector
     stores = []
     init = RelationalLattice.__init__
-    quotient = policy.class_quotient
+    quotient = engine.class_quotient
 
     def recording_init(self, net):
         init(self, net)
@@ -454,7 +453,7 @@ def test_stores_are_freed_by_reference_counting(monkeypatch):
         return out
 
     monkeypatch.setattr(RelationalLattice, "__init__", recording_init)
-    monkeypatch.setattr(policy, "class_quotient", recording_quotient)
+    monkeypatch.setattr(engine, "class_quotient", recording_quotient)
     net = load_network(fixture_text("fig3.json"))
     was_enabled = gc.isenabled()
     gc.disable()
@@ -473,6 +472,7 @@ def test_stores_are_freed_by_reference_counting(monkeypatch):
 
 def test_testgen_adds_no_store_node(fig3):
     res = analyze(fig3, "Z1", "v2")
+    res.facts  # the value views are expanded on first read
     nodes = fig3.store.node_count()
     witnesses = generate_test_packets(fig3, "Z1", 3, result=res)
     assert len(witnesses) == 6
