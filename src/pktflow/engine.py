@@ -475,7 +475,7 @@ def class_quotient(net: Network) -> tuple[Network, tuple]:
     own class (``starts[k]`` is ``range(1 << width)``): building a class
     network then saves no work, and expanding into ``net.store`` is free."""
     layout = net.layout
-    cuts = {name: set() for name in layout.names()}
+    cuts = {name: {0} for name in layout.names()}
     cuts["d"] = cuts["s"]
     sets = [z.addr for z in net.zones] + [z.ports for z in net.zones if z.ports is not None]
     for fw in net.firewalls:
@@ -484,18 +484,16 @@ def class_quotient(net: Network) -> tuple[Network, tuple]:
         sets += [fvs for g in guards for _, fvs in g.atoms]
         sets += [r.action for r in (*fw.dnat, *fw.snat)]
     for fvs in sets:
+        cut = cuts[fvs.field]
         for lo, hi in fvs.ranges:
-            cuts[fvs.field].update((lo, hi + 1))
-    starts = tuple(
-        tuple(sorted({0}.union(c for c in cuts[name] if c < 1 << width)))
-        for name, width in layout.fields
-    )
-    class_layout = HeaderLayout(tuple(
-        (name, max(1, (len(first) - 1).bit_length()))
-        for name, first in zip(layout.names(), starts)
-    ))
-    if class_layout == layout:
+            cut.add(lo)
+            cut.add(hi + 1)
+    firsts = [[c for c in cuts[name] if c < 1 << width] for name, width in layout.fields]
+    widths = [max(1, (len(first) - 1).bit_length()) for first in firsts]
+    if widths == [width for _, width in layout.fields]:
         return net, tuple(range(1 << width) for _, width in layout.fields)
+    starts = tuple(tuple(sorted(first)) for first in firsts)
+    class_layout = HeaderLayout(tuple(zip(layout.names(), widths)))
     mapped: dict[FieldValueSet, FieldValueSet] = {}
 
     def cls(fvs: FieldValueSet) -> FieldValueSet:
