@@ -94,6 +94,7 @@ import sys
 import time
 from bisect import bisect_right
 from collections import deque
+from collections.abc import Mapping
 from typing import NamedTuple
 
 from .netmodel import (
@@ -568,15 +569,53 @@ class ClassSpace(NamedTuple):
     no_route: dict[str, Formula]
 
 
+class _Facts(Mapping):
+    """``AnalysisResult.facts``: the class facts, each node's value expanded
+    into ``store`` when that node is first read and then kept.  It holds
+    the class facts, not the result, so that it forms no reference cycle
+    with it."""
+
+    __slots__ = ("_classes", "_starts", "_store", "_values")
+
+    def __init__(self, classes: ClassSpace, store: FormulaStore):
+        self._classes = classes.facts
+        self._starts = classes.starts
+        self._store = store
+        self._values: dict[str, AbstractValue] = {}
+
+    def __getitem__(self, node: str) -> AbstractValue:
+        value = self._values.get(node)
+        if value is None:
+            starts, store = self._starts, self._store
+            packets = [AbstractPacket(p.curr.expand(starts, store),
+                                      None if p.orig is None else p.orig.expand(starts, store),
+                                      p.nated)
+                       for p in self._classes[node].packets]
+            if len(packets) > 1:  # v2: the join's order, by (orig, mask)
+                packets.sort(key=lambda p: (p.orig.node, p.nated))
+            value = self._values[node] = AbstractValue(tuple(packets))
+        return value
+
+    def __contains__(self, node) -> bool:
+        return node in self._classes
+
+    def __iter__(self):
+        return iter(self._classes)
+
+    def __len__(self) -> int:
+        return len(self._classes)
+
+
 class AnalysisResult:
     """An analysis of ``net`` from ``origin``.  It ran in class space, and
     ``classes`` holds what it computed.  ``facts``, ``ledger``,
-    ``misdelivered`` and ``no_route`` are their views over ``net.store``,
-    each expanded on first read (``Formula.expand``) and then kept;
+    ``misdelivered`` and ``no_route`` are their views over ``net.store``:
+    ``facts`` expands a node's value when that node is first read, the
+    others expand whole on first read, and all keep what they expanded;
     rendering reads ``classes`` and expands nothing."""
 
-    __slots__ = ("net", "origin", "variant", "stats", "classes",
-                 "_facts", "_ledger", "_misdelivered", "_no_route")
+    __slots__ = ("net", "origin", "variant", "stats", "classes", "facts",
+                 "_ledger", "_misdelivered", "_no_route")
 
     def __init__(self, net: Network, origin: str, variant: str, stats: AnalysisStats,
                  classes: ClassSpace):
@@ -585,24 +624,11 @@ class AnalysisResult:
         self.variant = variant
         self.stats = stats
         self.classes = classes
-        self._facts = self._ledger = self._misdelivered = self._no_route = None
+        self.facts: Mapping[str, AbstractValue] = _Facts(classes, net.store)
+        self._ledger = self._misdelivered = self._no_route = None
 
     def _expand(self, f: Formula) -> Formula:
         return f.expand(self.classes.starts, self.net.store)
-
-    @property
-    def facts(self) -> dict[str, AbstractValue]:
-        if self._facts is None:
-            x = self._expand
-            self._facts = {}
-            for node, value in self.classes.facts.items():
-                packets = [AbstractPacket(x(p.curr), None if p.orig is None else x(p.orig),
-                                          p.nated)
-                           for p in value.packets]
-                if len(packets) > 1:  # v2: the join's order, by (orig, mask)
-                    packets.sort(key=lambda p: (p.orig.node, p.nated))
-                self._facts[node] = AbstractValue(tuple(packets))
-        return self._facts
 
     @property
     def ledger(self) -> DropLedger:

@@ -22,6 +22,16 @@ carry over as they are, since a class formula correlates two fields
 exactly when its value-space expansion does.  So rendering a result
 expands nothing into the network's store.  Each function that takes
 ``starts`` reads a class formula with it, and a value formula without.
+
+A rendered result builds each distinct node of its facts' packets into a
+view once, and reuses it for every packet and every network node that
+holds that node: the ``v2`` join keys packets by their original, so the
+same formulas recur round a ring.  A view holds the node's field sets,
+exactness flags and sort-key text and, once an output asks, its bracket
+text or JSON sets.  The memo is one dict per rendered result (``views``),
+keyed by node id, which also keeps each field's display string under its
+(ranges, width) pair.  Node ids belong to one store, so the memo lives no
+longer than the result it renders.
 """
 
 from __future__ import annotations
@@ -82,12 +92,6 @@ class RenderedPacket(NamedTuple):
     orig_exact: dict[str, bool] | None
     nated: tuple[str, ...]
 
-    def approx_fields(self) -> tuple[str, ...]:
-        bad = [f for f, ok in self.curr_exact.items() if not ok]
-        if self.orig_exact:
-            bad += [f for f, ok in self.orig_exact.items() if not ok and f not in bad]
-        return tuple(bad)
-
 
 def _to_values(sets: dict[str, Ranges], layout: HeaderLayout, starts) -> dict[str, Ranges]:
     """A class formula's per-field ranges as value ranges."""
@@ -118,19 +122,55 @@ def formula_fields(formula: Formula, layout: HeaderLayout, starts=None) -> tuple
             {name: ok for name, (_, ok) in zip(names, summary)})
 
 
-def render_value(value: AbstractValue, net: Network, starts=None) -> list[RenderedPacket]:
-    """Deterministically ordered rendering of a node's abstract packets."""
-    layout = net.layout
-    rendered = []
-    for p in value.packets:
-        curr, curr_exact = formula_fields(p.curr, layout, starts)
-        orig_sets = orig_exact = None
-        if p.orig is not None:
-            orig_sets, orig_exact = formula_fields(p.orig, layout, starts)
-        nated = layout.mask_names(p.nated)
-        rendered.append(RenderedPacket(curr, curr_exact, orig_sets, orig_exact, nated))
-    rendered.sort(key=lambda r: (str(r.orig), r.nated, str(r.curr)))
-    return rendered
+class _View:
+    """How one node of a fact's packets prints: its field sets and
+    exactness flags (``formula_fields``), the sort-key text (``str`` of the
+    sets), the fields it flags approximate, and, once an output asks for
+    them, its bracket text and its JSON field sets."""
+
+    __slots__ = ("sets", "exact", "key", "loose", "text", "data")
+
+    def __init__(self, sets: dict[str, Ranges], exact: dict[str, bool]):
+        self.sets = sets
+        self.exact = exact
+        self.key = str(sets)
+        self.loose = tuple(name for name, ok in exact.items() if not ok)
+        self.text = self.data = None
+
+
+def _view(formula: Formula, layout: HeaderLayout, starts, views: dict) -> _View:
+    view = views.get(formula.node)
+    if view is None:
+        view = views[formula.node] = _View(*formula_fields(formula, layout, starts))
+    return view
+
+
+def _order(row: tuple) -> tuple:
+    curr, orig, nated = row
+    return ("None" if orig is None else orig.key, nated, curr.key)
+
+
+def _rows(value: AbstractValue, layout: HeaderLayout, starts, views: dict) -> list[tuple]:
+    """``(curr view, orig view or None, NATed field names)`` per packet,
+    sorted by ``(str(orig), nated, str(curr))``.  The sort is stable, so
+    packets with equal keys keep their order in ``value``."""
+    rows = [(_view(p.curr, layout, starts, views),
+             None if p.orig is None else _view(p.orig, layout, starts, views),
+             layout.mask_names(p.nated))
+            for p in value.packets]
+    rows.sort(key=_order)
+    return rows
+
+
+def render_value(value: AbstractValue, net: Network, starts=None,
+                 views: dict | None = None) -> list[RenderedPacket]:
+    """Deterministically ordered rendering of a node's abstract packets.
+    ``views`` is the memo of one rendered result (see the module
+    docstring); packets that share a node share its dicts."""
+    rows = _rows(value, net.layout, starts, {} if views is None else views)
+    return [RenderedPacket(curr.sets, curr.exact, None if orig is None else orig.sets,
+                           None if orig is None else orig.exact, nated)
+            for curr, orig, nated in rows]
 
 
 def header_fields(header: int, layout: HeaderLayout) -> dict[str, Ranges]:
@@ -145,21 +185,42 @@ def bracket(sets: dict[str, Ranges], layout: HeaderLayout) -> str:
     ) + "]"
 
 
-def packet_to_text(p: RenderedPacket, layout: HeaderLayout) -> str:
-    body = bracket(p.curr, layout)
-    if p.orig is not None:
-        body += " " + bracket(p.orig, layout)
-    text = "<" + body + ">"
-    approx = p.approx_fields()
-    if approx:
-        text += " (approx: " + ", ".join(approx) + ")"
-    return text
+def _bracket_text(view: _View, layout: HeaderLayout, views: dict) -> str:
+    """``bracket`` of a view's sets, built once per view; each field's
+    display string is formatted once per (ranges, width) and kept in
+    ``views`` under that pair."""
+    if view.text is None:
+        parts = []
+        for name, width in layout.fields:
+            key = (view.sets[name], width)
+            part = views.get(key)
+            if part is None:
+                part = views[key] = format_field_display(*key)
+            parts.append(part)
+        view.text = "[" + " : ".join(parts) + "]"
+    return view.text
 
 
-def value_to_text(value: AbstractValue, net: Network, starts=None) -> str:
+def value_to_text(value: AbstractValue, net: Network, starts=None,
+                  views: dict | None = None) -> str:
+    """A node's packets as text, ``<curr> <orig>`` each, with the fields
+    that either flags approximate; ``views`` as in ``render_value``."""
     if value.is_bottom():
         return "(unreachable)"
-    return " ".join(packet_to_text(p, net.layout) for p in render_value(value, net, starts))
+    layout = net.layout
+    views = {} if views is None else views
+    texts = []
+    for curr, orig, _ in _rows(value, layout, starts, views):
+        text = "<" + _bracket_text(curr, layout, views)
+        approx = curr.loose
+        if orig is not None:
+            text += " " + _bracket_text(orig, layout, views)
+            approx += tuple(name for name in orig.loose if name not in approx)
+        text += ">"
+        if approx:
+            text += " (approx: " + ", ".join(approx) + ")"
+        texts.append(text)
+    return " ".join(texts)
 
 
 def formula_to_text(formula: Formula, layout: HeaderLayout, starts=None) -> str:
@@ -169,9 +230,10 @@ def formula_to_text(formula: Formula, layout: HeaderLayout, starts=None) -> str:
 def result_to_text(result: AnalysisResult, net: Network) -> str:
     classes = result.classes
     layout, starts = net.layout, classes.starts
+    views: dict = {}  # one memo for every node: see the module docstring
     lines = []
     for node in net.node_names():
-        lines.append(f"facts({node}) = {value_to_text(classes.facts[node], net, starts)}")
+        lines.append(f"facts({node}) = {value_to_text(classes.facts[node], net, starts, views)}")
     if classes.ledger.rule_ids():
         lines.append("")
         for rid, formula in classes.ledger.items():
@@ -192,18 +254,26 @@ def data_sets(sets: dict[str, Ranges], layout: HeaderLayout) -> dict[str, str]:
     return {name: format_field_data(sets[name], width) for name, width in layout.fields}
 
 
+def _data(view: _View, layout: HeaderLayout) -> dict[str, str]:
+    """A fresh copy of ``data_sets`` of a view's sets, built once per view."""
+    if view.data is None:
+        view.data = data_sets(view.sets, layout)
+    return dict(view.data)
+
+
 def result_to_json(result: AnalysisResult, net: Network, network_name: str) -> dict:
     classes = result.classes
     layout, starts = net.layout, classes.starts
+    views: dict = {}
     facts = {}
     for node in net.node_names():
         packets = []
-        for p in render_value(classes.facts[node], net, starts):
-            entry = {"curr": data_sets(p.curr, layout), "curr_exact": p.curr_exact}
-            if p.orig is not None:
-                entry["orig"] = data_sets(p.orig, layout)
-                entry["orig_exact"] = p.orig_exact
-                entry["nated"] = list(p.nated)
+        for curr, orig, nated in _rows(classes.facts[node], layout, starts, views):
+            entry = {"curr": _data(curr, layout), "curr_exact": dict(curr.exact)}
+            if orig is not None:
+                entry["orig"] = _data(orig, layout)
+                entry["orig_exact"] = dict(orig.exact)
+                entry["nated"] = list(nated)
             packets.append(entry)
         facts[node] = packets
     ledger = {}

@@ -15,7 +15,10 @@ definition of the per-field summary that rendering prints, and
 filter table over every rule, whatever the packet; and
 ``reference_analyze`` and ``reference_infer_policy`` run the engine on the
 network's own value layout, where ``engine.analyze`` and
-``policy.infer_policy`` run it in class space.
+``policy.infer_policy`` run it in class space; ``reference_render_value``,
+``reference_result_to_text`` and ``reference_result_to_json`` format every
+packet from scratch, where ``render`` builds each node's view once per
+rendered result.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from collections import deque
 
 import sys
 
-from pktflow import engine
+from pktflow import engine, render
 from pktflow.engine import (
     AnalysisResult,
     AnalysisStats,
@@ -39,6 +42,7 @@ from pktflow.netmodel import DROP, Guard, Network, guard_to_formula
 from pktflow.oracle import DEFAULT_WIDTH_GUARD, ExactResult, _enumeration_cap
 from pktflow.pktset import FieldValueSet, HeaderLayout
 from pktflow.policy import PolicySummary
+from pktflow.render import RenderedPacket
 from pktflow.xfer import AbstractPacket, DropLedger
 
 
@@ -520,3 +524,103 @@ def reference_field_summary(store, node: int, cache: dict | None = None) -> tupl
         return s
 
     return summary(node)
+
+
+# ------------------------------------------------------ reference rendering
+
+def reference_render_value(value, net: Network, starts=None) -> list[RenderedPacket]:
+    """``render.render_value`` packet by packet: each packet's ``curr`` and
+    ``orig`` read by ``formula_fields`` into fresh dicts and sorted by
+    ``(str(orig), nated, str(curr))``, stable."""
+    layout = net.layout
+    rendered = []
+    for p in value.packets:
+        curr, curr_exact = render.formula_fields(p.curr, layout, starts)
+        orig_sets = orig_exact = None
+        if p.orig is not None:
+            orig_sets, orig_exact = render.formula_fields(p.orig, layout, starts)
+        rendered.append(RenderedPacket(curr, curr_exact, orig_sets, orig_exact,
+                                       layout.mask_names(p.nated)))
+    rendered.sort(key=lambda r: (str(r.orig), r.nated, str(r.curr)))
+    return rendered
+
+
+def _reference_packet_text(p: RenderedPacket, layout: HeaderLayout) -> str:
+    body = render.bracket(p.curr, layout)
+    if p.orig is not None:
+        body += " " + render.bracket(p.orig, layout)
+    approx = [f for f, ok in p.curr_exact.items() if not ok]
+    if p.orig_exact:
+        approx += [f for f, ok in p.orig_exact.items() if not ok and f not in approx]
+    text = "<" + body + ">"
+    return text + " (approx: " + ", ".join(approx) + ")" if approx else text
+
+
+def reference_value_to_text(value, net: Network, starts=None) -> str:
+    if value.is_bottom():
+        return "(unreachable)"
+    return " ".join(_reference_packet_text(p, net.layout)
+                    for p in reference_render_value(value, net, starts))
+
+
+def reference_result_to_text(result: AnalysisResult, net: Network) -> str:
+    """``render.result_to_text`` with every fact rendered packet by packet."""
+    classes = result.classes
+    layout, starts = net.layout, classes.starts
+    lines = [f"facts({node}) = {reference_value_to_text(classes.facts[node], net, starts)}"
+             for node in net.node_names()]
+    if classes.ledger.rule_ids():
+        lines.append("")
+        for rid, formula in classes.ledger.items():
+            lines.append(f"dropped({rid}) = {render.formula_to_text(formula, layout, starts)}")
+    diag = [f"misdelivered({zone}) = {render.formula_to_text(f, layout, starts)}"
+            for zone, f in sorted(classes.misdelivered.items())]
+    diag += [f"no-route({node}) = {render.formula_to_text(f, layout, starts)}"
+             for node, f in sorted(classes.no_route.items())]
+    if diag:
+        lines.append("")
+        lines.extend(diag)
+    return "\n".join(lines) + "\n"
+
+
+def reference_result_to_json(result: AnalysisResult, net: Network, network_name: str) -> dict:
+    """``render.result_to_json`` with every fact rendered packet by packet."""
+    classes = result.classes
+    layout, starts = net.layout, classes.starts
+    data_sets, field_sets = render.data_sets, render.field_sets
+    facts = {}
+    for node in net.node_names():
+        packets = []
+        for p in reference_render_value(classes.facts[node], net, starts):
+            entry = {"curr": data_sets(p.curr, layout), "curr_exact": p.curr_exact}
+            if p.orig is not None:
+                entry["orig"] = data_sets(p.orig, layout)
+                entry["orig_exact"] = p.orig_exact
+                entry["nated"] = list(p.nated)
+            packets.append(entry)
+        facts[node] = packets
+    ledger, ledger_exact = {}, {}
+    for rid, formula in classes.ledger.items():
+        sets, exact = render.formula_fields(formula, layout, starts)
+        ledger[str(rid)] = data_sets(sets, layout)
+        ledger_exact[str(rid)] = exact
+    return {
+        "schema": "pktflow-analysis-1",
+        "network": network_name,
+        "origin": result.origin,
+        "variant": result.variant,
+        "facts": facts,
+        "ledger": ledger,
+        "ledger_exact": ledger_exact,
+        "diagnostics": {
+            "misdelivered": {z: data_sets(field_sets(f, layout, starts), layout)
+                             for z, f in sorted(classes.misdelivered.items())},
+            "no_route": {n: data_sets(field_sets(f, layout, starts), layout)
+                         for n, f in sorted(classes.no_route.items())},
+        },
+        "stats": {
+            "iterations": result.stats.iterations,
+            "joins": result.stats.joins,
+            "wall_time_s": round(result.stats.wall_time_s, 6),
+        },
+    }

@@ -18,7 +18,6 @@ from pktflow.render import (
     format_field_data,
     format_field_display,
     formula_fields,
-    packet_to_text,
     render_value,
     value_to_text,
 )
@@ -104,7 +103,7 @@ def test_relational_value_gets_approx_flags():
     res = analyze(net, "A", "v1")
     (rp,) = render_value(res.facts["B"], net)
     assert rp.curr_exact == {"s": False, "d": False}
-    assert "(approx: s, d)" in packet_to_text(rp, net.layout)
+    assert value_to_text(res.facts["B"], net).endswith(" (approx: s, d)")
 
 
 @pytest.mark.parametrize("fixture", ["fig1.json", "fig3.json", "fig3-small.json"])

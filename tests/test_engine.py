@@ -9,7 +9,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from brute import reference_analyze, reference_misdelivery, reference_no_route
+from brute import (
+    reference_analyze,
+    reference_misdelivery,
+    reference_no_route,
+    reference_render_value,
+    reference_result_to_json,
+    reference_result_to_text,
+)
 from helpers import guard_of, port_rest_network
 from pktflow import engine
 from pktflow.engine import (
@@ -30,8 +37,9 @@ from pktflow.netmodel import (
     network_from_config,
     parse_value_set,
 )
+from pktflow.pktset import Formula
 from pktflow.policy import infer_policy
-from pktflow.render import result_to_json, result_to_text
+from pktflow.render import render_value, result_to_json, result_to_text
 from pktflow.xfer import AbstractPacket, DropLedger, firewall_tf, link_tf
 from test_loader_fuzz import revalued_configs
 
@@ -495,8 +503,8 @@ def class_space_cases():
         yield f"port-rest {seed}", network_from_config(port_rest_network(seed))
 
 
-def json_bytes(result, net) -> str:
-    doc = result_to_json(result, net, "net")
+def json_bytes(result, net, to_json=result_to_json) -> str:
+    doc = to_json(result, net, "net")
     doc["stats"]["wall_time_s"] = 0
     return json.dumps(doc)
 
@@ -525,6 +533,27 @@ def test_class_space_analysis_equals_value_space_reference():
     assert all(seen[k] for k in ("narrowed", "identity", "misdelivered", "no_route")), seen
 
 
+def test_rendering_equals_packet_by_packet_reference():
+    # one memo of node views serves every node of a result
+    ties = 0
+    for label, net in class_space_cases():
+        for variant in VARIANTS:
+            for zone in net.zones:
+                case = (label, variant, zone.name)
+                result = analyze(net, zone.name, variant)
+                assert result_to_text(result, net) == reference_result_to_text(result, net), case
+                assert json_bytes(result, net) == json_bytes(
+                    result, net, reference_result_to_json), case
+                classes, views = result.classes, {}
+                for node in net.node_names():
+                    value = classes.facts[node]
+                    got = render_value(value, net, classes.starts, views)
+                    assert got == reference_render_value(value, net, classes.starts), case
+                    keys = [(str(p.orig), p.nated, str(p.curr)) for p in got]
+                    ties += sum(a == b for a, b in zip(keys, keys[1:]))
+    assert ties  # the 4x4 rings print tied packets in packet order
+
+
 @pytest.mark.parametrize("run", ["analyze", "infer_policy"])
 def test_class_space_runs_take_the_value_ceiling(monkeypatch, run):
     nets = []
@@ -551,7 +580,7 @@ def test_class_store_dies_with_its_result():
     gc.disable()
     try:
         result = analyze(net, "Z1", "v2")
-        assert result.facts and result.ledger.items()  # the views expanded
+        assert list(result.facts.values()) and result.ledger.items()  # the views expanded
         store = weakref.ref(result.classes.net.store)
         assert store() is not net.store
         del result
@@ -572,8 +601,21 @@ def test_rendering_builds_no_value_formula():
             assert net.store.node_count() == loaded, (zone.name, variant)
 
 
-def test_value_views_are_expanded_once():
+def test_value_views_are_expanded_once(monkeypatch):
     net = load_network(fixture_text("fig3.json"))
     result = analyze(net, "Z1", "v2")
     for view in ("facts", "ledger", "misdelivered", "no_route"):
         assert getattr(result, view) is getattr(result, view), view
+    want = dict(reference_analyze(net, "Z1", "v2").facts)
+    expanded = []
+    expand = Formula.expand
+    monkeypatch.setattr(Formula, "expand", lambda f, *args: expanded.append(f) or expand(f, *args))
+    facts = result.facts
+    assert len(facts) == len(net.node_names()) and "Z2" in facts and "X" not in facts
+    assert list(facts) == list(result.classes.facts) and not expanded
+    # a node's packets expand when that node is read, and only then
+    packets = result.classes.facts["Z2"].packets
+    assert facts["Z2"] is facts["Z2"]
+    assert expanded == [f for p in packets for f in (p.curr, p.orig)]
+    assert facts == want
+    assert len(expanded) == sum(2 * len(v.packets) for v in result.classes.facts.values())

@@ -472,7 +472,7 @@ def test_stores_are_freed_by_reference_counting(monkeypatch):
 
 def test_testgen_adds_no_store_node(fig3):
     res = analyze(fig3, "Z1", "v2")
-    res.facts  # the value views are expanded on first read
+    list(res.facts.values())  # each node's value is expanded when it is first read
     nodes = fig3.store.node_count()
     witnesses = generate_test_packets(fig3, "Z1", 3, result=res)
     assert len(witnesses) == 6
