@@ -24,9 +24,12 @@ Lam, ICNP 2013), whose fields are a few bits wide.  That is exact: every
 value set the network tests or writes is a union of classes, so two values
 of one class meet every guard, NAT action and zone alike, and conjunction,
 negation, quantification and union commute with the map from values to
-classes.  Both take their iteration ceiling from the value network.  An
-``AnalysisResult`` keeps the class values (``classes``), which the
-renderer maps to value ranges through the class starts, and expands its
+classes.  Each class owns a run of class indices, numbered along aligned
+value blocks (``_class_runs``): a class is read at its first index, and
+every class formula holds the rest of its run, its spare indices, exactly
+when it holds the first.  Both take their iteration ceiling from the value
+network.  An ``AnalysisResult`` keeps the class values (``classes``), which
+the renderer maps to value ranges through the class starts, and expands its
 value-space views (``facts``, ``ledger``, ``misdelivered``, ``no_route``)
 into ``net.store`` only when they are read.  A network that no field
 narrows is its own class network, and the views are its values.
@@ -86,13 +89,18 @@ discards from it, inside ``stats.wall_time_s``.  That equals the union over
 all expansions: each expansion's value is contained in the final one, which
 the latest expansion saw, and DNAT and the drop sets distribute over union.
 ``v2`` packets and ``ia`` record the ledger rule by rule as they propagate.
+
+At the fixpoint, before that ledger, every lattice empties its store's
+``|`` computed table (``FormulaStore.clear_or_table``).  It holds the
+joins' intermediates, which the ledger does not reuse; the ledger does
+reuse the ``&`` table, which stays.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from collections.abc import Mapping
 from typing import NamedTuple
@@ -459,18 +467,56 @@ def get_lattice(variant: str, net: Network):
 
 # ------------------------------------------------------------- class space
 
+def _class_runs(first: list[int], width: int) -> tuple[int, ...]:
+    """Per index of a ``width``-bit class field, the first value of its
+    class, for the classes that begin at the ascending values ``first``.
+
+    The index range is halved recursively.  Each split sits at the class
+    whose first value has the most trailing zero bits among the splits that
+    keep both halves within capacity; the dense split (lower half full)
+    stays unless another beats it.  A range with one class is all that
+    class's run, so aligned value blocks stay aligned blocks of indices."""
+    zeros = [(c & -c).bit_length() for c in first]
+    out: list[int] = []
+
+    def place(i: int, j: int, k: int) -> None:
+        # classes i..j-1 onto the next 2**k indices
+        if j - i == 1 << k:
+            out.extend(first[i:j])
+            return
+        if j - i == 1:
+            out.extend((first[i],) * (1 << k))
+            return
+        half = 1 << (k - 1)
+        lo, m = max(i + 1, j - half), min(j - 1, i + half)
+        seg = zeros[lo:m + 1]
+        best = max(seg)
+        if best > zeros[m]:  # of the best, the one nearest the middle, lower on a tie
+            m = min((lo + x for x, z in enumerate(seg) if z == best),
+                    key=lambda m: abs(2 * m - i - j))
+        place(i, m, k - 1)
+        place(m, j, k - 1)
+
+    place(0, len(first), width)
+    del place  # break the self-reference
+    return tuple(out)
+
+
 def class_quotient(net: Network) -> tuple[Network, tuple]:
-    """The network over the classes of its header values, and per field the
-    first value of each class, ascending from 0.
+    """The network over the classes of its header values, and per field and
+    class index the first value of the index's class.
 
     Each field is cut at every endpoint of every value set the network tests
     or writes: filter, NAT and routing guard atoms, NAT targets, zone
     addresses and zone ports.  ``s`` and ``d`` share one set of cuts, since
     zone addresses name both.  A field gets ``max(1, (classes - 1)
-    .bit_length())`` bits, never more than its own, and holds a class index;
-    the indices past the last class belong to the last class.  The class
-    network has the same names, interfaces, links and rule ids, every value
-    set rewritten as class index ranges, and a store of its own.
+    .bit_length())`` bits, never more than its own, and holds a class index.
+    Each class owns a run of indices (``_class_runs``): ``starts[k]`` has
+    ``1 << width`` entries, non-decreasing from 0, and a class is read at
+    its first index; the rest of its run are its spare indices.  Every
+    value set maps to whole runs.  The class network has the same names,
+    interfaces, links and rule ids, every value set rewritten as class
+    index ranges, and a store of its own.
 
     When no field narrows, the quotient is ``net`` itself, each value its
     own class (``starts[k]`` is ``range(1 << width)``): building a class
@@ -493,7 +539,7 @@ def class_quotient(net: Network) -> tuple[Network, tuple]:
     widths = [max(1, (len(first) - 1).bit_length()) for first in firsts]
     if widths == [width for _, width in layout.fields]:
         return net, tuple(range(1 << width) for _, width in layout.fields)
-    starts = tuple(tuple(sorted(first)) for first in firsts)
+    starts = tuple(_class_runs(sorted(first), w) for first, w in zip(firsts, widths))
     class_layout = HeaderLayout(tuple(zip(layout.names(), widths)))
     mapped: dict[FieldValueSet, FieldValueSet] = {}
 
@@ -501,13 +547,10 @@ def class_quotient(net: Network) -> tuple[Network, tuple]:
         out = mapped.get(fvs)
         if out is None:
             first = starts[layout.index(fvs.field)]
-            top = (1 << class_layout.width(fvs.field)) - 1
-            ranges = []
-            for lo, hi in fvs.ranges:
-                c_hi = bisect_right(first, hi) - 1
-                ranges.append((bisect_right(first, lo) - 1,
-                               top if c_hi == len(first) - 1 else c_hi))
-            out = mapped[fvs] = FieldValueSet(fvs.field, tuple(ranges), fvs.negated)
+            # every endpoint is a cut: lo begins a class and hi ends one
+            ranges = tuple((bisect_left(first, lo), bisect_right(first, hi) - 1)
+                           for lo, hi in fvs.ranges)
+            out = mapped[fvs] = FieldValueSet(fvs.field, ranges, fvs.negated)
         return out
 
     def guard(g: Guard) -> Guard:
@@ -799,6 +842,7 @@ def _propagate(net, lattice, origin, initial_packets, ledger, stats, *,
             if not net.is_zone(peer) and peer not in queued:
                 queue.append(peer)
                 queued.add(peer)
+    lattice.store.clear_or_table()  # the joins' intermediates
     if lattice.compiles_filters:
         for name in survivors:
             fw = net.firewall(name)

@@ -34,6 +34,9 @@ Kernel invariants (``FormulaStore``):
 * The unique table and the ``&``/``|`` computed tables key on one packed
   int (a node pair as ``small << 32 | large``), which assumes fewer than
   2**32 nodes per store.  Quantification caches are kept per variable set.
+  ``clear_or_table`` empties the ``|`` table, which the engine does at each
+  fixpoint: a union run again finds every node it builds in the unique
+  table, so emptying a computed table moves no node id.
 * The field summaries (``_summaries``, by node, filled by
   ``field_summary``), the atom cache, the quantification caches, the
   ``relabel`` and ``expand`` memos, and the guard and accept-region memos
@@ -68,11 +71,14 @@ network's store.
 Class expansion (``Formula.expand``) reads a formula over a class layout,
 whose field k holds an index into ascending runs of the values of field k
 of a value layout, and builds in the value layout's store the headers whose
-per-field classes the formula holds: the preimage of the class set.  Per
-field, a walk gives the runs of class indices that lead to each exit (a
-node past the field, or a terminal); each run starts at its first class's
-first value, indices past the last class are never a value's class and are
-skipped, and neighbouring runs whose exits expand to the same node merge.
+per-field classes the formula holds: the preimage of the class set.  A
+class owns a run of indices (``engine.class_quotient``) and is read at its
+first index; the rest of its run are spare indices, never a value's class.
+Per field, a walk gives the runs of class indices that lead to each exit
+(a node past the field, or a terminal); each run starts at the first value
+of the first class whose first index it holds, a run that holds no first
+index is skipped, and neighbouring runs whose exits expand to the same
+node merge.
 The exits are expanded first, then the field's value bits are built by
 halving the value range, so only the result's nodes are created.  The memo
 is kept per (target, class starts), beside ``relabel``'s.  A network that
@@ -83,6 +89,7 @@ a formula of the target's own store expands to itself.
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_right
 
 
 class PktsetError(ValueError):
@@ -462,6 +469,11 @@ class FormulaStore:
         for table in self._tables:
             table.clear()
 
+    def clear_or_table(self) -> None:
+        """Empty the ``|`` computed table.  A union run again rebuilds only
+        nodes the store holds, so no node id moves."""
+        self._tables[4].clear()
+
     # handles are built on demand: a store that held a Formula would be in a
     # reference cycle with it, and only the cyclic collector could free it
     @property
@@ -729,8 +741,9 @@ class Formula:
     def expand(self, starts: tuple[tuple[int, ...], ...], target: FormulaStore) -> "Formula":
         """The headers of ``target``'s layout whose classes form a header of
         this formula, built in ``target``; see the module docstring.
-        ``starts[k]`` lists, ascending from 0, the first value of each class
-        of field k; field k of this store's layout holds the class index.
+        ``starts[k][i]`` is the first value of the class of index i of field
+        k, non-decreasing from 0 with one entry per index; field k of this
+        store's layout holds the class index.
         A formula of ``target`` itself is over the values, each its own
         class, and is its own expansion."""
         src = self.store
@@ -782,9 +795,12 @@ class Formula:
             first = starts[k]
             runs = repeat(walk(n, end), 1 << (var[n] - off), end - var[n])
             values, exits = [], []
-            for s, x in runs:
-                if s >= len(first):
-                    break  # past the last class: its spare indices
+            for r, (s, x) in enumerate(runs):
+                if s and first[s - 1] == first[s]:
+                    # a spare index: read the next class, if the run holds it
+                    s = bisect_right(first, first[s])
+                    if s == len(first) or r + 1 < len(runs) and s >= runs[r + 1][0]:
+                        continue
                 t = rec(x)
                 if not exits or exits[-1] != t:
                     values.append(first[s])

@@ -17,10 +17,10 @@ formula and leaves the store's node count as the analysis left it.
 
 An analysis result renders from its class-space values
 (``AnalysisResult.classes``): each field's class-index ranges map to value
-ranges through the class starts (``value_ranges``), and the exactness flags
-carry over as they are, since a class formula correlates two fields
-exactly when its value-space expansion does.  So rendering a result
-expands nothing into the network's store.  Each function that takes
+ranges through the class starts (``value_ranges``).  A class formula
+holds whole runs of class indices, so the exactness flags carry over as
+they are: it correlates two fields exactly when its value-space expansion
+does.  So rendering a result expands nothing into the network's store.  Each function that takes
 ``starts`` reads a class formula with it, and a value formula without.
 
 A rendered result builds each distinct node of its facts' packets into a
@@ -46,18 +46,17 @@ Ranges = tuple[tuple[int, int], ...]
 
 
 def value_ranges(ranges: Ranges, first, width: int) -> Ranges:
-    """The values of a field's classes ``ranges``, where class k begins at
-    value ``first[k]`` (``engine.class_quotient``) and the field has
-    ``width`` bits.  The last class runs to the field's top value and holds
-    the indices past it.  Merged class ranges map to merged value ranges:
-    a gap of one class is a gap of at least one value."""
+    """The values of a field's class-index ranges ``ranges``, where index i
+    belongs to the class that begins at value ``first[i]``
+    (``engine.class_quotient``) and the field has ``width`` bits.  A class
+    formula holds whole runs of indices, so a range runs from a class's
+    first index to the last index of a class: its values run from the
+    first class's first value to the next class's, or to the field's top
+    value.  Merged index ranges map to merged value ranges: a gap of one
+    class is a gap of at least one value."""
     n = len(first)
-    out = []
-    for a, b in ranges:
-        if a >= n:
-            break  # indices past the last class, which ``out`` already holds
-        out.append((first[a], first[b + 1] - 1 if b + 1 < n else (1 << width) - 1))
-    return tuple(out)
+    return tuple((first[a], first[b + 1] - 1 if b + 1 < n else (1 << width) - 1)
+                 for a, b in ranges)
 
 
 def format_field_display(ranges: Ranges, width: int) -> str:

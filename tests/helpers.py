@@ -1,12 +1,21 @@
-"""Shared test utilities: display-format parsing and concrete table oracles."""
+"""Shared test utilities: display-format parsing, concrete table oracles,
+and the benchmark's network generator."""
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 
 from pktflow.gen import _random_guard, _random_range
 from pktflow.netmodel import DROP, Guard, Network, parse_value_set
 from pktflow.pktset import Formula
+
+# perfbench/netgen.py, the benchmark's seed-deterministic rings and meshes
+_spec = importlib.util.spec_from_file_location(
+    "netgen", Path(__file__).resolve().parent.parent / "perfbench" / "netgen.py")
+netgen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(netgen)
 
 
 def display_to_grammar(text: str) -> str:

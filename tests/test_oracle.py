@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 
 import pytest
 
@@ -343,15 +344,17 @@ def relation_states(lat, value, starts, layout) -> set[tuple[int, int, int]]:
     class network of ``analyze_relations``.  A field in the mask reads its
     current class on ``f`` and its original one on ``f~``, any other field
     reads both on ``f``, one value for both; a class stands for each of its
-    values, from ``starts``, and an index past the last class for none."""
+    values, from ``starts``, when it is its class's first index, and a
+    spare index for none."""
     rel = lat.store.layout
     shadow = {name: rel.fields[rel.index(name) + 1][0] for name in lat._to_shadow}
 
     def members(k: int, c: int) -> range:
         first = starts[k]
-        if c >= len(first):
+        if c and first[c - 1] == first[c]:
             return range(0)
-        return range(first[c], first[c + 1] if c + 1 < len(first) else 1 << layout.fields[k][1])
+        end = bisect_right(first, first[c])
+        return range(first[c], first[end] if end < len(first) else 1 << layout.fields[k][1])
 
     out = set()
     for p in value.packets:

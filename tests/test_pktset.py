@@ -3,7 +3,7 @@ from __future__ import annotations
 import gc
 import random
 import weakref
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 
 import pytest
@@ -652,12 +652,21 @@ def test_relabel_into_another_store_round_trips(start, ops):
 
 
 # T3X3 as class indices into the values of a wider layout: 1-8 classes per
-# field, so indices past the last class occur and must not be read
+# field, each owning a run of the 8 indices, so spare indices occur at any
+# place and must not be read
 VALUES = HeaderLayout((("a", 4), ("b", 3), ("c", 5)))
-class_starts = st.tuples(*(
-    st.sets(st.integers(1, (1 << w) - 1), max_size=7).map(lambda s: (0, *sorted(s)))
-    for _, w in VALUES.fields
-))
+
+
+@st.composite
+def class_starts(draw):
+    starts = []
+    for _, w in VALUES.fields:
+        firsts = (0, *sorted(draw(st.sets(st.integers(1, (1 << w) - 1), max_size=7))))
+        cuts = sorted(draw(st.sets(st.integers(1, 7), min_size=len(firsts) - 1,
+                                   max_size=len(firsts) - 1)))
+        starts.append(tuple(v for v, a, b in zip(firsts, (0, *cuts), (*cuts, 8))
+                            for _ in range(b - a)))
+    return tuple(starts)
 
 
 def reachable(store, node: int) -> set[int]:
@@ -671,7 +680,7 @@ def reachable(store, node: int) -> set[int]:
 
 
 @settings(max_examples=80, deadline=None)
-@given(value_sets3, chain_ops, class_starts)
+@given(value_sets3, chain_ops, class_starts())
 def test_expand_is_the_preimage_of_the_class_set(start, ops, starts):
     store, values = FormulaStore(T3X3), FormulaStore(VALUES)
     f, f_set = run_chain(store, start, ops)
@@ -679,8 +688,9 @@ def test_expand_is_the_preimage_of_the_class_set(start, ops, starts):
     assert expanded.store is values
 
     def classes(h):
-        return sum((bisect_right(first, VALUES.extract_value(h, name)) - 1) << 3 * (2 - i)
-                   for i, (first, name) in enumerate(zip(starts, T3X3_FIELDS)))
+        # the first index of each field's class
+        return sum(bisect_left(first, first[bisect_right(first, VALUES.extract_value(h, name)) - 1])
+                   << 3 * (2 - i) for i, (first, name) in enumerate(zip(starts, T3X3_FIELDS)))
 
     assert formula_set(expanded) == {h for h in all_headers(VALUES) if classes(h) in f_set}
     # only the result's nodes are built

@@ -2,21 +2,24 @@ from __future__ import annotations
 
 import contextlib
 import gc
-import importlib.util
 import io
 import weakref
+from bisect import bisect_left
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brute import reference_infer_policy
-from helpers import port_rest_network
+from helpers import netgen, port_rest_network
 from pktflow import cli, engine
 from pktflow.engine import RelationalLattice, analyze, class_quotient
 from pktflow.gen import FIXTURES, fixture_text, random_network
 from pktflow.netmodel import load_network, network_from_config, parse_value_set
 from pktflow.oracle import simulate
 from pktflow.pktset import FieldValueSet
+from pktflow.render import value_ranges
 from pktflow.policy import (
     PolicyError,
     generate_test_packets,
@@ -27,10 +30,6 @@ from pktflow.policy import (
 
 DATA = Path(__file__).resolve().parent / "data"
 RINGS = tuple(f"ring-4x4-{seed}.json" for seed in (1, 2, 3))
-_spec = importlib.util.spec_from_file_location(
-    "netgen", Path(__file__).resolve().parent.parent / "perfbench" / "netgen.py")
-netgen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(netgen)
 
 
 @pytest.fixture
@@ -379,10 +378,55 @@ def test_class_images_expand_back_to_their_value_sets():
         for fvs, image in zip(value_sets(net), value_sets(quotient), strict=True):
             expanded = quotient.store.atom(image).expand(starts, net.store)
             assert expanded == net.store.atom(fvs), (name, fvs)
-            # the indices past the last class go with the last class
-            last = len(starts[net.layout.index(fvs.field)]) - 1
-            spares = range(last, 1 << quotient.layout.width(fvs.field))
-            assert len({image.contains(c) for c in spares}) == 1, (name, fvs)
+            assert holds_whole_runs(image, starts[net.layout.index(fvs.field)]), (name, fvs)
+
+
+def holds_whole_runs(image, first) -> bool:
+    """Whether each class index is in ``image`` exactly when the first index
+    of its class is."""
+    return all(image.contains(c) == image.contains(bisect_left(first, v))
+               for c, v in enumerate(first))
+
+
+def filter_config(sets) -> dict:
+    """One firewall between two zones on an s/d/p layout of 8-bit fields,
+    whose filter tests each (field, ranges, negated) of ``sets``."""
+    rules = [{"guard": {field: ("!" if negated else "")
+                        + ",".join(f"{min(a, b)}-{max(a, b)}" for a, b in ranges)},
+              "action": "ACCEPT"}
+             for field, ranges, negated in sets] + [{"guard": {}, "action": "DROP"}]
+    return {
+        "schema": 1,
+        "layout": [{"name": n, "width": 8} for n in ("s", "d", "p")],
+        "zones": [{"name": "Z0", "interface": "z0", "addr": "0-99"},
+                  {"name": "Z1", "interface": "z1", "addr": "100-255"}],
+        "firewalls": [{"name": "F0", "interfaces": ["f0-0", "f0-1"], "dnat": [],
+                       "filter": rules, "snat": [],
+                       "routing": {"f0-0": {"d": "0-99"}, "f0-1": {"d": "100-255"}}}],
+        "links": [["z0", "f0-0"], ["z1", "f0-1"]],
+    }
+
+
+value_set_specs = st.lists(
+    st.tuples(st.sampled_from(["s", "d", "p"]),
+              st.lists(st.tuples(st.integers(0, 255), st.integers(0, 255)),
+                       min_size=1, max_size=3),
+              st.booleans()),
+    min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(value_set_specs)
+def test_value_sets_map_to_whole_class_runs(sets):
+    # a class is read at its first index, and its spare indices follow it
+    net = network_from_config(filter_config(sets))
+    quotient, starts = class_quotient(net)
+    assert quotient is not net
+    for fvs, image in zip(value_sets(net), value_sets(quotient), strict=True):
+        k = net.layout.index(fvs.field)
+        assert holds_whole_runs(image, starts[k]), fvs
+        assert value_ranges(image.ranges, starts[k], 8) == fvs.ranges, fvs
+        assert image.negated == fvs.negated
 
 
 def test_class_quotient_keeps_structure_and_grows_no_width():
@@ -392,9 +436,11 @@ def test_class_quotient_keeps_structure_and_grows_no_width():
         assert starts[net.layout.index("s")] == starts[net.layout.index("d")], name
         for (field, width), (_, narrow), first in zip(
                 net.layout.fields, quotient.layout.fields, starts):
-            assert first[0] == 0 and list(first) == sorted(set(first)), (name, field)
-            assert len(first) <= 1 << narrow <= max(2, 2 * len(first) - 2), (name, field)
-            assert narrow <= width, (name, field)
+            # one entry per class index, each its class's first value
+            assert len(first) == 1 << narrow, (name, field)
+            assert first[0] == 0 and list(first) == sorted(first), (name, field)
+            # as many bits as the classes need
+            assert narrow == max(1, (len(set(first)) - 1).bit_length()) <= width, (name, field)
         assert [z[:2] for z in quotient.zones] == [z[:2] for z in net.zones]
         assert quotient.links == net.links
         for fw, q in zip(net.firewalls, quotient.firewalls, strict=True):
