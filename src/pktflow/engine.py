@@ -64,9 +64,9 @@ atom tests for ``curr``, those of its reduced guard for ``orig``, and its
 unmatched pieces, one per atom for a guard mixing NATed and un-NATed
 fields and one for any other guard.  Every conjunction of a split goes
 through ``V2Lattice._meet``, which works on node ids and skips one that
-the formula's field summary settles (``settles``): when an atom admits
-none of its field's values the result is empty, and when every atom
-admits all of them it is the formula itself.
+the formula's field summary settles (``pktset.settles``): when an atom
+admits none of its field's values the result is empty, and when every
+atom admits all of them it is the formula itself.
 The summary creates no node (``FormulaStore.field_summary``), and a guard's
 node and its negation are built only for a conjunction that runs.
 
@@ -81,8 +81,8 @@ own value, so the latest expansion saw the final value.
 
 ``v1`` and the relational lattice filter with each table's compiled accept
 region (``xfer.accept_region``), over the rules each packet can meet and
-their guards cofactored by the packet's top block (``xfer.live_rules``),
-and record no ledger while propagating.
+their guards cofactored by what the packet's field summary settles
+(``xfer.live_rules``), and record no ledger while propagating.
 When the worklist is empty, each expanded firewall runs its DNAT once on
 its final value and ``xfer.filter_table_drops`` records what each DROP rule
 discards from it, inside ``stats.wall_time_s``.  That equals the union over
@@ -116,7 +116,7 @@ from .netmodel import (
     guard_to_formula,
     zone_departure_formula,
 )
-from .pktset import FieldValueSet, Formula, FormulaStore, HeaderLayout, atom_test
+from .pktset import FieldValueSet, Formula, FormulaStore, HeaderLayout, atom_test, settles
 from .xfer import (
     AbstractPacket,
     DropLedger,
@@ -148,38 +148,6 @@ BOTTOM = AbstractValue()
 
 
 # --------------------------------------------------------------- lattices
-
-def settles(summary, tests) -> bool | None:
-    """What a formula's field summary says of its conjunction with the
-    guard whose atoms are ``tests`` (``atom_test`` pairs): False when some
-    atom admits none of its field's values (the conjunction is empty), True
-    when every atom admits all of them (it is the formula), None when only
-    ``&`` can tell."""
-    inside = True
-    for i, want in tests:
-        have = summary[i][0]
-        # two-pointer scans of the merged ranges: any overlap, and does
-        # ``want`` hold all of ``have``
-        a = b = 0
-        while a < len(have) and b < len(want):
-            if have[a][1] < want[b][0]:
-                a += 1
-            elif want[b][1] < have[a][0]:
-                b += 1
-            else:
-                break
-        else:
-            return False
-        if inside:
-            b = 0
-            for lo, hi in have:
-                while b < len(want) and want[b][1] < lo:
-                    b += 1
-                if b == len(want) or want[b][0] > lo or want[b][1] < hi:
-                    inside = False
-                    break
-    return True if inside else None
-
 
 class _Lattice:
     variant = "?"

@@ -45,10 +45,12 @@ Kernel invariants (``FormulaStore``):
   (table, live rules with their cofactored guards), which hold node ids)
   are never invalidated: they rely on nodes never being freed or
   renumbered, so a future store reset must clear them too.
-* ``field_summary`` and ``top_block`` only read the node lists: they
-  create no node, so reading a summary or a block never moves the
-  numbering of later nodes.  The summary walk carries a field's values as
-  flat boundary tuples and steps along one-way chains in a loop.
+* ``field_summary`` only reads the node lists: it creates no node, so
+  reading a summary never moves the numbering of later nodes.  The walk
+  carries a field's values as flat boundary tuples and steps along one-way
+  chains in a loop.  ``settles`` reads a summary against a guard's atom
+  tests; the ``v2`` splits (``engine.V2Lattice._meet``) and the filter
+  compile (``xfer.live_rules``) bound a node's values through it alone.
 * A store holds no ``Formula``: ``store.false`` and ``store.true`` build
   their handles on demand and the memos hold node ids, so a store is in no
   reference cycle and reference counting frees it.  The kernel's closures
@@ -273,6 +275,38 @@ def atom_test(fvs: FieldValueSet, layout: HeaderLayout) -> tuple[int, tuple[tupl
     if fvs.negated:
         ranges = complement_ranges(ranges, layout.width(fvs.field))
     return layout.index(fvs.field), ranges
+
+
+def settles(summary, tests) -> bool | None:
+    """What a formula's field summary says of its conjunction with the
+    guard whose atoms are ``tests`` (``atom_test`` pairs): False when some
+    atom admits none of its field's values (the conjunction is empty), True
+    when every atom admits all of them (it is the formula), None when only
+    ``&`` can tell."""
+    inside = True
+    for i, want in tests:
+        have = summary[i][0]
+        # two-pointer scans of the merged ranges: any overlap, and does
+        # ``want`` hold all of ``have``
+        a = b = 0
+        while a < len(have) and b < len(want):
+            if have[a][1] < want[b][0]:
+                a += 1
+            elif want[b][1] < have[a][0]:
+                b += 1
+            else:
+                break
+        else:
+            return False
+        if inside:
+            b = 0
+            for lo, hi in have:
+                while b < len(want) and want[b][1] < lo:
+                    b += 1
+                if b == len(want) or want[b][0] > lo or want[b][1] < hi:
+                    inside = False
+                    break
+    return True if inside else None
 
 
 def _combine(pairs) -> tuple:
@@ -579,29 +613,6 @@ class FormulaStore:
             tail = tuple(_combine([s[j] for s in sums]) for j in range(k + 1, len(self._spans)))
         s = self._summaries[node] = (*self._free[:k], (ranges, one > 0), *tail)
         return s
-
-    def top_block(self, node: int) -> tuple[int, int, int]:
-        """``(k, lo, hi)``: every header of a non-false node has its value of
-        field k, the field of the node's top variable, in ``[lo, hi]``.  The
-        block fixes the bits read along the one-way path from the node (a
-        node whose other child is false) up to the first branch or skipped
-        variable; later bits are free.  A walk that creates no node."""
-        var, low, high = self._var, self._lo, self._hi
-        k = self._field_of[var[node]] if node > 1 else 0
-        v, end = self._spans[k]
-        value = 0
-        while v < end and var[node] == v:
-            if low[node] == 0:
-                value = value << 1 | 1
-                node = high[node]
-            elif high[node] == 0:
-                value <<= 1
-                node = low[node]
-            else:
-                break
-            v += 1
-        free = end - v
-        return k, value << free, (value + 1 << free) - 1
 
     # -- range atoms -------------------------------------------------------
 

@@ -31,17 +31,18 @@ the rule-by-rule ``filter_table_tf`` (a ``v2`` guard refines ``orig`` too,
 and ``ia``'s negation is approximate).
 
 Both compiled paths see only the rules a packet can meet, through guards
-cofactored by what the packet fixes (``live_rules``).  The packet's top
-field is confined to a block (``FormulaStore.top_block``, read without
-creating a node).  A rule whose atom on that field misses the block
-matches no header of the packet, so it is left out; an atom that admits
-the whole block holds on every header of the packet, so it is dropped from
-the guard.  Neither changes ``p & region`` nor any drop entry of ``p``, so
-only fewer and smaller nodes are built.  From a zone, whose departure fixes
-a source prefix, that leaves out every rule on another zone's sources and
-drops every source atom that covers the zone; from a ``rest`` zone the
-block is the whole field, and it changes nothing.  ``_overlapping`` reads
-the full guards, which is still exact.
+cofactored by what the packet's field summary settles (``live_rules``;
+``FormulaStore.field_summary``, read without creating a node).  A rule
+with an atom that admits none of the packet's values on its field matches
+no header of the packet, so it is left out; an atom that admits all of
+them holds on every header of the packet, so it is dropped from the guard.
+Neither changes ``p & region`` nor any drop entry of ``p``, so only fewer
+and smaller nodes are built.  From a zone, whose departure fixes a source
+prefix, that leaves out every rule on another zone's sources and drops
+every source atom that covers the zone.  A ``rest`` zone's sources are
+the complement of the zones' addresses, so from it every rule on a zone's
+sources is left out as well.  ``_overlapping`` reads the full guards,
+which is still exact.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .netmodel import DROP, Firewall, FilterRule, Guard, NatRule, Network, guard_to_formula
-from .pktset import Formula, FormulaStore, atom_test
+from .pktset import Formula, FormulaStore, atom_test, settles
 
 
 class AbstractPacket(NamedTuple):
@@ -124,24 +125,24 @@ def filter_table_tf(table, pset, ledger: DropLedger | None, lat):
 
 def live_rules(table, store: FormulaStore, node: int) -> tuple[tuple[int, Guard], ...]:
     """``(i, guard)`` for each rule i of ``table`` that can match a header of
-    the non-false ``node``, with its guard cofactored by the node's top
-    block (``FormulaStore.top_block``).  A rule with an atom on the block's
-    field that admits no value of the block matches none of the node's
-    headers, so it is left out; an atom that admits every value of the
-    block holds on all of them, so it is dropped from the guard."""
-    k, lo, hi = store.top_block(node)
-    name = store.layout.fields[k][0]
+    the non-false ``node``, with its guard cofactored by the node's field
+    summary (``FormulaStore.field_summary``, ``settles``).  A rule with an
+    atom that admits none of the node's values on its field matches none of
+    the node's headers, so it is left out; an atom that admits all of them
+    holds on every header, so it is dropped from the guard.  A rule that
+    keeps every atom keeps its own guard."""
+    summary = store.field_summary(node)
     live = []
     for i, rule in enumerate(table):
-        guard = rule.guard
-        for atom in guard.atoms:
-            if atom[0] == name:
-                _, ranges = atom_test(atom[1], store.layout)
-                if not any(a <= hi and lo <= b for a, b in ranges):
-                    break
-                if any(a <= lo and hi <= b for a, b in ranges):
-                    guard = Guard(tuple(x for x in guard.atoms if x is not atom))
+        kept = []
+        for atom in rule.guard.atoms:
+            inside = settles(summary, (atom_test(atom[1], store.layout),))
+            if inside is False:
+                break
+            if inside is None:
+                kept.append(atom)
         else:
+            guard = rule.guard if len(kept) == len(rule.guard.atoms) else Guard(tuple(kept))
             live.append((i, guard))
     return tuple(live)
 

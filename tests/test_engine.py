@@ -476,11 +476,11 @@ STORE_NODES = {
     ("fig1.json", "v1"): {"Z1": 89, "Z2": 96},
     ("fig1.json", "ia"): {"Z1": 89, "Z2": 97},
     ("fig1.json", "v2"): {"Z1": 91, "Z2": 96},
-    ("fig3.json", "v1"): {"Z1": 122, "Z2": 128, "Z3": 115, "Z4": 153},
+    ("fig3.json", "v1"): {"Z1": 122, "Z2": 128, "Z3": 115, "Z4": 132},
     ("fig3.json", "ia"): {"Z1": 118, "Z2": 123, "Z3": 131, "Z4": 148},
     ("fig3.json", "v2"): {"Z1": 134, "Z2": 135, "Z3": 104, "Z4": 132},
-    ("mesh-6x8-1.json", "v1"): {"Z0": 1393, "Z1": 1574, "Z2": 1324, "Z3": 1664, "Z4": 1554,
-                                "Z5": 1339, "REST": 2231},
+    ("mesh-6x8-1.json", "v1"): {"Z0": 1325, "Z1": 1436, "Z2": 1189, "Z3": 1535, "Z4": 1429,
+                                "Z5": 1210, "REST": 1039},
 }
 
 
