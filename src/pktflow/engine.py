@@ -90,10 +90,11 @@ all expansions: each expansion's value is contained in the final one, which
 the latest expansion saw, and DNAT and the drop sets distribute over union.
 ``v2`` packets and ``ia`` record the ledger rule by rule as they propagate.
 
-At the fixpoint, before that ledger, every lattice empties its store's
-``|`` computed table (``FormulaStore.clear_or_table``).  It holds the
-joins' intermediates, which the ledger does not reuse; the ledger does
-reuse the ``&`` table, which stays.
+The DNAT runs while the computed tables that built the final values are
+warm.  Then every lattice empties its store's ``&``, ``|`` and ``~`` tables
+(``FormulaStore.clear_computed``), and again after each firewall's drops,
+which share no result with another firewall's; ``analyze`` does so once
+more after the diagnostics.
 """
 
 from __future__ import annotations
@@ -710,10 +711,11 @@ def analyze(
         worklist=worklist, ceiling=ceiling, observer=observer, misdelivered=misdelivered,
     )
     stats.wall_time_s = time.perf_counter() - started
+    no_route = _no_route(classes, survivors)
+    classes.store.clear_computed()
     return AnalysisResult(net, origin, lattice.variant, stats, ClassSpace(
         classes, starts, facts, ledger,
-        {z: f for z, f in misdelivered.items() if not f.is_empty()},
-        _no_route(classes, survivors),
+        {z: f for z, f in misdelivered.items() if not f.is_empty()}, no_route,
     ))
 
 
@@ -810,12 +812,15 @@ def _propagate(net, lattice, origin, initial_packets, ledger, stats, *,
             if not net.is_zone(peer) and peer not in queued:
                 queue.append(peer)
                 queued.add(peer)
-    lattice.store.clear_or_table()  # the joins' intermediates
+    dnats = []  # run while the computed tables that built the values are warm
     if lattice.compiles_filters:
-        for name in survivors:
-            fw = net.firewall(name)
-            dnat = nat_table_tf(fw.dnat, facts[name].packets, lattice)
-            filter_table_drops(fw.filter, lattice.join(dnat).packets, ledger, lattice)
+        for fw in map(net.firewall, survivors):
+            dnat = nat_table_tf(fw.dnat, facts[fw.name].packets, lattice)
+            dnats.append((fw.filter, lattice.join(dnat).packets))
+    lattice.store.clear_computed()
+    for table, packets in dnats:
+        filter_table_drops(table, packets, ledger, lattice)
+        lattice.store.clear_computed()
     return facts, survivors
 
 

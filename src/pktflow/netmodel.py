@@ -344,14 +344,6 @@ class Network:
     def zone_dst_atom(self, zone: Zone) -> Formula:
         return self.store.atom(FieldValueSet("d", zone.addr.ranges, zone.addr.negated))
 
-    def drop_rule_ids(self) -> list[int]:
-        return [
-            r.rule_id
-            for fw in self.firewalls
-            for r in fw.filter
-            if r.action == DROP
-        ]
-
 
 # ------------------------------------------------------------- loading
 

@@ -34,17 +34,19 @@ Kernel invariants (``FormulaStore``):
 * The unique table and the ``&``/``|`` computed tables key on one packed
   int (a node pair as ``small << 32 | large``), which assumes fewer than
   2**32 nodes per store.  Quantification caches are kept per variable set.
-  ``clear_or_table`` empties the ``|`` table, which the engine does at each
-  fixpoint: a union run again finds every node it builds in the unique
-  table, so emptying a computed table moves no node id.
+  ``clear_computed`` empties the ``&``, ``|`` and ``~`` tables, which the
+  engine does at each fixpoint and after each firewall's drops: an
+  operation run again finds every node it builds in the unique table, so
+  emptying a computed table moves no node id.
 * The field summaries (``_summaries``, by node, filled by
   ``field_summary``), the atom cache, the quantification caches, the
-  ``relabel`` and ``expand`` memos, and the guard and accept-region memos
-  (``guard_formulas``, filled by ``netmodel.guard_to_formula``, and
-  ``accept_regions``, filled by ``xfer.accept_region`` and keyed by
-  (table, live rules with their cofactored guards), which hold node ids)
-  are never invalidated: they rely on nodes never being freed or
-  renumbered, so a future store reset must clear them too.
+  ``relabel`` and ``expand`` memos, and the guard and region memos
+  (``guard_formulas``, filled by ``netmodel.guard_to_formula``;
+  ``accept_regions`` and ``drop_regions``, filled by ``xfer.accept_region``
+  and ``xfer.drop_regions`` and keyed by (table, live rules with their
+  cofactored guards); all hold node ids) are never invalidated: they rely
+  on nodes never being freed or renumbered, so a future store reset must
+  clear them too.
 * ``field_summary`` only reads the node lists: it creates no node, so
   reading a summary never moves the numbering of later nodes.  The walk
   carries a field's values as flat boundary tuples and steps along one-way
@@ -150,10 +152,6 @@ class HeaderLayout:
     def __repr__(self) -> str:
         return f"HeaderLayout(fields={self.fields!r})"
 
-    @property
-    def field_count(self) -> int:
-        return len(self.fields)
-
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.fields)
 
@@ -201,12 +199,6 @@ class HeaderLayout:
         """Field value inside a concrete header int."""
         _, _, _, shift, mask = self._slot(name)
         return (header >> shift) & mask
-
-    def with_value(self, header: int, name: str, value: int) -> int:
-        _, _, _, shift, mask = self._slot(name)
-        if not 0 <= value <= mask:
-            raise RangeError(f"value {value} does not fit field {name!r}")
-        return (header & ~(mask << shift)) | (value << shift)
 
 
 def _normalize_ranges(ranges) -> tuple[tuple[int, int], ...]:
@@ -484,9 +476,9 @@ class FormulaStore:
         # filter table -> node of the headers it accepts, filled by
         # xfer.accept_region
         self.accept_regions: dict = {}
-        # filter table -> {DROP rule index: the earlier rules whose guards
-        # can share a header with it}, filled by xfer.filter_table_drops
-        self.rule_overlaps: dict = {}
+        # (filter table, live rules) -> the drop region node of each DROP
+        # rule, filled by xfer.drop_regions
+        self.drop_regions: dict = {}
         # node -> its field_summary; the terminals' are filled in here
         free = tuple((((0, (1 << w) - 1),), True) for _, w in layout.fields)
         self._summaries: dict[int, tuple] = {0: (((), True),) * len(free), 1: free}
@@ -503,10 +495,11 @@ class FormulaStore:
         for table in self._tables:
             table.clear()
 
-    def clear_or_table(self) -> None:
-        """Empty the ``|`` computed table.  A union run again rebuilds only
-        nodes the store holds, so no node id moves."""
-        self._tables[4].clear()
+    def clear_computed(self) -> None:
+        """Empty the ``&``, ``|`` and ``~`` computed tables.  An operation
+        run again rebuilds only nodes the store holds, so no node id moves."""
+        for table in self._tables[3:]:
+            table.clear()
 
     # handles are built on demand: a store that held a Formula would be in a
     # reference cycle with it, and only the cyclic collector could free it
@@ -920,8 +913,3 @@ class Formula:
     def field_ranges(self, field: str) -> tuple[tuple[int, int], ...]:
         """The projected field value set as merged inclusive ranges."""
         return self.store.field_summary(self.node)[self.store.layout.index(field)][0]
-
-    def is_field_product(self) -> bool:
-        """True when the formula equals the conjunction of its per-field
-        projections (no cross-field correlation)."""
-        return all(independent for _, independent in self.store.field_summary(self.node))

@@ -26,7 +26,9 @@ table as a fixed header set.  ``accept_region`` compiles it once per store,
 folding the rules backwards, and ``filter_region_tf`` filters each packet
 with one ``&``.  Such a run records no ledger while it propagates:
 ``filter_table_drops`` gives the same entries from the final values, and
-the engine calls it once at the fixpoint.  ``v2`` packets and ``ia`` keep
+the engine calls it once at the fixpoint, one ``&`` per entry with a drop
+region compiled once per store and live rules (``drop_regions``).
+``v2`` packets and ``ia`` keep
 the rule-by-rule ``filter_table_tf`` (a ``v2`` guard refines ``orig`` too,
 and ``ia``'s negation is approximate).
 
@@ -184,38 +186,46 @@ def filter_region_tf(table, pset, lat):
     return out
 
 
+def drop_regions(table, store: FormulaStore, live: tuple) -> tuple[tuple[int, int], ...]:
+    """``(rule id, node)`` for each DROP rule among the ``live`` rules of a
+    filter table: the headers it drops from a packet that meets these live
+    rules, its guard less each earlier live guard that can share a header
+    with it (``_overlapping``).  Compiled once per store, table and live
+    rules, beside ``accept_region``'s memo, and like it holds node ids."""
+    key = (table, live)
+    regions = store.drop_regions.get(key)
+    if regions is None:
+        regions = []
+        for n, (i, guard) in enumerate(live):
+            if table[i].action == DROP:
+                near = _overlapping(table, i, store.layout)
+                region = guard_to_formula(guard, store)
+                for j, earlier in live[:n]:
+                    if region.is_empty():
+                        break
+                    if j in near:
+                        region = region & ~guard_to_formula(earlier, store)
+                regions.append((table[i].rule_id, region.node))
+        regions = store.drop_regions[key] = tuple(regions)
+    return regions
+
+
 def filter_table_drops(table, pset, ledger: DropLedger, lat) -> None:
     """Record in ``ledger`` what each DROP rule of a filter table discards
     from ``pset``, for a lattice that refines by conjunction on ``curr``:
-    rule i drops ``p & g_i & ~g_j`` for every earlier rule j.  Equal to the
-    ledger ``filter_table_tf`` records for the same packets, at about half
-    its cost on a final value: the fold takes two ``&`` of the whole packet
-    per rule, while this form starts from the DROP rule's small ``p & g_i``
-    and touches no ACCEPT rule's match.  Rules that cannot match ``p``
-    (``live_rules``) drop nothing from it and leave ``p & g_i`` unchanged,
-    so they are skipped, and so is every rule j whose guard shares no
-    header with ``g_i`` (``_overlapping``), for then ``p & g_i`` lies
-    inside ``~g_j``.  Each ``g`` is the live rule's cofactored guard, which
-    meets ``p`` as the full guard does."""
+    rule i drops ``p & g_i & ~g_j`` for every earlier rule j, as in the
+    ledger ``filter_table_tf`` records.  Each entry is one ``&`` of ``p``
+    with the rule's drop region over the rules ``p`` can meet
+    (``live_rules``).  A rule that cannot match ``p`` drops nothing from it
+    and leaves ``p & g_i`` unchanged, and ``g_i`` lies inside ``~g_j`` when
+    rule j's guard shares no header with it, so both are skipped; each
+    cofactored guard meets ``p`` as the full guard does."""
     store = lat.store
-    overlaps = store.rule_overlaps.setdefault(table, {})
     for p in pset:
-        live = live_rules(table, store, p.curr.node)
-        for n, (i, guard) in enumerate(live):
-            rule = table[i]
-            if rule.action != DROP:
-                continue
-            near = overlaps.get(i)
-            if near is None:
-                near = overlaps[i] = _overlapping(table, i, store.layout)
-            c = p.curr & guard_to_formula(guard, store)
-            for j, earlier in live[:n]:
-                if c.is_empty():
-                    break
-                if j in near:
-                    c = c & ~guard_to_formula(earlier, store)
+        for rule_id, node in drop_regions(table, store, live_rules(table, store, p.curr.node)):
+            c = p.curr & Formula(store, node)
             if not c.is_empty():
-                ledger.record(rule.rule_id, lat.ledger_form(AbstractPacket(c, None, p.nated)))
+                ledger.record(rule_id, lat.ledger_form(AbstractPacket(c, None, p.nated)))
 
 
 def _overlapping(table, i: int, layout) -> frozenset[int]:

@@ -59,6 +59,29 @@ def formula_set(formula) -> set[int]:
     return set(formula.enumerate(1 << formula.store.layout.total_bits))
 
 
+def field_count(layout: HeaderLayout) -> int:
+    return len(layout.fields)
+
+
+def with_value(layout: HeaderLayout, header: int, name: str, value: int) -> int:
+    """``header`` with field ``name`` set to ``value``."""
+    width = layout.width(name)
+    shift = layout.total_bits - layout.offset(name) - width
+    mask = (1 << width) - 1
+    assert 0 <= value <= mask, (name, value)
+    return (header & ~(mask << shift)) | (value << shift)
+
+
+def is_field_product(formula) -> bool:
+    """True when the formula equals the conjunction of its per-field
+    projections (no cross-field correlation)."""
+    return all(independent for _, independent in formula.store.field_summary(formula.node))
+
+
+def drop_rule_ids(net: Network) -> list[int]:
+    return [r.rule_id for fw in net.firewalls for r in fw.filter if r.action == DROP]
+
+
 def in_value_set(layout: HeaderLayout, header: int, fvs: FieldValueSet) -> bool:
     return fvs.contains(layout.extract_value(header, fvs.field))
 
@@ -68,7 +91,7 @@ def brute_overwrite(layout: HeaderLayout, headers: set[int], field: str,
     out = set()
     for h in headers:
         for v in values.values():
-            out.add(layout.with_value(h, field, v))
+            out.add(with_value(layout, h, field, v))
     return out
 
 
@@ -124,7 +147,7 @@ def reference_simulate(
             if r.guard.matches(layout, c):
                 bit = 1 << layout.index(r.nat_field)
                 return [
-                    (layout.with_value(c, r.nat_field, v), k | bit)
+                    (with_value(layout, c, r.nat_field, v), k | bit)
                     for v in r.action.values()
                 ]
         return [(c, k)]

@@ -7,6 +7,7 @@ import importlib.util
 import random
 from pathlib import Path
 
+from brute import field_count, with_value
 from pktflow.gen import _random_guard, _random_range
 from pktflow.netmodel import DROP, Guard, Network, parse_value_set
 from pktflow.pktset import Formula
@@ -38,7 +39,7 @@ def bracket_to_formula(bracket: str, net: Network) -> Formula:
     assert body.startswith("[") and body.endswith("]"), bracket
     parts = body[1:-1].split(" : ")
     layout = net.layout
-    assert len(parts) == layout.field_count, bracket
+    assert len(parts) == field_count(layout), bracket
     f = net.store.true
     for (name, width), part in zip(layout.fields, parts):
         f = f & net.store.atom(parse_value_set(display_to_grammar(part), name, width))
@@ -85,7 +86,7 @@ def concrete_nat(rules, layout, header: int) -> list[int]:
     """First-match NAT semantics: all possible rewrites of one header."""
     for r in rules:
         if r.guard.matches(layout, header):
-            return [layout.with_value(header, r.nat_field, v) for v in r.action.values()]
+            return [with_value(layout, header, r.nat_field, v) for v in r.action.values()]
     return [header]
 
 

@@ -23,6 +23,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute import is_field_product
 from pktflow.engine import analyze
 from pktflow.gen import FIXTURES, fixture_text, random_network
 from pktflow.netmodel import ConfigError, Network, load_network, parse_value_set
@@ -156,7 +157,7 @@ def test_revalued_config_variants_agree(doc):
             exact = union_of_currs(net.store, v1.facts[node])
             assert exact == union_of_currs(net.store, v2.facts[node]), node
             assert exact.implies(union_of_currs(net.store, ia.facts[node])), node
-            assert all(p.curr.is_field_product() for p in ia.facts[node].packets), node
+            assert all(is_field_product(p.curr) for p in ia.facts[node].packets), node
         relational = infer_policy(net, zone.name)
         packets = infer_policy(net, zone.name, result=v2)
         assert (relational.accept, relational.reject) == (packets.accept, packets.reject)

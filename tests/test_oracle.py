@@ -5,7 +5,7 @@ from bisect import bisect_right
 
 import pytest
 
-from brute import reference_simulate
+from brute import reference_simulate, with_value
 from helpers import port_rest_network
 from pktflow.engine import BOTTOM, analyze, analyze_relations, get_lattice
 from pktflow.gen import (
@@ -376,8 +376,8 @@ def relation_states(lat, value, starts, layout) -> set[tuple[int, int, int]]:
             for pairs in itertools.product(*choices):
                 c = o = 0
                 for (name, _), (a, b) in zip(layout.fields, pairs):
-                    c = layout.with_value(c, name, a)
-                    o = layout.with_value(o, name, b)
+                    c = with_value(layout, c, name, a)
+                    o = with_value(layout, o, name, b)
                 out.add((c, o, p.nated))
     return out
 

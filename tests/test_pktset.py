@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 from brute import (
     all_headers,
     brute_overwrite,
+    field_count,
     formula_set,
     headers_where,
     in_value_set,
+    is_field_product,
     reference_field_summary,
     reference_formula_fields,
+    with_value,
 )
 from pktflow.engine import analyze
 from pktflow.netmodel import load_network
@@ -50,11 +53,11 @@ def fvs(field, *ranges, negated=False):
 
 def test_layout_derived_quantities():
     assert T2X2.total_bits == 4
-    assert T2X2.field_count == 2
+    assert field_count(T2X2) == 2
     assert T2X2.offset("f2") == 2
     assert T2X2.extract_value(0b1001, "f1") == 2
     assert T2X2.extract_value(0b1001, "f2") == 1
-    assert T2X2.with_value(0b1001, "f1", 0) == 0b0001
+    assert with_value(T2X2, 0b1001, "f1", 0) == 0b0001
 
 
 def test_layout_rejects_duplicates_and_bad_widths():
@@ -281,11 +284,11 @@ def test_field_ranges_match_brute_force(f, field):
 
 def test_is_field_product(store):
     prod = store.atom(fvs("f1", (1, 2))) & store.atom(fvs("f2", (0, 1)))
-    assert prod.is_field_product()
+    assert is_field_product(prod)
     diag = (store.atom(fvs("f1", (0, 0))) & store.atom(fvs("f2", (0, 0)))) | (
         store.atom(fvs("f1", (1, 1))) & store.atom(fvs("f2", (1, 1)))
     )
-    assert not diag.is_field_product()
+    assert not is_field_product(diag)
 
 
 def test_wide_layout_smoke():
@@ -403,7 +406,7 @@ def assert_summary(f, want, layout):
     assert field_sets(f, layout) == want[0]  # the ranges-only path
     first = formula_fields(f, layout)
     assert first == want
-    assert f.is_field_product() == all(want[1].values())
+    assert is_field_product(f) == all(want[1].values())
     assert store.node_count() == nodes
     assert reference_formula_fields(f, layout) == want
     assert formula_fields(f, layout) == want  # from the store's cache
@@ -631,7 +634,7 @@ def test_relabel_in_store_matches_brute_force(start, ops):
     moved = f.relabel(A_ONTO_B)
     assert moved.store is store
     assert formula_set(moved) == headers_where(
-        T3X3, lambda h: T3X3.with_value(h, "a", T3X3.extract_value(h, "b")) in f_set)
+        T3X3, lambda h: with_value(T3X3, h, "a", T3X3.extract_value(h, "b")) in f_set)
     assert moved.relabel(A_ONTO_B) == moved  # the same memo, nothing to move
 
 

@@ -759,10 +759,7 @@ def live_equals_reference(lat, table, packets, ledger_store):
         dead += len(table) - len(guards)
         assert (p.curr & accept_region(table, store, live_rules(table, store, p.curr.node))
                 == p.curr & reference_accept_region(table, store))
-    got, want = DropLedger(ledger_store), DropLedger(ledger_store)
-    filter_table_drops(table, packets, got, lat)
-    reference_filter_table_drops(table, packets, want, lat)
-    assert got.items() == want.items()
+    drops_equal_whole_table_twice(lat, table, packets, ledger_store)
     return dead, cut
 
 
@@ -805,6 +802,50 @@ def test_rules_are_left_out_or_cofactored_from_a_rest_zone():
                 changed[origin] += len(fw.filter) - sum(
                     g is fw.filter[i].guard for i, g in live)
     assert changed["REST"] > 10 and changed["Z0"] > 10, changed
+
+
+def drops_equal_whole_table_twice(lat, table, packets, ledger_store) -> int:
+    """The drops of ``packets`` against the whole-table reference, recorded
+    twice into one ledger; the second call, after the computed tables are
+    emptied as the engine empties them, builds no node.  Returns how many
+    rules dropped something."""
+    got, want = DropLedger(ledger_store), DropLedger(ledger_store)
+    filter_table_drops(table, packets, got, lat)
+    lat.store.clear_computed()
+    nodes = lat.store.node_count(), ledger_store.node_count()
+    filter_table_drops(table, packets, got, lat)
+    assert (lat.store.node_count(), ledger_store.node_count()) == nodes
+    reference_filter_table_drops(table, packets, want, lat)
+    assert got.items() == want.items()
+    return len(got.rule_ids())
+
+
+def test_drop_regions_equal_whole_table_from_a_rest_zone():
+    """Each firewall's final value from the rest zone, whose sources are a
+    complement, in the class store of ``mesh-6x8-1.json``."""
+    net = load_network((DATA / "mesh-6x8-1.json").read_text(encoding="utf-8"))
+    classes = analyze(net, "REST", "v1").classes
+    lat = get_lattice("v1", classes.net)
+    dropping = sum(
+        drops_equal_whole_table_twice(lat, fw.filter, classes.facts[fw.name].packets,
+                                      classes.net.store)
+        for fw in classes.net.firewalls)
+    assert dropping > 5, dropping
+
+
+def test_drop_regions_equal_whole_table_in_the_relational_store():
+    """Each firewall's final relations through its DNAT, from every zone of
+    ``ring-4x4-1.json``, whose ledger holds original headers."""
+    ring = load_network((DATA / "ring-4x4-1.json").read_text(encoding="utf-8"))
+    dropping = 0
+    for zone in ring.zones:
+        lat, facts, _, _ = engine.analyze_relations(ring, zone.name)
+        for fw in lat.net.firewalls:
+            if facts[fw.name].packets:
+                packets = lat.join(nat_table_tf(fw.dnat, facts[fw.name].packets, lat)).packets
+                dropping += drops_equal_whole_table_twice(lat, fw.filter, packets,
+                                                          lat.net.store)
+    assert dropping > 10, dropping
 
 
 @contextlib.contextmanager
