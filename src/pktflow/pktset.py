@@ -476,8 +476,8 @@ class FormulaStore:
         # filter table -> node of the headers it accepts, filled by
         # xfer.accept_region
         self.accept_regions: dict = {}
-        # (filter table, live rules) -> the drop region node of each DROP
-        # rule, filled by xfer.drop_regions
+        # (filter table, live rules) -> (rule id, drop region node) of each
+        # DROP rule, filled by xfer.drop_regions
         self.drop_regions: dict = {}
         # node -> its field_summary; the terminals' are filled in here
         free = tuple((((0, (1 << w) - 1),), True) for _, w in layout.fields)

@@ -27,10 +27,9 @@ folding the rules backwards, and ``filter_region_tf`` filters each packet
 with one ``&``.  Such a run records no ledger while it propagates:
 ``filter_table_drops`` gives the same entries from the final values, and
 the engine calls it once at the fixpoint, one ``&`` per entry with a drop
-region compiled once per store and live rules (``drop_regions``).
-``v2`` packets and ``ia`` keep
-the rule-by-rule ``filter_table_tf`` (a ``v2`` guard refines ``orig`` too,
-and ``ia``'s negation is approximate).
+region compiled once per store and live rules (``drop_regions``).  ``v2``
+packets and ``ia`` keep the rule-by-rule ``filter_table_tf`` (a ``v2`` guard
+refines ``orig`` too, and ``ia``'s negation is approximate).
 
 Both compiled paths see only the rules a packet can meet, through guards
 cofactored by what the packet's field summary settles (``live_rules``;
