@@ -550,23 +550,10 @@ def class_quotient(net: Network) -> tuple[Network, tuple]:
 
 # --------------------------------------------------------------- results
 
-class AnalysisStats:
-    __slots__ = ("iterations", "joins", "wall_time_s")
-
-    def __init__(self, iterations: int = 0, joins: int = 0, wall_time_s: float = 0.0):
-        self.iterations = iterations
-        self.joins = joins
-        self.wall_time_s = wall_time_s
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.iterations, self.joins, self.wall_time_s)
-                == (other.iterations, other.joins, other.wall_time_s))
-
-    def __repr__(self) -> str:
-        return (f"AnalysisStats(iterations={self.iterations!r}, joins={self.joins!r}, "
-                f"wall_time_s={self.wall_time_s!r})")
+class AnalysisStats(NamedTuple):
+    iterations: int
+    joins: int
+    wall_time_s: float
 
 
 class ClassSpace(NamedTuple):
@@ -704,13 +691,12 @@ def analyze(
     classes, starts = class_quotient(net)
     lattice = get_lattice(variant, classes)
     ledger = DropLedger(classes.store)
-    stats = AnalysisStats()
     misdelivered: dict[str, Formula] = {z.name: classes.store.false for z in classes.zones}
-    facts, survivors = _propagate(
-        classes, lattice, origin, lattice.initial(origin), ledger, stats,
+    facts, survivors, iterations, joins = _propagate(
+        classes, lattice, origin, lattice.initial(origin), ledger,
         worklist=worklist, ceiling=ceiling, observer=observer, misdelivered=misdelivered,
     )
-    stats.wall_time_s = time.perf_counter() - started
+    stats = AnalysisStats(iterations, joins, time.perf_counter() - started)
     no_route = _no_route(classes, survivors)
     classes.store.clear_computed()
     return AnalysisResult(net, origin, lattice.variant, stats, ClassSpace(
@@ -742,19 +728,20 @@ def analyze_relations(net: Network, origin: str):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, lattice.store.nbits + 1000))
     try:
-        facts, _ = _propagate(
-            classes, lattice, origin, lattice.initial(origin), ledger, AnalysisStats(),
+        facts = _propagate(
+            classes, lattice, origin, lattice.initial(origin), ledger,
             worklist="fifo", ceiling=ceiling, observer=None, misdelivered=None,
-        )
+        )[0]
     finally:
         sys.setrecursionlimit(limit)
     return lattice, facts, ledger, starts
 
 
-def _propagate(net, lattice, origin, initial_packets, ledger, stats, *,
+def _propagate(net, lattice, origin, initial_packets, ledger, *,
                worklist, ceiling, observer, misdelivered):
-    """The worklist loop shared by every lattice; returns the per-node values
-    and each firewall's latest table survivors, and fills ``ledger``.
+    """The worklist loop shared by every lattice; returns the per-node values,
+    each firewall's latest table survivors and the counts of node expansions
+    and joins, and fills ``ledger``.
 
     ``misdelivered``, when given, collects per zone the arrivals whose
     destination lies outside the zone's addresses: an assumption-checking
@@ -765,7 +752,7 @@ def _propagate(net, lattice, origin, initial_packets, ledger, stats, *,
     ``|``."""
     facts: dict[str, AbstractValue] = {n: BOTTOM for n in net.node_names()}
     facts[origin] = lattice.join(initial_packets)
-    stats.joins += 1
+    iterations, joins = 0, 1
 
     survivors: dict[str, list] = {}  # firewall -> table survivors, latest expansion
     # firewall -> {packet: survivors}, for each packet its tables have run
@@ -778,8 +765,8 @@ def _propagate(net, lattice, origin, initial_packets, ledger, stats, *,
     queue: deque[str] = deque([origin])
     queued = {origin}
     while queue:
-        stats.iterations += 1
-        if stats.iterations > ceiling:
+        iterations += 1
+        if iterations > ceiling:
             raise IterationCeilingExceeded(
                 f"no fixpoint within {ceiling} node expansions "
                 f"(origin {origin!r}, variant {lattice.variant!r})"
@@ -802,7 +789,7 @@ def _propagate(net, lattice, origin, initial_packets, ledger, stats, *,
                 for p in out:
                     misdelivered[peer] = misdelivered[peer] | (p.curr & outside[peer])
             new_value = lattice.join([*facts[peer].packets, *out])
-            stats.joins += 1
+            joins += 1
             if new_value == facts[peer]:
                 continue
             if observer is not None:
@@ -821,7 +808,7 @@ def _propagate(net, lattice, origin, initial_packets, ledger, stats, *,
     for table, packets in dnats:
         filter_table_drops(table, packets, ledger, lattice)
         lattice.store.clear_computed()
-    return facts, survivors
+    return facts, survivors, iterations, joins
 
 
 def _no_route(net: Network, survivors) -> dict[str, Formula]:

@@ -354,7 +354,12 @@ def _require(cond: bool, msg: str):
 
 def _string(raw, ctx: str) -> str:
     """A name from the configuration; only a JSON string is one."""
-    _require(isinstance(raw, str), f"{ctx}: expected a string, got {json.dumps(raw)}")
+    if not isinstance(raw, str):
+        try:
+            shown = json.dumps(raw)
+        except (TypeError, ValueError):  # a value that JSON has no form for
+            shown = repr(raw)
+        raise ConfigError(f"{ctx}: expected a string, got {shown}")
     return raw
 
 

@@ -32,14 +32,15 @@ state and is the semantic definition ``simulate`` is tested against.
 Concretization maps abstract values back to concrete header sets.  Variant-2
 packets concretize to (curr, orig) pairs that agree on every field not yet
 NATed (fields outside the packet's mask are never rewritten, so differing
-values there are unrealizable); a comparison then checks both coverage (every
-simulated pair is represented) and realizability (every represented pair is
-simulated).
+values there are unrealizable).  ``compare`` runs ``analyze`` and ``simulate``
+from one origin and checks both coverage (every simulated pair is
+represented) and realizability (every represented pair is simulated).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import NamedTuple
 
 from .engine import AbstractValue, AnalysisResult, analyze
 from .netmodel import (
@@ -58,39 +59,16 @@ class WidthGuardExceeded(PktflowError, ValueError):
     """The layout is too wide for exhaustive concrete exploration."""
 
 
-class ExactResult:
+class ExactResult(NamedTuple):
     """Everything the exhaustive simulation observed."""
 
-    __slots__ = ("per_node", "per_rule_dropped", "misdelivered", "no_route", "initial",
-                 "states_explored", "per_rule_dropped_curr")
-
-    def __init__(
-        self,
-        per_node: dict[str, set[tuple[int, int, int]]],  # (curr, orig, nated)
-        per_rule_dropped: dict[int, set[int]],  # rule id -> orig headers
-        misdelivered: set[tuple[str, int]],  # (zone, curr)
-        no_route: set[tuple[str, int, int]],  # (node, curr, orig)
-        initial: set[int],
-        states_explored: int = 0,
-        # rule id -> current headers, as the rule saw them
-        per_rule_dropped_curr: dict[int, set[int]] | None = None,
-    ):
-        self.per_node = per_node
-        self.per_rule_dropped = per_rule_dropped
-        self.misdelivered = misdelivered
-        self.no_route = no_route
-        self.initial = initial
-        self.states_explored = states_explored
-        self.per_rule_dropped_curr = {} if per_rule_dropped_curr is None else per_rule_dropped_curr
-
-    def _key(self) -> tuple:
-        return (self.per_node, self.per_rule_dropped, self.misdelivered, self.no_route,
-                self.initial, self.states_explored, self.per_rule_dropped_curr)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
+    per_node: dict[str, set[tuple[int, int, int]]]  # (curr, orig, nated)
+    per_rule_dropped: dict[int, set[int]]  # rule id -> orig headers
+    per_rule_dropped_curr: dict[int, set[int]]  # rule id -> curr headers, as the rule saw them
+    misdelivered: set[tuple[str, int]]  # (zone, curr)
+    no_route: set[tuple[str, int, int]]  # (node, curr, orig)
+    initial: set[int]
+    states_explored: int
 
     def states(self, node: str) -> set[tuple[int, int, int]]:
         return self.per_node.get(node, set())
@@ -241,21 +219,25 @@ def simulate(
     steps[origin] = lambda c: ([], [(p, c, 0, arrival(p, c)) for p in origin_peers], [])
     memos: dict[str, dict[int, Step]] = {node: {} for node in steps}
 
-    result = ExactResult({n: set() for n in net.node_names()}, {}, set(), set(), set())
-    per_node = result.per_node
-    dropped, dropped_curr = result.per_rule_dropped, result.per_rule_dropped_curr
+    per_node = {n: set() for n in net.node_names()}
+    dropped: dict[int, set[int]] = {}
+    dropped_curr: dict[int, set[int]] = {}
+    misdelivered: set[tuple[str, int]] = set()
+    no_route: set[tuple[str, int, int]] = set()
+    initial: set[int] = set()
+    explored = 0
     queue: deque[tuple[str, int, int, int, int]] = deque()
     seen: set[tuple[str, int, int, int]] = set()
 
     for h in _initial_headers(net, origin):
-        result.initial.add(h)
+        initial.add(h)
         per_node[origin].add((h, h, 0))
         queue.append((origin, h, h, 0, 0))
         seen.add((origin, h, h, 0))
 
     while queue:
         node, c, o, k, hops = queue.popleft()
-        result.states_explored += 1
+        explored += 1
         if max_hops is not None and hops >= max_hops:
             continue
         hops += 1
@@ -267,19 +249,20 @@ def simulate(
         for rule_id, c1 in drops:
             dropped.setdefault(rule_id, set()).add(o)
             dropped_curr.setdefault(rule_id, set()).add(c1)
-        for peer, c2, bits, misdelivered in outs:
+        for peer, c2, bits, astray in outs:
             k2 = k | bits
             per_node[peer].add((c2, o, k2))
-            if misdelivered is None:
+            if astray is None:
                 key = (peer, c2, o, k2)
                 if key not in seen:
                     seen.add(key)
                     queue.append((peer, c2, o, k2, hops))
-            elif misdelivered:
-                result.misdelivered.add((peer, c2))
+            elif astray:
+                misdelivered.add((peer, c2))
         for c2 in lost:
-            result.no_route.add((node, c2, o))
-    return result
+            no_route.add((node, c2, o))
+    return ExactResult(per_node, dropped, dropped_curr, misdelivered, no_route, initial,
+                       explored)
 
 
 # ------------------------------------------------------------ concretization
@@ -343,51 +326,20 @@ def concretize(
 
 # ------------------------------------------------------------ comparison
 
-class NodeDiff:
-    __slots__ = ("node", "status", "missing", "extra")
-
-    def __init__(
-        self,
-        node: str,
-        status: str,  # "equal" | "superset" | "diff"
-        missing: list | None = None,  # in oracle, not abstract
-        extra: list | None = None,  # in abstract, not oracle
-    ):
-        self.node = node
-        self.status = status
-        self.missing = [] if missing is None else missing
-        self.extra = [] if extra is None else extra
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.node, self.status, self.missing, self.extra)
-                == (other.node, other.status, other.missing, other.extra))
-
-    def __repr__(self) -> str:
-        return (f"NodeDiff(node={self.node!r}, status={self.status!r}, "
-                f"missing={self.missing!r}, extra={self.extra!r})")
+class NodeDiff(NamedTuple):
+    node: str
+    status: str  # "equal" | "superset" | "diff"
+    missing: list  # in oracle, not abstract
+    extra: list  # in abstract, not oracle
 
 
-class CompareReport:
-    __slots__ = ("variant", "origin", "ok", "nodes", "result", "exact")
-
-    def __init__(self, variant: str, origin: str, ok: bool, nodes: list[NodeDiff],
-                 result: AnalysisResult, exact: ExactResult):
-        self.variant = variant
-        self.origin = origin
-        self.ok = ok
-        self.nodes = nodes
-        self.result = result
-        self.exact = exact
-
-    def _key(self) -> tuple:
-        return self.variant, self.origin, self.ok, self.nodes, self.result, self.exact
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
+class CompareReport(NamedTuple):
+    variant: str
+    origin: str
+    ok: bool
+    nodes: list[NodeDiff]
+    result: AnalysisResult
+    exact: ExactResult
 
     def node(self, name: str) -> NodeDiff:
         for nd in self.nodes:
@@ -402,9 +354,9 @@ def compare(
     variant: str = "v2",
     *,
     max_width: int = DEFAULT_WIDTH_GUARD,
-    result: AnalysisResult | None = None,
 ) -> CompareReport:
-    """Check an abstract run against the exhaustive simulation, node by node.
+    """Check a run of ``analyze`` against the exhaustive simulation, node by
+    node.
 
     v1: current-header sets must be equal.  v2: pair sets must be equal
     (missing pairs break coverage, extra pairs break realizability).
@@ -412,8 +364,7 @@ def compare(
     but allowed.
     """
     _enumeration_cap(net, max_width)  # before the analysis, which may be long
-    if result is None:
-        result = analyze(net, origin, variant)
+    result = analyze(net, origin, variant)
     exact = simulate(net, origin, max_width=max_width)
     nodes: list[NodeDiff] = []
     ok = True

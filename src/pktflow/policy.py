@@ -7,8 +7,9 @@ are sets, so ``infer_policy`` computes them with the relational ``v2``
 engine (``engine.analyze_relations``: one BDD per NAT mask, no packet
 splitting) with the zone as origin: accept is the union of the original
 views of the relations at every other zone; reject is the union of the drop
-ledger.  Given a packet ``v2`` result instead, it takes the same unions over
-the packets' orig components; both ways give the same formulas.  A
+ledger.  A packet ``v2`` run gives the same formulas, as the unions over
+its packets' orig components; the tests compare the two through
+``reference_packet_policy`` in ``tests/brute.py``.  A
 non-empty overlap means the fate of a packet depends on nondeterministic
 routing or NAT choices — worth an operator's attention.
 
@@ -19,17 +20,17 @@ Both unions are taken there and only they are expanded into ``net.store``
 (``Formula.expand``).  That is exact: every value set the network tests or
 writes is a union of classes, so two values of one class meet every guard,
 NAT action and zone alike, and conjunction, ``relabel``, quantification and
-union commute with the map from values to classes.  A packet ``result``
-is read through its value-space views (``AnalysisResult.facts`` and
-``ledger``).
+union commute with the map from values to classes.
+
+``generate_test_packets`` runs a packet ``v2`` analysis from its origin and
+reads its value-space views (``AnalysisResult.facts``).
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import NamedTuple
 
-from .engine import AnalysisResult, analyze, analyze_relations
+from .engine import analyze, analyze_relations
 from .netmodel import Network, PktflowError
 from .pktset import Formula
 from .render import field_sets
@@ -39,50 +40,13 @@ class PolicyError(PktflowError, ValueError):
     pass
 
 
-class PolicySummary:
-    """A zone's inferred policy.  Summaries are equal when their zones and
-    formulas are."""
+class PolicySummary(NamedTuple):
+    """A zone's inferred policy, over original-header space."""
 
-    __slots__ = ("zone", "accept", "reject", "overlap", "net", "_result")
-
-    def __init__(
-        self,
-        zone: str,
-        accept: Formula,  # over original-header space
-        reject: Formula,  # over original-header space
-        overlap: Formula,  # accept AND reject
-        net: Network,
-        _result: AnalysisResult | None = None,
-    ):
-        self.zone = zone
-        self.accept = accept
-        self.reject = reject
-        self.overlap = overlap
-        self.net = net
-        self._result = _result
-
-    def _key(self) -> tuple:
-        return self.zone, self.accept, self.reject, self.overlap
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"PolicySummary(zone={self.zone!r}, accept={self.accept!r}, "
-                f"reject={self.reject!r}, overlap={self.overlap!r})")
-
-    @property
-    def result(self) -> AnalysisResult:
-        """The packet variant-2 run from the zone: the one the summary was
-        given, or else one run on first access."""
-        if self._result is None:
-            self._result = analyze(self.net, self.zone, "v2")
-        return self._result
+    zone: str
+    accept: Formula
+    reject: Formula
+    overlap: Formula  # accept AND reject
 
 
 class TestPacket(NamedTuple):
@@ -105,23 +69,16 @@ def _unions(net: Network, zone: str, facts, ledger, orig_of) -> tuple[Formula, F
     return accept, reject
 
 
-def infer_policy(net: Network, zone: str, *, result: AnalysisResult | None = None) -> PolicySummary:
-    """Infer the accept/reject policy of ``zone``: from the given variant-2
-    ``result``, or else from a relational variant-2 run with ``zone`` as
-    origin, in class space (``engine.analyze_relations``)."""
+def infer_policy(net: Network, zone: str) -> PolicySummary:
+    """Infer the accept/reject policy of ``zone`` from a relational
+    variant-2 run with ``zone`` as origin, in class space
+    (``engine.analyze_relations``)."""
     if not net.is_zone(zone):
         raise PolicyError(f"zone {zone!r} is not a zone of the network")
-    if result is None:
-        lattice, facts, ledger, starts = analyze_relations(net, zone)
-        accept, reject = _unions(lattice.net, zone, facts, ledger, lattice.orig_of)
-        accept, reject = accept.expand(starts, net.store), reject.expand(starts, net.store)
-    else:
-        if result.variant != "v2":
-            raise PolicyError("policy inference needs a variant-2 analysis (orig tracking)")
-        if result.origin != zone:
-            raise PolicyError(f"analysis origin {result.origin!r} does not match zone {zone!r}")
-        accept, reject = _unions(net, zone, result.facts, result.ledger, attrgetter("orig"))
-    return PolicySummary(zone, accept, reject, accept & reject, net, result)
+    lattice, facts, ledger, starts = analyze_relations(net, zone)
+    accept, reject = _unions(lattice.net, zone, facts, ledger, lattice.orig_of)
+    accept, reject = accept.expand(starts, net.store), reject.expand(starts, net.store)
+    return PolicySummary(zone, accept, reject, accept & reject)
 
 
 def overlap_report(summary: PolicySummary) -> list[tuple[str, tuple[tuple[int, int], ...]]]:
@@ -132,14 +89,9 @@ def overlap_report(summary: PolicySummary) -> list[tuple[str, tuple[tuple[int, i
     return list(field_sets(summary.overlap, summary.overlap.store.layout).items())
 
 
-def generate_test_packets(
-    net: Network,
-    origin: str,
-    per_pair: int = 1,
-    *,
-    result: AnalysisResult | None = None,
-) -> list[TestPacket]:
-    """Concrete witnesses for end-to-end deliveries found by the analysis.
+def generate_test_packets(net: Network, origin: str, per_pair: int = 1) -> list[TestPacket]:
+    """Concrete witnesses for end-to-end deliveries found by a packet
+    variant-2 analysis from ``origin``.
 
     For every destination zone other than the origin and every abstract
     packet there, emits up to ``per_pair`` (orig, arrival) header pairs:
@@ -151,12 +103,7 @@ def generate_test_packets(
     """
     if per_pair < 1:
         raise PolicyError("per_pair must be >= 1")
-    if result is None:
-        result = analyze(net, origin, "v2")
-    if result.variant != "v2":
-        raise PolicyError("test-packet generation needs a variant-2 analysis")
-    if result.origin != origin:
-        raise PolicyError(f"analysis origin {result.origin!r} does not match origin {origin!r}")
+    result = analyze(net, origin, "v2")
     out: list[TestPacket] = []
     for z in net.zones:
         if z.name == origin:

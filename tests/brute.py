@@ -15,7 +15,9 @@ definition of the per-field summary that rendering prints, and
 filter table over every rule, whatever the packet; and
 ``reference_analyze`` and ``reference_infer_policy`` run the engine on the
 network's own value layout, where ``engine.analyze`` and
-``policy.infer_policy`` run it in class space; ``reference_render_value``,
+``policy.infer_policy`` run it in class space; ``reference_packet_policy``
+takes a zone's policy from a packet ``v2`` run, where ``infer_policy``
+runs relations; ``reference_render_value``,
 ``reference_result_to_text`` and ``reference_result_to_json`` format every
 packet from scratch, where ``render`` builds each node's view once per
 rendered result.
@@ -24,6 +26,7 @@ rendered result.
 from __future__ import annotations
 
 from collections import deque
+from operator import attrgetter
 
 import sys
 
@@ -41,7 +44,7 @@ from pktflow.engine import (
 from pktflow.netmodel import DROP, Guard, Network, guard_to_formula
 from pktflow.oracle import DEFAULT_WIDTH_GUARD, ExactResult, _enumeration_cap
 from pktflow.pktset import FieldValueSet, HeaderLayout
-from pktflow.policy import PolicySummary
+from pktflow.policy import PolicySummary, _unions
 from pktflow.render import RenderedPacket
 from pktflow.xfer import AbstractPacket, DropLedger
 
@@ -132,7 +135,8 @@ def reference_simulate(
     zone_names = {z.name for z in net.zones}
     zone_by_name = {z.name: z for z in net.zones}
 
-    result = ExactResult({n: set() for n in net.node_names()}, {}, set(), set(), set())
+    result = ExactResult({n: set() for n in net.node_names()}, {}, {}, set(), set(), set(), 0)
+    explored = 0
 
     def record_arrival(node: str, c: int, o: int, k: int, arrival: bool = True):
         result.per_node[node].add((c, o, k))
@@ -182,7 +186,7 @@ def reference_simulate(
 
     while queue:
         node, c, o, k, hops = queue.popleft()
-        result.states_explored += 1
+        explored += 1
         if max_hops is not None and hops >= max_hops:
             continue
         if node in zone_names:
@@ -205,7 +209,7 @@ def reference_simulate(
                         deliver(peer, c2, o, k2, hops + 1)
                 if not routed:
                     result.no_route.add((node, c2, o))
-    return result
+    return result._replace(states_explored=explored)
 
 
 # ------------------------------------------------- reference guard split
@@ -345,13 +349,13 @@ def reference_analyze(net: Network, origin: str, variant: str = "v2") -> Analysi
     it in its views, its stats (but the wall time) and its rendered bytes."""
     lattice = get_lattice(variant, net)
     ledger = DropLedger(net.store)
-    stats = AnalysisStats()
     misdelivered = {z.name: net.store.false for z in net.zones}
-    facts, survivors = engine._propagate(
-        net, lattice, origin, lattice.initial(origin), ledger, stats, worklist="fifo",
+    facts, survivors, iterations, joins = engine._propagate(
+        net, lattice, origin, lattice.initial(origin), ledger, worklist="fifo",
         ceiling=default_iteration_ceiling(net), observer=None, misdelivered=misdelivered,
     )
     identity = tuple(range(1 << width) for _, width in net.layout.fields)
+    stats = AnalysisStats(iterations, joins, 0.0)
     return AnalysisResult(net, origin, lattice.variant, stats, ClassSpace(
         net, identity, facts, ledger,
         {z: f for z, f in misdelivered.items() if not f.is_empty()},
@@ -368,11 +372,11 @@ def reference_infer_policy(net: Network, zone: str) -> PolicySummary:
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, lattice.store.nbits + 1000))
     try:
-        facts, _ = engine._propagate(
-            net, lattice, zone, lattice.initial(zone), ledger, AnalysisStats(),
+        facts = engine._propagate(
+            net, lattice, zone, lattice.initial(zone), ledger,
             worklist="fifo", ceiling=default_iteration_ceiling(net), observer=None,
             misdelivered=None,
-        )
+        )[0]
     finally:
         sys.setrecursionlimit(limit)
     accept = net.store.false
@@ -384,7 +388,18 @@ def reference_infer_policy(net: Network, zone: str) -> PolicySummary:
     reject = net.store.false
     for _, dropped in ledger.items():
         reject = reject | dropped
-    return PolicySummary(zone, accept, reject, accept & reject, net)
+    return PolicySummary(zone, accept, reject, accept & reject)
+
+
+def reference_packet_policy(net: Network, zone: str) -> PolicySummary:
+    """A zone's policy from a packet ``analyze(net, zone, "v2")``: the
+    unions of ``policy._unions`` over the packets' orig components and the
+    drop ledger, read through the result's value-space views.  The
+    relational ``policy.infer_policy`` must have the same accept and
+    reject."""
+    result = engine.analyze(net, zone, "v2")
+    accept, reject = _unions(net, zone, result.facts, result.ledger, attrgetter("orig"))
+    return PolicySummary(zone, accept, reject, accept & reject)
 
 
 # ------------------------------------------------ reference field summary

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from pktflow import policy
-from pktflow.engine import AbstractValue
+from pktflow.engine import AbstractValue, AnalysisStats
 from pktflow.gen import fixture_path
 from pktflow.netmodel import FilterRule, Guard, NatRule, Zone
 from pktflow.pktset import FieldValueSet, FormulaStore, HeaderLayout
@@ -96,6 +96,10 @@ _GUARD = Guard((("a", _FVS),))
     (NatRule, {"guard": _GUARD, "nat_field": "a", "action": _FVS, "rule_id": 4},
      ("rule_id", 5)),
     (policy.TestPacket, {"zone": "Z", "orig": 1, "curr": 2}, ("curr", 3)),
+    (policy.PolicySummary,
+     {"zone": "Z", "accept": _STORE.true, "reject": _STORE.false, "overlap": _STORE.false},
+     ("reject", _STORE.true)),
+    (AnalysisStats, {"iterations": 1, "joins": 2, "wall_time_s": 0.5}, ("joins", 3)),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
 def test_records_have_value_semantics(cls, fields, changed):
     positional = cls(*fields.values())

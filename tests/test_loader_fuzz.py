@@ -6,7 +6,12 @@ into the document (the root included) and either deletes the value there or
 replaces it with one from a pool of wrong-typed and malformed values.
 ``load_network`` must then return a ``Network`` or raise ``ConfigError``,
 which the CLI reports with exit status 2; any other exception is a loader
-bug that would end in a traceback.
+bug that would end in a traceback.  Those documents pass through
+``json.dumps``, so ``non_json_leaf_configs`` also hands
+``network_from_config`` a config with one leaf replaced by a Python value
+that JSON has no form for (bytes, a set, a tuple, an ``object()``, nan, an
+infinity, a dict with a tuple key or a list that holds itself), as a
+library caller may; it must raise ``ConfigError``.
 
 Few of those documents load, so ``revalued_configs`` mutates inside the
 grammar instead: it gives a guard entry, a NAT ``to`` or a zone address
@@ -20,13 +25,20 @@ from __future__ import annotations
 import copy
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import is_field_product
+from brute import is_field_product, reference_packet_policy
 from pktflow.engine import analyze
 from pktflow.gen import FIXTURES, fixture_text, random_network
-from pktflow.netmodel import ConfigError, Network, load_network, parse_value_set
+from pktflow.netmodel import (
+    ConfigError,
+    Network,
+    load_network,
+    network_from_config,
+    parse_value_set,
+)
 from pktflow.policy import infer_policy
 
 BASES = [json.loads(fixture_text(name)) for name in FIXTURES] + [
@@ -81,6 +93,34 @@ def test_mutated_config_loads_or_raises_config_error(doc):
     except ConfigError:
         return
     assert isinstance(net, Network)
+
+
+CYCLE: list = []
+CYCLE.append(CYCLE)
+NON_JSON = [b"Z1", b"", {"a"}, frozenset(), ("a",), (), object(),
+            float("nan"), float("inf"), float("-inf"), {(1,): "a"}, CYCLE]
+
+
+@st.composite
+def non_json_leaf_configs(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(BASES)))
+    leaves = []
+    for path in paths(doc):
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        if path and not isinstance(parent[path[-1]], (dict, list)):
+            leaves.append((parent, path[-1]))
+    parent, key = draw(st.sampled_from(leaves))
+    parent[key] = draw(st.sampled_from(NON_JSON))
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(non_json_leaf_configs())
+def test_non_json_leaf_raises_config_error(doc):
+    with pytest.raises(ConfigError):
+        network_from_config(doc)
 
 
 def value_sites(doc, layout):
@@ -159,5 +199,5 @@ def test_revalued_config_variants_agree(doc):
             assert exact.implies(union_of_currs(net.store, ia.facts[node])), node
             assert all(is_field_product(p.curr) for p in ia.facts[node].packets), node
         relational = infer_policy(net, zone.name)
-        packets = infer_policy(net, zone.name, result=v2)
+        packets = reference_packet_policy(net, zone.name)
         assert (relational.accept, relational.reject) == (packets.accept, packets.reject)

@@ -188,6 +188,10 @@ def test_json_error_position():
         lambda c: c.update(firewalls=[42]),
         lambda c: c.update(links="oops"),
         lambda c: c.pop("links"),
+        # a library caller may pass values that JSON has no form for
+        lambda c: c["zones"][0].update(name=b"Z1"),
+        lambda c: c["firewalls"][0]["interfaces"].__setitem__(1, {"f1-z2"}),
+        lambda c: c["links"][0].__setitem__(0, object()),
     ],
 )
 def test_malformed_structure_is_config_error(fig3_cfg, mangle):

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import reference_infer_policy
+from brute import reference_infer_policy, reference_packet_policy
 from helpers import netgen, port_rest_network
-from pktflow import cli, engine
+from pktflow import cli, engine, policy
 from pktflow.engine import RelationalLattice, analyze, class_quotient
 from pktflow.gen import FIXTURES, fixture_text, random_network
 from pktflow.netmodel import load_network, network_from_config, parse_value_set
@@ -78,11 +78,12 @@ def test_fig3_overlap_empty(fig3):
 
 def test_accept_is_union_of_other_zones_origs(small3):
     summary = infer_policy(small3, "Z1")
+    res = analyze(small3, "Z1", "v2")
     recomputed = small3.store.false
     for z in small3.zones:
         if z.name == "Z1":
             continue
-        for p in summary.result.facts[z.name].packets:
+        for p in res.facts[z.name].packets:
             recomputed = recomputed | p.orig
     assert summary.accept == recomputed
 
@@ -94,18 +95,6 @@ def test_reject_matches_oracle_drops(small3):
     for origs in sim.per_rule_dropped.values():
         dropped |= origs
     assert all_headers(small3, summary.reject) == dropped
-
-
-def test_policy_requires_v2(small3):
-    res = analyze(small3, "Z1", "v1")
-    with pytest.raises(PolicyError):
-        infer_policy(small3, "Z1", result=res)
-
-
-def test_policy_origin_mismatch(small3):
-    res = analyze(small3, "Z2", "v2")
-    with pytest.raises(PolicyError):
-        infer_policy(small3, "Z1", result=res)
 
 
 ACCEPT_ALL_NET = {
@@ -231,16 +220,9 @@ def test_witnesses_deterministic(monkeypatch):
             assert cli_outputs(monkeypatch, net, zone) == fresh, (name, zone)
 
 
-def test_witnesses_need_a_result_from_the_origin(fig3):
-    with pytest.raises(PolicyError, match="origin"):
-        generate_test_packets(fig3, "Z1", 1, result=analyze(fig3, "Z2", "v2"))
-    res = analyze(fig3, "Z1", "v2")
-    assert generate_test_packets(fig3, "Z1", 1, result=res) == generate_test_packets(fig3, "Z1", 1)
-
-
 def test_per_pair_exhausts_without_repeats(small3):
     res = analyze(small3, "Z1", "v2")
-    witnesses = generate_test_packets(small3, "Z1", 10_000, result=res)
+    witnesses = generate_test_packets(small3, "Z1", 10_000)
     by_zone_packet: dict[str, list] = {}
     for w in witnesses:
         by_zone_packet.setdefault(w.zone, []).append(w)
@@ -277,19 +259,6 @@ def test_witnesses_realizable_on_random_nets(seed):
 
 # ------------------------------------------------------ relational engine
 
-def test_summary_result_runs_packet_analysis_on_first_access(small3):
-    summary = infer_policy(small3, "Z1")
-    assert summary._result is None
-    res = summary.result
-    assert res.variant == "v2" and res.origin == "Z1"
-    assert summary.result is res
-    expected = analyze(small3, "Z1", "v2")
-    assert {n: v.packets for n, v in res.facts.items()} == {
-        n: v.packets for n, v in expected.facts.items()}
-    given = infer_policy(small3, "Z1", result=expected)
-    assert given.result is expected
-
-
 def agreement_cases():
     for name in FIXTURES:
         yield name, load_network(fixture_text(name))
@@ -304,7 +273,7 @@ def test_relational_policy_equals_packet_policy():
     for name, net in agreement_cases():
         for zone in net.zones:
             relational = infer_policy(net, zone.name)
-            packets = infer_policy(net, zone.name, result=analyze(net, zone.name, "v2"))
+            packets = reference_packet_policy(net, zone.name)
             assert relational.accept == packets.accept, (name, zone.name)
             assert relational.reject == packets.reject, (name, zone.name)
             cases += 1
@@ -516,10 +485,11 @@ def test_stores_are_freed_by_reference_counting(monkeypatch):
             gc.enable()
 
 
-def test_testgen_adds_no_store_node(fig3):
+def test_testgen_adds_no_store_node(fig3, monkeypatch):
     res = analyze(fig3, "Z1", "v2")
     list(res.facts.values())  # each node's value is expanded when it is first read
     nodes = fig3.store.node_count()
-    witnesses = generate_test_packets(fig3, "Z1", 3, result=res)
+    monkeypatch.setattr(policy, "analyze", lambda *args: res)
+    witnesses = generate_test_packets(fig3, "Z1", 3)
     assert len(witnesses) == 6
     assert fig3.store.node_count() == nodes
