@@ -1,8 +1,10 @@
-"""Run the command-line interface: ``python -m pktflow <command> ...``."""
+"""Run the command-line interface: ``python -m pktflow <command> ...``.
 
-import sys
+The process ends through ``cli.run``, as soon as the command's output is
+flushed.
+"""
 
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

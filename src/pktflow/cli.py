@@ -7,15 +7,23 @@ or on generated trial networks), and ``testgen`` (concrete witness packets).
 
 Exit status: 0 success, 1 property violation (a check failed, misdelivery
 diagnosed, or a non-empty policy overlap under --strict), 2 usage or
-configuration errors.
+configuration errors, or output that could not be written.
+
+``main(argv)`` runs one command and returns its exit status, so library and
+test callers keep their process.  ``run()`` is the process entry of
+``python -m pktflow``, ``python -m pktflow.cli`` and the installed
+``pktflow`` script: it ends the process as soon as the command's output is
+flushed, without the interpreter's teardown.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from importlib import import_module
+from typing import NoReturn
 
 from .netmodel import (
     DEFAULT_WIDTH_GUARD,
@@ -333,5 +341,30 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """Run ``main`` on the process's arguments, flush stdout and stderr, and
+    end the process with ``main``'s code through ``os._exit``.
+
+    The interpreter's teardown (module clean-up and the last collections)
+    costs every command several milliseconds after its output is complete,
+    and nothing left to run needs it: ``--out`` files are closed by
+    ``main``.  An exception or ``SystemExit`` raised out of ``main`` leaves
+    through the normal exit path.  Output that cannot be flushed (a reader
+    that closed stdout, a full disk) exits 2 with one error line, as a
+    write inside ``main`` does; ``os._exit`` then drops what is left
+    unwritten, so no later flush can fail again.
+    """
+    code = main()
+    try:
+        if sys.stdout is not None:  # None when fd 1 was closed at start-up
+            sys.stdout.flush()
+    except OSError as e:
+        print(f"pktflow: error: {e}", file=sys.stderr)
+        code = 2
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import bracket_to_formula, facts_line, packet_text_to_formulas
+from helpers import bracket_to_formula, facts_line, netgen, packet_text_to_formulas
 from pktflow.cli import main
 from pktflow.engine import analyze, get_lattice
 from pktflow.gen import fixture_path, fixture_text
@@ -179,15 +179,107 @@ def test_missing_file_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def _run_cli(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
+def _cli_env() -> dict[str, str]:
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
+    # PYTHONUNBUFFERED writes each print at once, which would hide a
+    # command that ends its process before flushing its output
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return env
+
+
+def _run_cli(*args: str, timeout: float = 60, module: str = "pktflow",
+             stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-m", "pktflow", *args],
-        capture_output=True, text=True, env=env, timeout=timeout,
+        [sys.executable, "-m", module, *args],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=_cli_env(), timeout=timeout,
     )
+
+
+def _assert_one_error_line(proc: subprocess.CompletedProcess) -> None:
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("pktflow: error:")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
+@pytest.fixture(scope="module")
+def ring_5x8(tmp_path_factory) -> str:
+    path = tmp_path_factory.mktemp("ring") / "ring-5x8-1.json"
+    path.write_text(json.dumps(netgen.ring(5, 8, 1)))
+    return str(path)
+
+
+def test_main_returns_without_ending_the_process(monkeypatch):
+    monkeypatch.setattr(os, "_exit", lambda code: pytest.fail(f"os._exit({code})"))
+    assert main(["validate", "--network", FIG3]) == 0
+    assert main(["validate", "--network", "/nonexistent.json"]) == 2
+
+
+@pytest.mark.parametrize("module", ["pktflow", "pktflow.cli"])
+def test_process_prints_the_text_main_returns(ring_5x8, module, capsys):
+    args = ("analyze", "--network", ring_5x8, "--origin", "Z0")
+    assert main(list(args)) == 0
+    expected = capsys.readouterr().out
+    # more than a pipe holds, so the output is written in several parts
+    assert len(expected) > 65536
+    proc = _run_cli(*args, module=module)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == expected
+
+
+def test_process_prints_the_json_main_returns(capsys):
+    def without_wall_time(text):
+        return "".join(line for line in text.splitlines(keepends=True)
+                       if '"wall_time_s"' not in line)
+
+    args = ("analyze", "--network", FIG3, "--origin", "Z1", "--format", "json")
+    assert main(list(args)) == 0
+    expected = without_wall_time(capsys.readouterr().out)
+    proc = _run_cli(*args)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert without_wall_time(proc.stdout) == expected
+
+
+def test_process_writes_the_whole_out_file(ring_5x8, tmp_path, capsys):
+    args = ("analyze", "--network", ring_5x8, "--origin", "Z0")
+    assert main(list(args)) == 0
+    path = tmp_path / "out.txt"
+    proc = _run_cli(*args, "--out", str(path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert path.read_text() == capsys.readouterr().out
+
+
+def test_process_missing_file_exits_2_with_one_line():
+    proc = _run_cli("validate", "--network", "/nonexistent.json")
+    _assert_one_error_line(proc)
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("long_output", [False, True], ids=["flush", "write"])
+def test_closed_stdout_exits_2_with_one_line(ring_5x8, long_output):
+    # a short output fails in the flush after main returns, a long one in
+    # its first write inside main
+    command = (("analyze", "--network", ring_5x8, "--origin", "Z0") if long_output
+               else ("validate", "--network", FIG3))
+    read, write = os.pipe()
+    os.close(read)  # closed before the child starts, so every write fails
+    try:
+        proc = _run_cli(*command, stdout=write)
+    finally:
+        os.close(write)
+    _assert_one_error_line(proc)
+    assert "Broken pipe" in proc.stderr
+
+
+@pytest.mark.parametrize("network, code", [(FIG3, 0), ("/nonexistent.json", 2)],
+                         ids=["found", "missing"])
+def test_streams_closed_at_start_up_keep_the_exit_code(network, code):
+    # fd 1 and 2 closed before the interpreter starts: sys.stdout and
+    # sys.stderr are None, and the command's output goes nowhere
+    script = 'exec "$0" -m pktflow validate --network "$1" >&- 2>&-'
+    proc = subprocess.run(["/bin/sh", "-c", script, sys.executable, network],
+                          env=_cli_env(), timeout=60)
+    assert proc.returncode == code
 
 
 def _fig1_small_with(edit) -> bytes:
@@ -468,6 +560,9 @@ def test_analyze_misdelivery_exits_1(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["analyze", "--network", str(path), "--origin", "A"]) == 1
     assert "misdelivered(B)" in capsys.readouterr().out
+    proc = _run_cli("analyze", "--network", str(path), "--origin", "A")
+    assert proc.returncode == 1
+    assert "misdelivered(B)" in proc.stdout
 
 
 def test_policy_text_and_exit(capsys):
@@ -508,6 +603,9 @@ def test_policy_strict_flags_overlap(tmp_path, capsys):
     assert main(["policy", "--network", str(path), "--zone", "A", "--strict"]) == 1
     out = capsys.readouterr().out
     assert "overlap(A) = [0-3 : 4-7]" in out
+    proc = _run_cli("policy", "--network", str(path), "--zone", "A", "--strict")
+    assert proc.returncode == 1
+    assert "overlap(A) = [0-3 : 4-7]" in proc.stdout
 
 
 def test_policy_json(capsys):
