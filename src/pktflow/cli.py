@@ -348,13 +348,16 @@ def run() -> NoReturn:
     The interpreter's teardown (module clean-up and the last collections)
     costs every command several milliseconds after its output is complete,
     and nothing left to run needs it: ``--out`` files are closed by
-    ``main``.  An exception or ``SystemExit`` raised out of ``main`` leaves
-    through the normal exit path.  Output that cannot be flushed (a reader
-    that closed stdout, a full disk) exits 2 with one error line, as a
-    write inside ``main`` does; ``os._exit`` then drops what is left
-    unwritten, so no later flush can fail again.
+    ``main``; argparse's ``SystemExit`` (``--help``, a usage error) gives
+    the code.  Another exception leaves through the normal exit path.
+    Output that cannot be flushed (a reader that closed stdout, a full
+    disk) exits 2 with one error line, as a write inside ``main`` does;
+    ``os._exit`` drops what is left unwritten, so no flush fails again.
     """
-    code = main()
+    try:
+        code = main()
+    except SystemExit as e:
+        code = e.code
     try:
         if sys.stdout is not None:  # None when fd 1 was closed at start-up
             sys.stdout.flush()

@@ -519,7 +519,7 @@ def class_quotient(net: Network) -> tuple[Network, tuple]:
             # every endpoint is a cut: lo begins a class and hi ends one
             ranges = tuple((bisect_left(first, lo), bisect_right(first, hi) - 1)
                            for lo, hi in fvs.ranges)
-            out = mapped[fvs] = FieldValueSet(fvs.field, ranges, fvs.negated)
+            out = mapped[fvs] = FieldValueSet(fvs.field, ranges)
         return out
 
     def guard(g: Guard) -> Guard:

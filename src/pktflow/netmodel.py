@@ -25,6 +25,7 @@ from .pktset import (
     HeaderLayout,
     PktsetError,
     UnknownFieldError,
+    complement_ranges,
 )
 
 DROP = "DROP"
@@ -129,16 +130,17 @@ def _parse_item(item: str, width: int, ctx: str) -> tuple[int, int]:
 
 
 def parse_value_set(text: str, field: str, width: int, ctx: str = "value set") -> FieldValueSet:
-    """Parse 'a.b.c.d', 'a.b.c.d-e', dotted ranges, CIDR, ints, comma unions,
-    '*' and a leading '!' for complement into a FieldValueSet.
+    """Parse 'a.b.c.d', 'a.b.c.d-e', dotted ranges, CIDR, ints, comma unions
+    and '*' into the FieldValueSet of the values they admit.  A leading '!'
+    is resolved here, to the complement against the field's width.
 
     ``width`` is the field's width: an integer past it is rejected, and
     dotted literals are accepted on 32-bit fields only."""
     if not isinstance(text, str) or not text.strip():
         raise ConfigError(f"{ctx}: empty value set")
     text = text.strip()
-    negated = text.startswith("!")
-    if negated:
+    complement = text.startswith("!")
+    if complement:
         text = text[1:].strip()
     items = [i for i in text.split(",") if i.strip()]
     if not items:
@@ -147,16 +149,14 @@ def parse_value_set(text: str, field: str, width: int, ctx: str = "value set") -
     for lo, hi in ranges:
         if hi < lo:
             raise ConfigError(f"{ctx}: inverted range {lo}-{hi}")
-    return FieldValueSet(field, ranges, negated)
+    fvs = FieldValueSet(field, ranges)
+    return FieldValueSet(field, complement_ranges(fvs.ranges, width)) if complement else fvs
 
 
 def value_set_to_text(fvs: FieldValueSet, width: int) -> str:
-    """Inverse of parse_value_set, preferring the compact dotted notation."""
-    parts = [range_to_text(lo, hi, width) for lo, hi in fvs.ranges]
-    body = ",".join(parts) if parts else "*"
-    if not fvs.ranges:  # empty positive set has no literal; negated-empty is *
-        return "*" if fvs.negated else body
-    return ("!" if fvs.negated else "") + body
+    """Inverse of parse_value_set: the set's ranges, in the compact dotted
+    notation on 32-bit fields, and '!*' for the empty set."""
+    return ",".join(range_to_text(lo, hi, width) for lo, hi in fvs.ranges) or "!*"
 
 
 def _dotted(v: int) -> str:
@@ -232,7 +232,7 @@ class FilterRule(NamedTuple):
 class NatRule(NamedTuple):
     guard: Guard
     nat_field: str
-    action: FieldValueSet  # non-negated, non-empty
+    action: FieldValueSet  # non-empty, written without '!'
     rule_id: int
 
 
@@ -342,7 +342,7 @@ class Network:
         return f
 
     def zone_dst_atom(self, zone: Zone) -> Formula:
-        return self.store.atom(FieldValueSet("d", zone.addr.ranges, zone.addr.negated))
+        return self.store.atom(FieldValueSet("d", zone.addr.ranges))
 
 
 # ------------------------------------------------------------- loading
@@ -472,21 +472,19 @@ def network_from_config(cfg: dict) -> Network:
             continue
         _require("addr" in zraw, f"{ctx}: needs addr (or rest: true)")
         addr = parse_value_set(zraw["addr"], "s", addr_width, f"{ctx}.addr")
-        _require(not addr.negated, f"{ctx}: zone addr must be a positive range set")
-        _require(bool(addr.ranges), f"{ctx}: zone addr must be non-empty")
+        _require(not zraw["addr"].lstrip().startswith("!"),
+                 f"{ctx}: zone addr must be a positive range set")
         ports = None
         if "ports" in zraw:
             _require("sp" in layout.names(), f"{ctx}: ports given but layout has no sp field")
             ports = parse_value_set(zraw["ports"], "sp", layout.width("sp"), f"{ctx}.ports")
-            empty = ports.negated and ports.ranges == ((0, (1 << layout.width("sp")) - 1),)
-            _require(not empty, f"{ctx}: zone ports must be non-empty")
+            _require(bool(ports.ranges), f"{ctx}: zone ports must be non-empty")
         zones.append(Zone(name, interface, addr, ports))
     if rest_zone is not None:
-        others = [r for z in zones if z is not None for r in z.addr.ranges]
-        rest_addr = FieldValueSet("s", tuple(others), negated=True)
-        limit = (1 << addr_width) - 1
-        covered = sum(hi - lo + 1 for lo, hi in rest_addr.ranges)
-        _require(covered <= limit, "rest zone would be empty: other zones cover all addresses")
+        others = FieldValueSet("s", [r for z in zones if z is not None for r in z.addr.ranges])
+        rest_addr = FieldValueSet("s", complement_ranges(others.ranges, addr_width))
+        _require(bool(rest_addr.ranges),
+                 "rest zone would be empty: other zones cover all addresses")
         idx = zones.index(None)
         zones[idx] = Zone(*rest_zone, rest_addr, None, rest=True)
     _require(len({z.name for z in zones}) == len(zones), "duplicate zone names")
@@ -526,7 +524,7 @@ def network_from_config(cfg: dict) -> Network:
                 )
                 action = parse_value_set(rraw["to"], fname, layout.width(fname), f"{rctx}.to")
                 _require(
-                    not action.negated and bool(action.ranges),
+                    not rraw["to"].lstrip().startswith("!"),
                     f"{rctx}: NAT action must be a positive, non-empty range set",
                 )
                 guard = _parse_guard(rraw.get("guard", {}), layout, rctx)

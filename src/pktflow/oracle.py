@@ -15,8 +15,8 @@ die with the call:
 * Lookup tables.  Each guard atom, the origin zone's ``s``/``sp`` test and
   each zone's own-address test on ``d`` becomes ``(shift, mask, table)``:
   a header h passes iff ``table[h >> shift & mask]`` is 1.  The table spans
-  the field's 2**width values and is filled range by range (and inverted
-  for a negated set), never value by value.
+  the field's 2**width values and is filled range by range, never value by
+  value.
 * One memo per node.  A state is (node, c, o, k): current header, original
   header and NAT mask.  A firewall's DNAT, filter, SNAT and routing read only
   c; o is carried along unchanged and k is only OR-ed with the bits of the
@@ -87,8 +87,6 @@ class ExactResult(NamedTuple):
 # table[h >> shift & mask] is 1.
 Lookup = tuple[int, int, bytes]
 
-_NEGATE = bytes([1, 0]) + bytes(254)  # bytes.translate table: 0 <-> 1
-
 
 def _lookup(layout: HeaderLayout, field: str, fvs: FieldValueSet) -> Lookup:
     """``fvs.contains`` on ``field`` as a table over the field's 2**width
@@ -101,8 +99,6 @@ def _lookup(layout: HeaderLayout, field: str, fvs: FieldValueSet) -> Lookup:
         hi = min(hi, mask)
         if lo <= hi:
             table[lo : hi + 1] = b"\1" * (hi - lo + 1)
-    if fvs.negated:
-        table = table.translate(_NEGATE)
     return shift, mask, bytes(table)
 
 

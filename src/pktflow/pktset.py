@@ -15,6 +15,9 @@ Variable order is field-major in layout declaration order, most-significant
 bit first within a field.  Headers are plain ints: variable i is bit
 (total_bits - 1 - i) of the header value, so enumeration order is ascending.
 
+A value set (``FieldValueSet``) is just the values one field admits: the
+loader resolves the grammar's ``!`` (``netmodel.parse_value_set``).
+
 Kernel invariants (``FormulaStore``):
 
 * Node 0 is false and node 1 is true; both carry the variable ``nbits``, one
@@ -216,32 +219,29 @@ def _normalize_ranges(ranges) -> tuple[tuple[int, int], ...]:
 
 
 class FieldValueSet:
-    """Union of inclusive integer ranges of one field, optionally negated.
-    Its hash is computed once, as a guard's is."""
+    """The values one field admits, as merged inclusive ranges, so two
+    spellings of one set are equal.  Its hash is computed once."""
 
-    __slots__ = ("field", "ranges", "negated", "_hash")
+    __slots__ = ("field", "ranges", "_hash")
 
-    def __init__(self, field: str, ranges: tuple[tuple[int, int], ...], negated: bool = False):
+    def __init__(self, field: str, ranges: tuple[tuple[int, int], ...]):
         self.field = field
         self.ranges = _normalize_ranges(ranges)
-        self.negated = negated
-        self._hash = hash((field, self.ranges, negated))
+        self._hash = hash((field, self.ranges))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.field, self.ranges, self.negated) == (other.field, other.ranges, other.negated)
+        return (self.field, self.ranges) == (other.field, other.ranges)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        return (f"FieldValueSet(field={self.field!r}, ranges={self.ranges!r}, "
-                f"negated={self.negated!r})")
+        return f"FieldValueSet(field={self.field!r}, ranges={self.ranges!r})"
 
     def contains(self, value: int) -> bool:
-        inside = any(lo <= value <= hi for lo, hi in self.ranges)
-        return inside != self.negated
+        return any(lo <= value <= hi for lo, hi in self.ranges)
 
     def values(self):
         for lo, hi in self.ranges:
@@ -263,10 +263,7 @@ def complement_ranges(ranges, width: int) -> tuple[tuple[int, int], ...]:
 
 def atom_test(fvs: FieldValueSet, layout: HeaderLayout) -> tuple[int, tuple[tuple[int, int], ...]]:
     """A guard atom as (field index, merged ranges of the values it admits)."""
-    ranges = fvs.ranges
-    if fvs.negated:
-        ranges = complement_ranges(ranges, layout.width(fvs.field))
-    return layout.index(fvs.field), ranges
+    return layout.index(fvs.field), fvs.ranges
 
 
 def settles(summary, tests) -> bool | None:
@@ -621,23 +618,26 @@ class FormulaStore:
         return node
 
     def atom(self, fvs: FieldValueSet) -> Formula:
-        """Formula holding exactly when the field value lies in (or outside,
-        if negated) the range union."""
-        key = (fvs.field, fvs.ranges, fvs.negated)
+        """Formula holding exactly when the field value lies in the range
+        union.  It is built from the ranges or from their complement,
+        whichever has fewer ranges (the ranges on a tie), and complemented in
+        the second case."""
+        key = (fvs.field, fvs.ranges)
         node = self._atom_cache.get(key)
         if node is None:
             off = self.layout.offset(fvs.field)
             w = self.layout.width(fvs.field)
             limit = (1 << w) - 1
+            if fvs.ranges and fvs.ranges[-1][1] > limit:  # merged: the last ends highest
+                lo, hi = fvs.ranges[-1]
+                raise RangeError(f"range [{lo}, {hi}] exceeds {w}-bit field {fvs.field!r}")
+            comp = complement_ranges(fvs.ranges, w)
+            flip = len(comp) < len(fvs.ranges)
             node = 0
-            for lo, hi in fvs.ranges:
-                if hi > limit:
-                    raise RangeError(
-                        f"range [{lo}, {hi}] exceeds {w}-bit field {fvs.field!r}"
-                    )
+            for lo, hi in comp if flip else fvs.ranges:
                 node = self._or(node, self._and(self._bits_bound(off, w, lo, 1),
                                                 self._bits_bound(off, w, hi, 0)))
-            if fvs.negated:
+            if flip:
                 node = self._not(node)
             self._atom_cache[key] = node
         return Formula(self, node)
@@ -714,10 +714,10 @@ class Formula:
 
         Exact relational overwrite: the new value is independent of the old.
         """
-        if values.negated or not values.ranges:
-            raise RangeError("overwrite needs a non-negated, non-empty value set")
+        if not values.ranges:
+            raise RangeError("overwrite needs a non-empty value set")
         if values.field != field:
-            values = FieldValueSet(field, values.ranges, values.negated)
+            values = FieldValueSet(field, values.ranges)
         return self.exists_field(field) & self.store.atom(values)
 
     def relabel(self, varmap: tuple[int, ...], target: FormulaStore | None = None) -> "Formula":

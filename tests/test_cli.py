@@ -49,6 +49,7 @@ def test_format_field_display_forms():
 
 def test_format_field_data_parses_back():
     for ranges, width in [
+        ((), 4),
         (((0, 15),), 4),
         (((3, 3),), 4),
         (((1, 2), (5, 5)), 4),
@@ -56,9 +57,7 @@ def test_format_field_data_parses_back():
         (((0x0AC01D01, 0x0AC01DFF),), 32),
     ]:
         text = format_field_data(ranges, width)
-        assert parse_value_set(text, "s", width).ranges == ranges or (
-            parse_value_set(text, "s", width).negated
-        )
+        assert parse_value_set(text, "s", width).ranges == ranges
 
 
 def test_dotted_display(fig3):
@@ -255,12 +254,17 @@ def test_process_missing_file_exits_2_with_one_line():
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("long_output", [False, True], ids=["flush", "write"])
-def test_closed_stdout_exits_2_with_one_line(ring_5x8, long_output):
+@pytest.mark.parametrize("command", ["flush", "write", "help", "analyze-help"])
+def test_closed_stdout_exits_2_with_one_line(ring_5x8, command):
     # a short output fails in the flush after main returns, a long one in
-    # its first write inside main
-    command = (("analyze", "--network", ring_5x8, "--origin", "Z0") if long_output
-               else ("validate", "--network", FIG3))
+    # its first write inside main; argparse's help fails in the same flush
+    # after its SystemExit
+    command = {
+        "flush": ("validate", "--network", FIG3),
+        "write": ("analyze", "--network", ring_5x8, "--origin", "Z0"),
+        "help": ("--help",),
+        "analyze-help": ("analyze", "--help"),
+    }[command]
     read, write = os.pipe()
     os.close(read)  # closed before the child starts, so every write fails
     try:
@@ -269,6 +273,23 @@ def test_closed_stdout_exits_2_with_one_line(ring_5x8, long_output):
         os.close(write)
     _assert_one_error_line(proc)
     assert "Broken pipe" in proc.stderr
+
+
+@pytest.mark.parametrize("args", [("--help",), ("analyze", "--help")])
+def test_process_help_exits_0(args, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # one help width in and out of process
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    assert exc.value.code == 0
+    proc = _run_cli(*args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+
+
+def test_process_usage_error_exits_2_with_argparse_message():
+    proc = _run_cli("analyze", "--network", FIG3)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage: pktflow analyze")
+    assert "error: the following arguments are required: --origin" in proc.stderr
 
 
 @pytest.mark.parametrize("network, code", [(FIG3, 0), ("/nonexistent.json", 2)],

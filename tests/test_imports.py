@@ -88,7 +88,7 @@ _GUARD = Guard((("a", _FVS),))
     (AbstractPacket, {"curr": _STORE.true, "orig": _STORE.false, "nated": 1}, ("nated", 2)),
     (AbstractValue, {"packets": (AbstractPacket(_STORE.true),)}, ("packets", ())),
     (Guard, {"atoms": (("a", _FVS),)}, ("atoms", ())),
-    (FieldValueSet, {"field": "a", "ranges": ((1, 2),), "negated": False}, ("negated", True)),
+    (FieldValueSet, {"field": "a", "ranges": ((1, 2),)}, ("ranges", ((1, 3),))),
     (HeaderLayout, {"fields": (("a", 4), ("b", 4))}, ("fields", (("a", 4),))),
     (Zone, {"name": "Z", "interface": "z0", "addr": _FVS, "ports": None, "rest": False},
      ("rest", True)),

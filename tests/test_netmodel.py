@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brute import drop_rule_ids
 from pktflow.engine import get_lattice
@@ -17,7 +20,9 @@ from pktflow.netmodel import (
     parse_value_set,
     value_set_to_text,
 )
-from pktflow.pktset import FieldValueSet
+from pktflow.pktset import FieldValueSet, FormulaStore, HeaderLayout, complement_ranges
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
@@ -48,13 +53,45 @@ def fig3_cfg():
 def test_parse_32bit_value_sets(text, expected):
     fvs = parse_value_set(text, "s", 32)
     assert fvs.ranges == expected
-    assert not fvs.negated
 
 
 def test_parse_negation_and_ints():
     fvs = parse_value_set("!3,5-7", "s", 4)
-    assert fvs.negated and fvs.ranges == ((3, 3), (5, 7))
+    assert fvs.ranges == ((0, 2), (4, 4), (8, 15))
+    assert parse_value_set("!3", "s", 4) == parse_value_set("0-2,4-15", "s", 4)
+    assert parse_value_set("!*", "s", 4).ranges == ()
     assert parse_value_set("0-15", "s", 4).ranges == ((0, 15),)
+
+
+@st.composite
+def range_texts(draw):
+    """A field width of 1 to 8 bits and a value-set text on it, without '!'."""
+    width = draw(st.integers(1, 8))
+    value = st.integers(0, (1 << width) - 1)
+    item = st.one_of(
+        st.just("*"),
+        value.map(str),
+        st.tuples(value, value).map(lambda t: f"{min(t)}-{max(t)}"),
+    )
+    return width, ", ".join(draw(st.lists(item, min_size=1, max_size=4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(range_texts())
+def test_a_written_complement_is_resolved_at_parse(case):
+    width, text = case
+    plain = parse_value_set(text, "s", width)
+    complement = parse_value_set("!" + text, "s", width)
+    for v in range(1 << width):
+        assert complement.contains(v) != plain.contains(v), v
+    # the complement written out as its ranges is the same set
+    spelled = ",".join(f"{lo}-{hi}" for lo, hi in complement.ranges) or "!*"
+    assert parse_value_set(spelled, "s", width) == complement
+    # so both spellings key one guard formula
+    store = FormulaStore(HeaderLayout((("s", width),)))
+    for fvs in (complement, parse_value_set(spelled, "s", width)):
+        guard_to_formula(Guard((("s", fvs),)), store)
+    assert len(store.guard_formulas) == 1
 
 
 @pytest.mark.parametrize(
@@ -82,14 +119,14 @@ def test_parse_value_set_errors(text, width):
     [
         (FieldValueSet("s", ((0x0AC01D01, 0x0AC01DFF),)), 32),
         (FieldValueSet("s", ((0xCA432206, 0xCA43230A),)), 32),
-        (FieldValueSet("s", ((2, 2), (5, 9)), negated=True), 4),
+        (FieldValueSet("s", ((0, 1), (3, 4), (10, 15))), 4),
         (FieldValueSet("s", ((0, 15),)), 4),
+        (FieldValueSet("s", ()), 4),
     ],
 )
 def test_value_set_text_roundtrip(fvs, width):
     text = value_set_to_text(fvs, width)
-    back = parse_value_set(text, "s", width)
-    assert back.ranges == fvs.ranges and back.negated == fvs.negated
+    assert parse_value_set(text, "s", width) == fvs
 
 
 # ------------------------------------------------------------- loading
@@ -108,7 +145,8 @@ def test_fig3_shape(fig3):
 
 def test_rest_zone_is_complement(fig3):
     z4 = fig3.zone("Z4")
-    assert z4.addr.negated
+    others = FieldValueSet("s", [r for z in fig3.zones[:3] for r in z.addr.ranges])
+    assert z4.addr.ranges == complement_ranges(others.ranges, 32)
     union = fig3.store.false
     for z in fig3.zones[:3]:
         union = union | fig3.store.atom(z.addr)
@@ -208,13 +246,16 @@ def test_ports_need_sp_field(fig3_cfg):
 
 # ------------------------------------------------------------- round trip
 
-@pytest.mark.parametrize(
-    "name", ["fig1.json", "fig1-small.json", "fig3.json", "fig3-small.json"]
-)
-def test_fixture_roundtrip(name):
-    net = load_network(fixture_text(name))
+@pytest.mark.parametrize("config", [
+    *(pytest.param(lambda name=name: fixture_text(name), id=name) for name in FIXTURES),
+    *(pytest.param(path.read_text, id=path.name) for path in sorted(DATA.glob("*.json"))
+      if path.name != "cli_golden.json"),
+])
+def test_fixture_roundtrip(config):
+    net = load_network(config())
     cfg = network_to_config(net)
     net2 = network_from_config(cfg)
+    assert net2 == net
     assert network_to_config(net2) == cfg
 
 
@@ -223,7 +264,16 @@ def test_random_net_roundtrip(seed):
     cfg, _ = random_network(seed)
     net = network_from_config(cfg)
     rendered = network_to_config(net)
+    assert network_from_config(rendered) == net
     assert network_to_config(network_from_config(rendered)) == rendered
+
+
+def test_empty_guard_set_roundtrips_as_bang_star(fig3_cfg):
+    fig3_cfg["firewalls"][0]["filter"][0]["guard"]["d"] = "!*"
+    net = network_from_config(fig3_cfg)
+    cfg = network_to_config(net)
+    assert cfg["firewalls"][0]["filter"][0]["guard"]["d"] == "!*"
+    assert network_from_config(cfg) == net
 
 
 @pytest.mark.parametrize("config", [

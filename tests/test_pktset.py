@@ -32,6 +32,7 @@ from pktflow.pktset import (
     RangeError,
     StoreMismatchError,
     UnknownFieldError,
+    complement_ranges,
 )
 from pktflow.render import field_sets, formula_fields
 
@@ -45,8 +46,14 @@ def store():
     return FormulaStore(T2X2)
 
 
-def fvs(field, *ranges, negated=False):
-    return FieldValueSet(field, tuple(ranges), negated)
+def fvs(field, *ranges):
+    return FieldValueSet(field, tuple(ranges))
+
+
+def outside(layout, field, *ranges):
+    """The field's values outside ``ranges``, as the loader reads a '!'."""
+    inside = FieldValueSet(field, tuple(ranges))
+    return FieldValueSet(field, complement_ranges(inside.ranges, layout.width(field)))
 
 
 # ---------------------------------------------------------------- layout
@@ -106,8 +113,10 @@ def test_atom_range_exceeding_width(store):
 
 def test_negated_atom(store):
     pos = store.atom(fvs("f1", (2, 3)))
-    neg = store.atom(fvs("f1", (2, 3), negated=True))
+    neg = store.atom(outside(T2X2, "f1", (2, 3)))
     assert neg == ~pos
+    # a set whose complement has fewer ranges is built from that complement
+    assert store.atom(fvs("f1", (0, 0), (3, 3))) == ~store.atom(fvs("f1", (1, 2)))
 
 
 def test_value_set_normalization():
@@ -148,7 +157,8 @@ small_range = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
     lambda t: (min(t), max(t))
 )
 value_sets = st.builds(
-    lambda field, ranges, neg: FieldValueSet(field, tuple(ranges), neg),
+    lambda field, ranges, neg: (outside(T2X2, field, *ranges) if neg
+                                else FieldValueSet(field, tuple(ranges))),
     st.sampled_from(["f1", "f2"]),
     st.lists(small_range, min_size=1, max_size=2),
     st.booleans(),
@@ -218,7 +228,7 @@ def test_overwrite_field_worked_example(store):
 def test_overwrite_empty_and_errors(store):
     assert store.false.overwrite_field("f1", fvs("f1", (1, 2))) == store.false
     with pytest.raises(RangeError):
-        store.true.overwrite_field("f1", fvs("f1", (1, 2), negated=True))
+        store.true.overwrite_field("f1", fvs("f1"))
 
 
 @settings(max_examples=60, deadline=None)
@@ -310,7 +320,8 @@ T3X3_FIELDS = ["a", "b", "c"]
 
 range3 = st.tuples(st.integers(0, 7), st.integers(0, 7)).map(lambda t: (min(t), max(t)))
 value_sets3 = st.builds(
-    lambda field, ranges, neg: FieldValueSet(field, tuple(ranges), neg),
+    lambda field, ranges, neg: (outside(T3X3, field, *ranges) if neg
+                                else FieldValueSet(field, tuple(ranges))),
     st.sampled_from(T3X3_FIELDS),
     st.lists(range3, min_size=1, max_size=3),
     st.booleans(),
@@ -444,7 +455,7 @@ def test_formula_fields_summary_edge_cases():
         store.true,
         c,  # skips a and b: every path enters c at its root
         a & c,  # skips b
-        store.atom(fvs("b", (3, 3), negated=True)),
+        store.atom(outside(T3X3, "b", (3, 3))),
         diag,  # a and c correlated across the free b
         diag | store.atom(fvs("b", (7, 7))),  # b exact only on some paths
         (a & store.atom(fvs("b", (0, 3)))) | (~a & store.atom(fvs("b", (0, 3)))),
@@ -468,7 +479,7 @@ def test_formula_fields_summary_on_a_shadow_layout(start, ops, nat):
     store, shadow = FormulaStore(T3X3), FormulaStore(TSH)
     f, _ = run_chain(store, start, ops)
     copy = f.relabel(INTO_TSH, shadow)
-    nat_a = FieldValueSet("a", nat.ranges, nat.negated)
+    nat_a = FieldValueSet("a", nat.ranges)
     moved = copy.relabel(A_ONTO_SHADOW) & shadow.atom(nat_a)
     for h in (copy, moved, moved.exists_field("b")):
         assert_summary(h, brute_fields(formula_set(h), TSH), TSH)
@@ -495,8 +506,8 @@ W3X8 = HeaderLayout((("s", 8), ("d", 8), ("p", 8)))
 
 def wide_atom(rng, name):
     """A prefix block, a host, a plain range or a bit pattern (the values
-    that fix some bits, not only leading ones) of an 8-bit field, negated
-    about a third of the time."""
+    that fix some bits, not only leading ones) of an 8-bit field, or its
+    complement about a third of the time."""
     kind = rng.randrange(4)
     if kind == 0:
         free = rng.randint(0, 6)
@@ -510,7 +521,7 @@ def wide_atom(rng, name):
     else:
         mask, value = rng.randrange(1, 256), rng.randrange(256)
         ranges = tuple((v, v) for v in range(256) if v & mask == value & mask)
-    return FieldValueSet(name, ranges, rng.random() < 0.3)
+    return outside(W3X8, name, *ranges) if rng.random() < 0.3 else FieldValueSet(name, ranges)
 
 
 def wide_formula(rng, store):
