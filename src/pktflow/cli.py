@@ -85,18 +85,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", help="write output to a file instead of stdout")
         p.add_argument("--origin", required=True, help="originating zone")
-        p.add_argument(
-            "--variant",
-            choices=("v1", "v2", "ia"),
-            default="v2",
-            help="abstract lattice variant (default v2)",
-        )
 
     p = sub.add_parser("validate", help="parse and validate a configuration")
     p.add_argument("--network", required=True)
 
     p = sub.add_parser("analyze", help="compute reachable packet sets per node")
     common(p)
+    p.add_argument(
+        "--variant",
+        choices=("v1", "v2", "ia"),
+        default="v2",
+        help="abstract lattice variant (default v2)",
+    )
 
     p = sub.add_parser("policy", help="infer a zone's accept/reject policy")
     p.add_argument("--network", required=True)
@@ -290,8 +290,6 @@ def _cmd_check(args) -> int:
 def _cmd_testgen(args) -> int:
     _bind("generate_test_packets", "bracket", "data_sets", "header_fields")
     net = load_network_file(args.network)
-    if args.variant != "v2":
-        raise ConfigError("testgen needs the v2 variant (original-form tracking)")
     if args.per_pair < 1:
         raise ConfigError(f"--per-pair must be at least 1, got {args.per_pair}")
     witnesses = generate_test_packets(net, args.origin, args.per_pair)

@@ -34,11 +34,14 @@ value-space views (``facts``, ``ledger``, ``misdelivered``, ``no_route``)
 into ``net.store`` only when they are read.  A network that no field
 narrows is its own class network, and the views are its values.
 
-Propagation: the origin zone emits its departure value once; whenever a
-firewall's value grows it is re-queued.  Each expansion hands the survivors
-of the firewall's DNAT, filter, and SNAT tables to the routing step of
-every out-link; zones record arrivals but never re-emit.  The lattice is
-finite (fixed header width), so the fixpoint is reached without widening.
+Propagation (``_propagate``, the one loop): the origin zone emits its
+departure value once; whenever a firewall's value grows it is re-queued.
+Each expansion hands the survivors of the firewall's DNAT, filter, and SNAT
+tables to the routing step of every out-link; zones record arrivals but
+never re-emit.  The lattice is finite (fixed header width), so the fixpoint
+is reached without widening.  The queue pops first in, first out; the
+fixpoint does not depend on that order, only the counts in ``stats`` do,
+and the tests compare it with a last-in, first-out run.
 
 Each firewall keeps a memo from every packet its tables have run to that
 packet's survivors (``xfer.firewall_tf`` on the packet alone).  An
@@ -544,8 +547,7 @@ def class_quotient(net: Network) -> tuple[Network, tuple]:
         )
         for fw in net.firewalls
     )
-    return (Network(class_layout, zones, firewalls, net.links, FormulaStore(class_layout)),
-            starts)
+    return Network(class_layout, zones, firewalls, net.links), starts
 
 
 # --------------------------------------------------------------- results
@@ -650,59 +652,31 @@ class AnalysisResult:
             self._no_route = {n: self._expand(f) for n, f in self.classes.no_route.items()}
         return self._no_route
 
-    def _key(self) -> tuple:
-        return (self.net, self.origin, self.variant, self.facts, self.ledger, self.stats,
-                self.misdelivered, self.no_route)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
 
 def default_iteration_ceiling(net: Network) -> int:
     return 10 * max(1, len(net.links)) * (1 << min(net.layout.total_bits, 20))
 
 
-def analyze(
-    net: Network,
-    origin: str,
-    variant: str = "v2",
-    *,
-    worklist: str = "fifo",
-    max_iterations: int | None = None,
-    observer=None,
-) -> AnalysisResult:
+def analyze(net: Network, origin: str, variant: str = "v2", *, observer=None) -> AnalysisResult:
     """Run the propagation to fixpoint from ``origin`` and collect per-node
-    values, the drop ledger, and diagnostics, on ``class_quotient(net)``.
-
-    ``worklist`` selects the queue discipline ("fifo" or "lifo"); the
-    fixpoint is the same either way.  The iteration ceiling defaults to
-    ``default_iteration_ceiling(net)``, of the value network.
+    values, the drop ledger, and diagnostics, on ``class_quotient(net)`` and
+    under ``default_iteration_ceiling(net)``, of the value network.
     ``observer(node, old, new)`` is called on every accepted value update
     (used by monotonicity tests), with the class values.
     """
     if not net.is_zone(origin):
         raise EngineError(f"origin {origin!r} is not a zone of the network")
-    if worklist not in ("fifo", "lifo"):
-        raise EngineError(f"unknown worklist discipline {worklist!r}")
-    ceiling = max_iterations if max_iterations is not None else default_iteration_ceiling(net)
+    ceiling = default_iteration_ceiling(net)
     started = time.perf_counter()
     classes, starts = class_quotient(net)
     lattice = get_lattice(variant, classes)
-    ledger = DropLedger(classes.store)
-    misdelivered: dict[str, Formula] = {z.name: classes.store.false for z in classes.zones}
-    facts, survivors, iterations, joins = _propagate(
-        classes, lattice, origin, lattice.initial(origin), ledger,
-        worklist=worklist, ceiling=ceiling, observer=observer, misdelivered=misdelivered,
-    )
+    facts, survivors, iterations, joins, ledger, misdelivered = _propagate(
+        lattice, origin, ceiling, observer)
     stats = AnalysisStats(iterations, joins, time.perf_counter() - started)
     no_route = _no_route(classes, survivors)
     classes.store.clear_computed()
     return AnalysisResult(net, origin, lattice.variant, stats, ClassSpace(
-        classes, starts, facts, ledger,
-        {z: f for z, f in misdelivered.items() if not f.is_empty()}, no_route,
-    ))
+        classes, starts, facts, ledger, misdelivered, no_route))
 
 
 def analyze_relations(net: Network, origin: str):
@@ -722,36 +696,37 @@ def analyze_relations(net: Network, origin: str):
     ceiling = default_iteration_ceiling(net)
     classes, starts = class_quotient(net)
     lattice = RelationalLattice(classes)
-    ledger = DropLedger(classes.store)
     # a relation over curr and shadow variables may test twice as many
     # variables as the header has, and the kernel recurses once per variable
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, lattice.store.nbits + 1000))
     try:
-        facts = _propagate(
-            classes, lattice, origin, lattice.initial(origin), ledger,
-            worklist="fifo", ceiling=ceiling, observer=None, misdelivered=None,
-        )[0]
+        facts, _, _, _, ledger, _ = _propagate(lattice, origin, ceiling)
     finally:
         sys.setrecursionlimit(limit)
     return lattice, facts, ledger, starts
 
 
-def _propagate(net, lattice, origin, initial_packets, ledger, *,
-               worklist, ceiling, observer, misdelivered):
-    """The worklist loop shared by every lattice; returns the per-node values,
-    each firewall's latest table survivors and the counts of node expansions
-    and joins, and fills ``ledger``.
+def _propagate(lattice, origin: str, ceiling: int, observer=None):
+    """The worklist loop shared by every lattice, over ``lattice.net`` from
+    the departure value ``lattice.initial(origin)``, popping first in, first
+    out.  Returns ``(facts, survivors, iterations, joins, ledger,
+    misdelivered)``: the per-node values, each firewall's latest table
+    survivors, the counts of node expansions and joins, the drop ledger in
+    the network's store, and the misdelivery diagnostic.
 
-    ``misdelivered``, when given, collects per zone the arrivals whose
-    destination lies outside the zone's addresses: an assumption-checking
-    diagnostic, for such packets stay in the zone's value.  The origin's own
-    departure value is not an arrival.  Each arriving packet adds only its
-    own part outside the zone, which is almost always empty; that equals
-    the union of the arrivals outside the zone, since ``&`` distributes over
-    ``|``."""
+    The diagnostic is kept when the lattice's packets live in the network's
+    store (every lattice but the relational one), and is then per zone the
+    arrivals whose destination lies outside the zone's addresses, only the
+    non-empty ones: an assumption-checking diagnostic, for such packets stay
+    in the zone's value.  The origin's own departure value is not an
+    arrival.  Each arriving packet adds only its own part outside the zone,
+    which is almost always empty; that equals the union of the arrivals
+    outside the zone, since ``&`` distributes over ``|``."""
+    net = lattice.net
+    ledger = DropLedger(net.store)
     facts: dict[str, AbstractValue] = {n: BOTTOM for n in net.node_names()}
-    facts[origin] = lattice.join(initial_packets)
+    facts[origin] = lattice.join(lattice.initial(origin))
     iterations, joins = 0, 1
 
     survivors: dict[str, list] = {}  # firewall -> table survivors, latest expansion
@@ -759,9 +734,12 @@ def _propagate(net, lattice, origin, initial_packets, ledger, *,
     memos: dict[str, dict] = {}
     # a compiling lattice records its ledger once, at the fixpoint
     live_ledger = None if lattice.compiles_filters else ledger
-    # zone -> the headers whose destination lies outside it
-    outside = {} if misdelivered is None else {
-        z.name: ~net.zone_dst_atom(z) for z in net.zones}
+    # zone -> the headers whose destination lies outside it, when the
+    # packets are formulas of the network's store
+    outside = {}
+    if lattice.store is net.store:
+        outside = {z.name: ~net.zone_dst_atom(z) for z in net.zones}
+    misdelivered = dict.fromkeys(outside, net.store.false)
     queue: deque[str] = deque([origin])
     queued = {origin}
     while queue:
@@ -771,7 +749,7 @@ def _propagate(net, lattice, origin, initial_packets, ledger, *,
                 f"no fixpoint within {ceiling} node expansions "
                 f"(origin {origin!r}, variant {lattice.variant!r})"
             )
-        m = queue.popleft() if worklist == "fifo" else queue.pop()
+        m = queue.popleft()
         queued.discard(m)
         packets = facts[m].packets
         if not net.is_zone(m):
@@ -808,7 +786,8 @@ def _propagate(net, lattice, origin, initial_packets, ledger, *,
     for table, packets in dnats:
         filter_table_drops(table, packets, ledger, lattice)
         lattice.store.clear_computed()
-    return facts, survivors, iterations, joins
+    misdelivered = {z: f for z, f in misdelivered.items() if not f.is_empty()}
+    return facts, survivors, iterations, joins, ledger, misdelivered
 
 
 def _no_route(net: Network, survivors) -> dict[str, Formula]:

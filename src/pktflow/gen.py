@@ -1,10 +1,11 @@
 """Bundled fixture access and network generators for checking.
 
-``cycle_network(k)`` builds a ring of k routers in which a packet must go
-around the full cycle k times before it may leave: the entry router steps the
-source field 0 -> 1 -> ... one unit per visit and releases packets to the
-exit zone only once the value passes k.  These nets demonstrate that bounded
-unrolling misses flows a fixpoint finds.
+``cycle_network(k)`` builds a ring of k routers (2 to 13, over 4-bit ``s``
+and ``d`` fields) in which a packet must go around the full cycle k times
+before it may leave: the entry router steps the source field 0 -> 1 -> ...
+one unit per visit and releases packets to the exit zone only once the value
+passes k.  These nets demonstrate that bounded unrolling misses flows a
+fixpoint finds.
 
 ``random_network(seed)`` builds small, valid, seed-deterministic networks
 (at most 6 nodes, 4 rules per table, 8 header bits) for oracle-backed trials.
@@ -33,14 +34,16 @@ def fixture_text(name: str) -> str:
     return fixture_path(name).read_text(encoding="utf-8")
 
 
-def cycle_network(k: int, *, width: int = 4) -> dict:
-    """A k-router ring whose flows need exactly k full traversals.
+def cycle_network(k: int) -> dict:
+    """A k-router ring whose flows need exactly k full traversals, over
+    4-bit ``s`` and ``d`` fields, so k is at most 13.
 
     Delivery from Zin to Zout takes 2 + k*k link hops: one into the ring,
     k traversals of k hops, and one out.
     """
     if k < 2:
         raise ValueError("the ring needs at least 2 routers")
+    width = 4
     space = 1 << width
     if k + 2 >= space:
         raise ValueError(f"width {width} too small for a {k}-router ring")

@@ -260,8 +260,9 @@ class Zone(NamedTuple):
 
 
 class Network:
-    """A loaded network and the formula store of its layout.  Networks are
-    equal when their layouts, zones, firewalls and links are."""
+    """A loaded network and a fresh formula store of its layout, which the
+    network owns.  Networks are equal when their layouts, zones, firewalls
+    and links are."""
 
     # _zone, _firewall, _node_of and _out_links are lookups built once from
     # the other fields
@@ -274,13 +275,12 @@ class Network:
         zones: tuple[Zone, ...],
         firewalls: tuple[Firewall, ...],
         links: tuple[tuple[str, str], ...],
-        store: FormulaStore = None,
     ):
         self.layout = layout
         self.zones = zones
         self.firewalls = firewalls
         self.links = links
-        self.store = store
+        self.store = FormulaStore(layout)
         node_of = {z.interface: z.name for z in zones}
         for f in firewalls:
             node_of.update((i, f.name) for i in f.interfaces)
@@ -619,7 +619,7 @@ def network_from_config(cfg: dict) -> Network:
     # Every value set was checked against its own field's width when
     # parse_value_set read it, so loading builds no formula: the store stays
     # empty until an analysis asks for a guard or an atom.
-    return Network(layout, tuple(zones), firewalls, tuple(links), FormulaStore(layout))
+    return Network(layout, tuple(zones), firewalls, tuple(links))
 
 
 def load_network(text: str) -> Network:

@@ -348,19 +348,12 @@ def reference_analyze(net: Network, origin: str, variant: str = "v2") -> Analysi
     of a run in which every value is its own class.  ``analyze`` must equal
     it in its views, its stats (but the wall time) and its rendered bytes."""
     lattice = get_lattice(variant, net)
-    ledger = DropLedger(net.store)
-    misdelivered = {z.name: net.store.false for z in net.zones}
-    facts, survivors, iterations, joins = engine._propagate(
-        net, lattice, origin, lattice.initial(origin), ledger, worklist="fifo",
-        ceiling=default_iteration_ceiling(net), observer=None, misdelivered=misdelivered,
-    )
+    facts, survivors, iterations, joins, ledger, misdelivered = engine._propagate(
+        lattice, origin, default_iteration_ceiling(net))
     identity = tuple(range(1 << width) for _, width in net.layout.fields)
     stats = AnalysisStats(iterations, joins, 0.0)
     return AnalysisResult(net, origin, lattice.variant, stats, ClassSpace(
-        net, identity, facts, ledger,
-        {z: f for z, f in misdelivered.items() if not f.is_empty()},
-        engine._no_route(net, survivors),
-    ))
+        net, identity, facts, ledger, misdelivered, engine._no_route(net, survivors)))
 
 
 def reference_infer_policy(net: Network, zone: str) -> PolicySummary:
@@ -368,15 +361,11 @@ def reference_infer_policy(net: Network, zone: str) -> PolicySummary:
     layout, with the relations' original views and the ledger copied into
     ``net.store`` as they come; ``policy.infer_policy`` must equal it."""
     lattice = RelationalLattice(net)
-    ledger = DropLedger(net.store)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, lattice.store.nbits + 1000))
     try:
-        facts = engine._propagate(
-            net, lattice, zone, lattice.initial(zone), ledger,
-            worklist="fifo", ceiling=default_iteration_ceiling(net), observer=None,
-            misdelivered=None,
-        )[0]
+        facts, _, _, _, ledger, _ = engine._propagate(
+            lattice, zone, default_iteration_ceiling(net))
     finally:
         sys.setrecursionlimit(limit)
     accept = net.store.false

@@ -1,13 +1,15 @@
 """Shared test utilities: display-format parsing, concrete table oracles,
-and the benchmark's network generator."""
+a last-in, first-out analysis, and the benchmark's network generator."""
 
 from __future__ import annotations
 
 import importlib.util
 import random
+from collections import deque
 from pathlib import Path
 
 from brute import field_count, with_value
+from pktflow import engine
 from pktflow.gen import _random_guard, _random_range
 from pktflow.netmodel import DROP, Guard, Network, parse_value_set
 from pktflow.pktset import Formula
@@ -97,6 +99,25 @@ def guard_of(layout, **atoms) -> Guard:
         for name, text in atoms.items()
     )
     return Guard(tuple(sorted(parsed, key=lambda a: layout.index(a[0]))))
+
+
+# ---------------------------------------------------------- worklist order
+
+class _Stack(deque):
+    """A deque whose ``popleft`` pops the newest entry."""
+
+    popleft = deque.pop
+
+
+def analyze_lifo(net: Network, origin: str, variant: str = "v2"):
+    """``engine.analyze`` with its worklist popped last in, first out: the
+    engine's queue is a ``_Stack`` for this one run.  The fixpoint must
+    equal the first-in, first-out one."""
+    engine.deque = _Stack
+    try:
+        return engine.analyze(net, origin, variant)
+    finally:
+        engine.deque = deque
 
 
 # ---------------------------------------------------------- generated networks

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from helpers import facts_line, packet_text_to_formulas
+from helpers import analyze_lifo, facts_line, packet_text_to_formulas
 from pktflow.cli import main
 from pktflow.engine import V2Lattice, analyze, default_iteration_ceiling
 from pktflow.gen import (
@@ -30,7 +30,7 @@ from pktflow.netmodel import (
     parse_value_set,
 )
 from pktflow.oracle import compare, simulate
-from pktflow.pktset import FieldValueSet, FormulaStore, HeaderLayout
+from pktflow.pktset import FieldValueSet, HeaderLayout
 from pktflow.xfer import AbstractPacket
 
 TRIAL_SEEDS = range(1000, 1100)  # 100 fixed-seed networks for criteria 4-7
@@ -191,8 +191,8 @@ def test_criterion_7_termination_and_order():
     for seed, net, origin in trial_nets():
         ceiling = default_iteration_ceiling(net)
         for variant in ("v1", "v2", "ia"):
-            fifo = analyze(net, origin, variant, worklist="fifo")
-            lifo = analyze(net, origin, variant, worklist="lifo")
+            fifo = analyze(net, origin, variant)
+            lifo = analyze_lifo(net, origin, variant)
             assert fifo.stats.iterations <= ceiling
             assert lifo.stats.iterations <= ceiling
             for node in net.node_names():
@@ -204,7 +204,7 @@ def test_criterion_7_termination_and_order():
 @pytest.mark.acceptance(label="8 two-field worked example for NAT transfer (exact)")
 def test_criterion_8_worked_example():
     layout = HeaderLayout((("f1", 2), ("f2", 2)))
-    net = Network(layout, (), (), (), FormulaStore(layout))
+    net = Network(layout, (), (), ())
     store = net.store
     b1 = store.atom(FieldValueSet("f1", ((2, 3),)))  # (b1 and not b2) or (b1 and b2)
     f2_is_1 = store.atom(FieldValueSet("f2", ((1, 1),)))  # not b3 and b4

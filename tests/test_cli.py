@@ -733,9 +733,11 @@ def test_testgen_json(capsys):
 
 
 def test_testgen_rejects_other_variants(capsys):
-    assert main([
-        "testgen", "--network", FIG3, "--origin", "Z1", "--variant", "v1",
-    ]) == 2
+    # testgen always runs v2, and has no --variant to set
+    with pytest.raises(SystemExit) as exc:
+        main(["testgen", "--network", FIG3, "--origin", "Z1", "--variant", "v1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --variant v1" in capsys.readouterr().err
 
 
 def test_out_file(tmp_path, capsys):

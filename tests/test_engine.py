@@ -17,7 +17,7 @@ from brute import (
     reference_result_to_json,
     reference_result_to_text,
 )
-from helpers import guard_of, netgen, port_rest_network
+from helpers import analyze_lifo, guard_of, netgen, port_rest_network
 from pktflow import engine
 from pktflow.engine import (
     BOTTOM,
@@ -57,6 +57,14 @@ def fig1():
 
 def atom(net, field, text):
     return net.store.atom(parse_value_set(text, field, net.layout.width(field)))
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def network_text(name: str) -> str:
+    path = DATA / name
+    return path.read_text(encoding="utf-8") if path.exists() else fixture_text(name)
 
 
 # ------------------------------------------------------------- lattice/join
@@ -210,15 +218,11 @@ def test_unknown_origin(fig3):
         analyze(fig3, "Z9", "v2")
 
 
-def test_bad_worklist_name(fig3):
-    with pytest.raises(EngineError):
-        analyze(fig3, "Z1", "v2", worklist="random")
-
-
-def test_iteration_ceiling(fig1):
-    with pytest.raises(IterationCeilingExceeded):
-        analyze(fig1, "Z1", "v2", max_iterations=1)
+def test_iteration_ceiling(fig1, monkeypatch):
     assert default_iteration_ceiling(fig1) > 0
+    monkeypatch.setattr(engine, "default_iteration_ceiling", lambda net: 1)
+    with pytest.raises(IterationCeilingExceeded):
+        analyze(fig1, "Z1", "v2")
 
 
 @pytest.mark.parametrize("variant", ["v1", "v2", "ia"])
@@ -247,8 +251,8 @@ def test_monotone_growth_at_every_update(fig1, variant):
 )
 def test_fifo_lifo_agree_on_fixtures(fixture, variant):
     net = load_network(fixture_text(fixture))
-    a = analyze(net, "Z1", variant, worklist="fifo")
-    b = analyze(net, "Z1", variant, worklist="lifo")
+    a = analyze(net, "Z1", variant)
+    b = analyze_lifo(net, "Z1", variant)
     for node in net.node_names():
         assert a.facts[node] == b.facts[node]
 
@@ -258,10 +262,30 @@ def test_fifo_lifo_agree_on_random_nets(seed):
     cfg, origin = random_network(seed)
     net = network_from_config(cfg)
     for variant in ("v1", "v2", "ia"):
-        a = analyze(net, origin, variant, worklist="fifo")
-        b = analyze(net, origin, variant, worklist="lifo")
+        a = analyze(net, origin, variant)
+        b = analyze_lifo(net, origin, variant)
         for node in net.node_names():
             assert a.facts[node] == b.facts[node]
+
+
+# every zone and variant of the generated rings and mesh, where the two
+# orders take different numbers of expansions to one fixpoint
+ORDER_CASES = [
+    (name, zone["name"], variant)
+    for name in ("mesh-6x8-1.json", "ring-4x4-1.json", "ring-4x4-2.json", "ring-4x4-3.json")
+    for zone in json.loads(network_text(name))["zones"]
+    for variant in VARIANTS
+]
+
+
+@pytest.mark.parametrize("name, origin, variant", ORDER_CASES)
+def test_fifo_lifo_reach_one_fixpoint_by_different_paths(name, origin, variant):
+    net = load_network(network_text(name))
+    a = analyze(net, origin, variant)
+    b = analyze_lifo(net, origin, variant)
+    assert a.stats.iterations != b.stats.iterations
+    for node in net.node_names():
+        assert a.facts[node] == b.facts[node], node
 
 
 def test_stats_populated(fig3):
@@ -457,14 +481,6 @@ def test_survivor_memo_premise_on_port_rest_networks(seed, variant):
 
 
 # ------------------------------------------------------- node creation
-
-DATA = Path(__file__).resolve().parent / "data"
-
-
-def network_text(name: str) -> str:
-    path = DATA / name
-    return path.read_text(encoding="utf-8") if path.exists() else fixture_text(name)
-
 
 # The node count of the store an analysis grows, the class network's, after
 # one analysis from each zone.  The counts guard the store work an analysis
