@@ -28,7 +28,9 @@ classes.  Each class owns a run of class indices, numbered along aligned
 value blocks (``_class_runs``): a class is read at its first index, and
 every class formula holds the rest of its run, its spare indices, exactly
 when it holds the first.  Both take their iteration ceiling from the value
-network.  An ``AnalysisResult`` keeps the class values (``classes``), which
+network.  The quotient is derived once per network and kept with it, and
+each run gets a class network with a fresh store, which dies with its
+result.  An ``AnalysisResult`` keeps the class values (``classes``), which
 the renderer maps to value ranges through the class starts, and expands its
 value-space views (``facts``, ``ledger``, ``misdelivered``, ``no_route``)
 into ``net.store`` only when they are read.  A network that no field
@@ -84,8 +86,10 @@ own value, so the latest expansion saw the final value.
 
 ``v1`` and the relational lattice filter with each table's compiled accept
 region (``xfer.accept_region``), over the rules each packet can meet and
-their guards cofactored by what the packet's field summary settles
-(``xfer.live_rules``), and record no ledger while propagating.
+their guards cofactored by what the lattice's screen of the packet settles
+(``xfer.live_rules``): ``v1`` reads the whole field summary, the
+relational lattice only its top field's values (``screen``).  Both record
+no ledger while propagating.
 When the worklist is empty, each expanded firewall runs its DNAT once on
 its final value and ``xfer.filter_table_drops`` records what each DROP rule
 discards from it, inside ``stats.wall_time_s``.  That equals the union over
@@ -191,6 +195,11 @@ class V1Lattice(_Lattice):
 
     def apply_nat(self, p: AbstractPacket, rule) -> AbstractPacket:
         return AbstractPacket(p.curr.overwrite_field(rule.nat_field, rule.action))
+
+    def screen(self, node: int) -> tuple:
+        """What ``xfer.live_rules`` reads of a packet's node: its whole field
+        summary, which the renderer reads of every final value anyway."""
+        return self.store.field_summary(node)
 
     def ledger_form(self, p: AbstractPacket) -> Formula:
         return p.curr
@@ -392,6 +401,17 @@ class RelationalLattice(V1Lattice):
             r = p.curr.relabel(self._to_shadow[name]) & self.store.atom(rule.action)
         return AbstractPacket(r, None, p.nated | bit)
 
+    def screen(self, node: int) -> tuple:
+        """What ``xfer.live_rules`` reads of a relation's node: only the
+        exact values of its top field (``FormulaStore.top_ranges``), which
+        builds no summary.  Relations are never rendered, so a whole field
+        summary would be walked only for this screen."""
+        out = [None] * len(self.store.layout.fields)
+        if node > 1:
+            k, ranges = self.store.top_ranges(node)
+            out[k] = (ranges, None)
+        return out
+
     def orig_of(self, p: AbstractPacket) -> Formula:
         """The original headers of a relation, in the network's store."""
         r = p.curr
@@ -478,6 +498,23 @@ def class_quotient(net: Network) -> tuple[Network, tuple]:
     """The network over the classes of its header values, and per field and
     class index the first value of the index's class.
 
+    The quotient is derived once per network (``_derive_quotient``) and
+    kept in ``net._quotient``: the class layout, zones, firewalls and links,
+    and the starts, which refer to nothing of ``net``.  Every call builds a
+    class network with a fresh store from those parts, so each analysis's
+    class store dies with its result.  When no field narrows, ``net``
+    keeps only the starts and the quotient is ``net`` itself."""
+    derived = net._quotient
+    if derived is None:
+        derived = net._quotient = _derive_quotient(net)
+    parts, starts = derived
+    return (net if parts is None else Network(*parts)), starts
+
+
+def _derive_quotient(net: Network) -> tuple:
+    """``(parts, starts)``: the class network's layout, zones, firewalls and
+    links, and the class starts.
+
     Each field is cut at every endpoint of every value set the network tests
     or writes: filter, NAT and routing guard atoms, NAT targets, zone
     addresses and zone ports.  ``s`` and ``d`` share one set of cuts, since
@@ -487,12 +524,12 @@ def class_quotient(net: Network) -> tuple[Network, tuple]:
     ``1 << width`` entries, non-decreasing from 0, and a class is read at
     its first index; the rest of its run are its spare indices.  Every
     value set maps to whole runs.  The class network has the same names,
-    interfaces, links and rule ids, every value set rewritten as class
-    index ranges, and a store of its own.
+    interfaces, links and rule ids, and every value set rewritten as class
+    index ranges.
 
-    When no field narrows, the quotient is ``net`` itself, each value its
-    own class (``starts[k]`` is ``range(1 << width)``): building a class
-    network then saves no work, and expanding into ``net.store`` is free."""
+    When no field narrows, ``parts`` is None and each value is its own
+    class (``starts[k]`` is ``range(1 << width)``): building a class network
+    then saves no work, and expanding into ``net.store`` is free."""
     layout = net.layout
     cuts = {name: {0} for name in layout.names()}
     cuts["d"] = cuts["s"]
@@ -510,7 +547,7 @@ def class_quotient(net: Network) -> tuple[Network, tuple]:
     firsts = [[c for c in cuts[name] if c < 1 << width] for name, width in layout.fields]
     widths = [max(1, (len(first) - 1).bit_length()) for first in firsts]
     if widths == [width for _, width in layout.fields]:
-        return net, tuple(range(1 << width) for _, width in layout.fields)
+        return None, tuple(range(1 << width) for _, width in layout.fields)
     starts = tuple(_class_runs(sorted(first), w) for first, w in zip(firsts, widths))
     class_layout = HeaderLayout(tuple(zip(layout.names(), widths)))
     mapped: dict[FieldValueSet, FieldValueSet] = {}
@@ -547,7 +584,7 @@ def class_quotient(net: Network) -> tuple[Network, tuple]:
         )
         for fw in net.firewalls
     )
-    return Network(class_layout, zones, firewalls, net.links), starts
+    return (class_layout, zones, firewalls, net.links), starts
 
 
 # --------------------------------------------------------------- results

@@ -92,10 +92,6 @@ def cycle_network(k: int) -> dict:
     }
 
 
-def cycle_required_hops(k: int) -> int:
-    return 2 + k * k
-
-
 def _random_range(rng: random.Random, space: int, max_span: int | None = None) -> str:
     lo = rng.randrange(space)
     span = space - 1 if max_span is None else max_span

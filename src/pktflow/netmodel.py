@@ -265,9 +265,9 @@ class Network:
     and links are."""
 
     # _zone, _firewall, _node_of and _out_links are lookups built once from
-    # the other fields
+    # the other fields; _quotient is filled by engine.class_quotient
     __slots__ = ("layout", "zones", "firewalls", "links", "store",
-                 "_zone", "_firewall", "_node_of", "_out_links")
+                 "_zone", "_firewall", "_node_of", "_out_links", "_quotient")
 
     def __init__(
         self,
@@ -293,6 +293,7 @@ class Network:
         self._firewall = {f.name: f for f in firewalls}
         self._node_of = node_of
         self._out_links = {n: tuple(v) for n, v in out.items()}
+        self._quotient = None
 
     def _key(self) -> tuple:
         return self.layout, self.zones, self.firewalls, self.links

@@ -54,8 +54,10 @@ Kernel invariants (``FormulaStore``):
   reading a summary never moves the numbering of later nodes.  The walk
   carries a field's values as flat boundary tuples and steps along one-way
   chains in a loop.  ``settles`` reads a summary against a guard's atom
-  tests; the ``v2`` splits (``engine.V2Lattice._meet``) and the filter
-  compile (``xfer.live_rules``) bound a node's values through it alone.
+  tests; the ``v2`` splits (``engine.V2Lattice._meet``) and the ``v1``
+  filter compile (``xfer.live_rules``) bound a node's values through it
+  alone.  ``top_ranges`` is the walk's first stage, the node's top field
+  only; it caches nothing, and the relational filter compile screens by it.
 * A store holds no ``Formula``: ``store.false`` and ``store.true`` build
   their handles on demand and the memos hold node ids, so a store is in no
   reference cycle and reference counting frees it.  The kernel's closures
@@ -547,7 +549,28 @@ class FormulaStore:
             s = self._summarize(node)
         return s
 
+    def top_ranges(self, node: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """``(k, ranges)`` for a non-terminal node: the field k of its top
+        variable, and the merged inclusive ranges of that field's values
+        over the node's headers, as in its ``field_summary``.  This is the
+        first stage of the summary's walk: it creates no node, reads no
+        exit's summary and caches nothing."""
+        k, ranges, _, _ = self._walk_top(node)
+        return k, ranges
+
     def _summarize(self, node: int) -> tuple:
+        k, ranges, one, exits = self._walk_top(node)
+        if one > 0:
+            tail = self.field_summary(one)[k + 1:]
+        else:
+            sums = [self.field_summary(x) for x in exits]
+            tail = tuple(_combine([s[j] for s in sums]) for j in range(k + 1, len(self._spans)))
+        s = self._summaries[node] = (*self._free[:k], (ranges, one > 0), *tail)
+        return s
+
+    def _walk_top(self, node: int) -> tuple:
+        # the top field k, its ranges, their one exit (-1 when there are
+        # several) and the set of exits
         var, low, high = self._var, self._lo, self._hi
         k = self._field_of[var[node]]
         off, end = self._spans[k]
@@ -595,14 +618,7 @@ class FormulaStore:
         r, one = walk(node)
         del walk  # break the self-reference
         r = spread(r, off, var[node])
-        ranges = tuple(zip(r[::2], map((-1).__add__, r[1::2])))
-        if one > 0:
-            tail = self.field_summary(one)[k + 1:]
-        else:
-            sums = [self.field_summary(x) for x in exits]
-            tail = tuple(_combine([s[j] for s in sums]) for j in range(k + 1, len(self._spans)))
-        s = self._summaries[node] = (*self._free[:k], (ranges, one > 0), *tail)
-        return s
+        return k, tuple(zip(r[::2], map((-1).__add__, r[1::2]))), one, exits
 
     # -- range atoms -------------------------------------------------------
 

@@ -16,6 +16,8 @@ routing or NAT choices — worth an operator's attention.
 The relational run is in class space: on ``engine.class_quotient(net)``,
 the network over the per-field classes of its header values (the atomic
 predicates of Yang and Lam, ICNP 2013), whose fields are a few bits wide.
+The quotient is derived once per network, so a sweep over its zones cuts
+the fields once, and each run gets a fresh class store.
 Both unions are taken there and only they are expanded into ``net.store``
 (``Formula.expand``).  That is exact: every value set the network tests or
 writes is a union of classes, so two values of one class meet every guard,

@@ -32,8 +32,10 @@ packets and ``ia`` keep the rule-by-rule ``filter_table_tf`` (a ``v2`` guard
 refines ``orig`` too, and ``ia``'s negation is approximate).
 
 Both compiled paths see only the rules a packet can meet, through guards
-cofactored by what the packet's field summary settles (``live_rules``;
-``FormulaStore.field_summary``, read without creating a node).  A rule
+cofactored by what the lattice's screen of the packet settles
+(``live_rules``, ``lat.screen``), read without creating a node: ``v1``'s
+whole field summary (``FormulaStore.field_summary``), or a relation's top
+field alone (``FormulaStore.top_ranges``), whose other atoms stay.  A rule
 with an atom that admits none of the packet's values on its field matches
 no header of the packet, so it is left out; an atom that admits all of
 them holds on every header of the packet, so it is dropped from the guard.
@@ -124,20 +126,23 @@ def filter_table_tf(table, pset, ledger: DropLedger | None, lat):
     return accepted
 
 
-def live_rules(table, store: FormulaStore, node: int) -> tuple[tuple[int, Guard], ...]:
+def live_rules(table, layout, summary) -> tuple[tuple[int, Guard], ...]:
     """``(i, guard)`` for each rule i of ``table`` that can match a header of
-    the non-false ``node``, with its guard cofactored by the node's field
-    summary (``FormulaStore.field_summary``, ``settles``).  A rule with an
+    a non-false node, with its guard cofactored by what ``summary`` settles
+    (``settles``).  ``summary`` is the node's screen (``lat.screen``), a
+    field summary over ``layout`` (``FormulaStore.field_summary``) whose
+    entries may be None where the screen reads nothing.  A rule with an
     atom that admits none of the node's values on its field matches none of
     the node's headers, so it is left out; an atom that admits all of them
-    holds on every header, so it is dropped from the guard.  A rule that
-    keeps every atom keeps its own guard."""
-    summary = store.field_summary(node)
+    holds on every header, so it is dropped from the guard.  An atom on a
+    field without an entry is kept, and a rule that keeps every atom keeps
+    its own guard."""
     live = []
     for i, rule in enumerate(table):
         kept = []
         for atom in rule.guard.atoms:
-            inside = settles(summary, (atom_test(atom[1], store.layout),))
+            test = atom_test(atom[1], layout)
+            inside = None if summary[test[0]] is None else settles(summary, (test,))
             if inside is False:
                 break
             if inside is None:
@@ -174,12 +179,13 @@ def accept_region(table, store: FormulaStore, live: tuple) -> Formula:
 def filter_region_tf(table, pset, lat):
     """Filter the packets of a lattice that refines by conjunction on
     ``curr``: one ``&`` per packet with the accept region of the rules it
-    can meet (``live_rules``), in input order.  Equal to the union of
-    ``filter_table_tf``'s pieces; records no ledger."""
+    can meet (``live_rules`` over the lattice's screen), in input order.
+    Equal to the union of ``filter_table_tf``'s pieces; records no ledger."""
     store = lat.store
     out = []
     for p in pset:
-        c = p.curr & accept_region(table, store, live_rules(table, store, p.curr.node))
+        live = live_rules(table, store.layout, lat.screen(p.curr.node))
+        c = p.curr & accept_region(table, store, live)
         if not c.is_empty():
             out.append(AbstractPacket(c, None, p.nated))
     return out
@@ -215,13 +221,15 @@ def filter_table_drops(table, pset, ledger: DropLedger, lat) -> None:
     rule i drops ``p & g_i & ~g_j`` for every earlier rule j, as in the
     ledger ``filter_table_tf`` records.  Each entry is one ``&`` of ``p``
     with the rule's drop region over the rules ``p`` can meet
-    (``live_rules``).  A rule that cannot match ``p`` drops nothing from it
-    and leaves ``p & g_i`` unchanged, and ``g_i`` lies inside ``~g_j`` when
-    rule j's guard shares no header with it, so both are skipped; each
-    cofactored guard meets ``p`` as the full guard does."""
+    (``live_rules`` over the lattice's screen).  A rule that cannot match
+    ``p`` drops nothing from it and leaves ``p & g_i`` unchanged, and
+    ``g_i`` lies inside ``~g_j`` when rule j's guard shares no header with
+    it, so both are skipped; each cofactored guard meets ``p`` as the full
+    guard does."""
     store = lat.store
     for p in pset:
-        for rule_id, node in drop_regions(table, store, live_rules(table, store, p.curr.node)):
+        live = live_rules(table, store.layout, lat.screen(p.curr.node))
+        for rule_id, node in drop_regions(table, store, live):
             c = p.curr & Formula(store, node)
             if not c.is_empty():
                 ledger.record(rule_id, lat.ledger_form(AbstractPacket(c, None, p.nated)))

@@ -313,8 +313,9 @@ def reference_misdelivery(net: Network, lat, arrivals: dict) -> dict:
 def reference_accept_region(table, store):
     """The headers a filter table accepts, folded backwards over every rule
     from false: an ACCEPT rule gives ``g | R``, a DROP rule ``~g & R``.
-    ``p & xfer.accept_region(table, store, xfer.live_rules(table, store,
-    p.node))`` must equal ``p & reference_accept_region(table, store)``."""
+    ``p & xfer.accept_region(table, store, xfer.live_rules(table,
+    store.layout, lat.screen(p.node)))`` must equal ``p &
+    reference_accept_region(table, store)``."""
     region = store.false
     for rule in reversed(table):
         g = guard_to_formula(rule.guard, store)

@@ -1,5 +1,6 @@
 """Shared test utilities: display-format parsing, concrete table oracles,
-a last-in, first-out analysis, and the benchmark's network generator."""
+a last-in, first-out analysis, the hop count of ``gen.cycle_network``, and
+the benchmark's network generator."""
 
 from __future__ import annotations
 
@@ -121,6 +122,12 @@ def analyze_lifo(net: Network, origin: str, variant: str = "v2"):
 
 
 # ---------------------------------------------------------- generated networks
+
+def cycle_required_hops(k: int) -> int:
+    """The link hops a flow of ``gen.cycle_network(k)`` takes from Zin to
+    Zout: one into the ring, k traversals of k hops, and one out."""
+    return 2 + k * k
+
 
 def port_rest_network(seed: int) -> dict:
     """A ring of 2-3 firewalls over an s/sp/d/dp layout, with the features

@@ -11,12 +11,11 @@ import time
 
 import pytest
 
-from helpers import analyze_lifo, facts_line, packet_text_to_formulas
+from helpers import analyze_lifo, cycle_required_hops, facts_line, packet_text_to_formulas
 from pktflow.cli import main
 from pktflow.engine import V2Lattice, analyze, default_iteration_ceiling
 from pktflow.gen import (
     cycle_network,
-    cycle_required_hops,
     fixture_path,
     fixture_text,
     random_network,

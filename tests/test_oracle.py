@@ -6,13 +6,12 @@ from bisect import bisect_right
 import pytest
 
 from brute import reference_simulate, with_value
-from helpers import port_rest_network
+from helpers import cycle_required_hops, port_rest_network
 from pktflow import oracle
 from pktflow.engine import BOTTOM, analyze, analyze_relations, get_lattice
 from pktflow.gen import (
     FIXTURES,
     cycle_network,
-    cycle_required_hops,
     fixture_text,
     random_network,
 )

@@ -417,6 +417,48 @@ def test_class_quotient_keeps_structure_and_grows_no_width():
                 r.rule_id for r in (*fw.dnat, *fw.filter, *fw.snat)]
 
 
+def test_class_quotient_is_derived_once_per_network(monkeypatch):
+    # the class layout, zones, firewalls and starts are kept with the
+    # network; every call builds a class network with a store of its own
+    runs = []
+    class_runs = engine._class_runs
+    monkeypatch.setattr(engine, "_class_runs",
+                        lambda *args: runs.append(args) or class_runs(*args))
+    net = load_network(fixture_text("fig3.json"))
+    first, starts = class_quotient(net)
+    derived = len(runs)
+    assert derived == len(net.layout.fields)
+    second, again = class_quotient(net)
+    assert len(runs) == derived
+    assert first is not second and first.store is not second.store
+    assert again == starts
+    assert (first.layout, first.zones, first.firewalls, first.links) == (
+        second.layout, second.zones, second.firewalls, second.links)
+
+
+def test_identity_quotient_keeps_no_reference_to_its_network():
+    # a network that no field narrows is its own quotient, and keeps only
+    # the starts, so reference counting still frees its store
+    for seed in range(100):
+        net = network_from_config(random_network(seed)[0])
+        quotient, starts = class_quotient(net)
+        if quotient is net:
+            break
+    else:
+        pytest.fail("no random_network seed below 100 has an identity quotient")
+    assert class_quotient(net) == (net, starts)
+    assert starts == tuple(range(1 << width) for _, width in net.layout.fields)
+    store = weakref.ref(net.store)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del net, quotient
+        assert store() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 @pytest.mark.parametrize("name", ["fig1.json", "fig3.json"])
 def test_fixture_quotients_narrow_from_64_to_8_bits(name):
     net = load_network(fixture_text(name))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from brute import (
     reference_accept_region,
+    reference_field_summary,
     reference_filter_table_drops,
     reference_refine_match,
     reference_refine_unmatch,
@@ -719,7 +720,7 @@ def test_live_rules_on_cubes_read_the_blocks(relational):
         assert [r for r, _ in store.field_summary(cube.node)] == [(b,) for b in blocks]
         table = random_table(rng, lat.net.layout)
         before = store.node_count()
-        live = dict(live_rules(table, store, cube.node))
+        live = dict(live_rules(table, store.layout, store.field_summary(cube.node)))
         assert store.node_count() == before
         for i, rule in enumerate(table):
             kept = []
@@ -746,7 +747,7 @@ def live_equals_reference(lat, table, packets, ledger_store):
     store = lat.store
     dead = cut = 0
     for p in packets:
-        guards = dict(live_rules(table, store, p.curr.node))
+        guards = dict(live_rules(table, store.layout, lat.screen(p.curr.node)))
         for i, rule in enumerate(table):
             full = p.curr & guard_to_formula(rule.guard, store)
             if i in guards:
@@ -757,7 +758,7 @@ def live_equals_reference(lat, table, packets, ledger_store):
             else:
                 assert full.is_empty()
         dead += len(table) - len(guards)
-        assert (p.curr & accept_region(table, store, live_rules(table, store, p.curr.node))
+        assert (p.curr & accept_region(table, store, tuple(guards.items()))
                 == p.curr & reference_accept_region(table, store))
     drops_equal_whole_table_twice(lat, table, packets, ledger_store)
     return dead, cut
@@ -786,6 +787,65 @@ def test_live_rules_compile_equals_whole_table(relational):
     assert dead > 30 and cut > 20
 
 
+def test_relational_screen_reads_only_the_top_field():
+    """The relational lattice screens a relation by the exact values of its
+    top field alone: ``live_rules`` leaves out exactly the rules with an
+    atom on that field that misses those values, drops exactly the atoms on
+    it that hold all of them, and keeps every other atom.  The screen
+    builds no node and fills no field summary, and the compile and drops
+    over its live rules equal the whole-table reference."""
+    lat = relational_fig3_small()
+    store = lat.store
+    assert lat.screen(1) == [None] * 3  # true has no top field
+    rng = random.Random(900)
+    dead = cut = kept_other = 0
+    for _ in range(200):
+        f = random_formula(rng, store)
+        if f.node < 2:
+            continue
+        k, ranges = store.top_ranges(f.node)
+        assert k == store._field_of[store._var[f.node]]
+        assert ranges == reference_field_summary(store, f.node)[k][0]
+        table = random_table(rng, lat.net.layout)
+        before = store.node_count()
+        screen = lat.screen(f.node)
+        assert [i for i, e in enumerate(screen) if e is not None] == [k]
+        live = dict(live_rules(table, store.layout, screen))
+        assert store.node_count() == before
+        for i, rule in enumerate(table):
+            kept = []
+            for atom in rule.guard.atoms:
+                j, want = atom_test(atom[1], store.layout)
+                if j != k:
+                    kept.append(atom)
+                    kept_other += 1
+                elif not any(a <= d and c <= b for a, b in want for c, d in ranges):
+                    assert i not in live
+                    dead += 1
+                    break
+                elif not all(any(a <= c and d <= b for a, b in want) for c, d in ranges):
+                    kept.append(atom)
+            else:
+                assert live[i].atoms == tuple(kept)
+                cut += len(rule.guard.atoms) - len(kept)
+        live_equals_reference(lat, table, [AbstractPacket(f, None, rng.randint(0, 1))],
+                              lat.net.store)
+    assert set(store._summaries) == {0, 1}
+    assert dead > 30 and cut > 20 and kept_other > 50, (dead, cut, kept_other)
+
+
+@pytest.mark.parametrize("name", ["fig3.json", "ring-4x4-1.json"])
+def test_relational_runs_walk_no_field_summary(name):
+    """From every zone, the relational store ends with only its terminals'
+    field summaries: the screen walks the top field and caches nothing."""
+    path = DATA / name
+    net = load_network(path.read_text(encoding="utf-8") if path.exists() else fixture_text(name))
+    for zone in net.zones:
+        lat, facts, _, _ = engine.analyze_relations(net, zone.name)
+        assert any(facts[fw.name].packets for fw in lat.net.firewalls), zone.name
+        assert set(lat.store._summaries) == {0, 1}, zone.name
+
+
 def test_rules_are_left_out_or_cofactored_from_a_rest_zone():
     """From the rest zone, as from a zone, the packets' field summaries
     leave out rules and cofactor atoms: the rest zone's sources miss every
@@ -798,7 +858,7 @@ def test_rules_are_left_out_or_cofactored_from_a_rest_zone():
         changed[origin] = 0
         for fw in net.firewalls:
             for p in result.facts[fw.name].packets:
-                live = live_rules(fw.filter, net.store, p.curr.node)
+                live = live_rules(fw.filter, net.layout, net.store.field_summary(p.curr.node))
                 changed[origin] += len(fw.filter) - sum(
                     g is fw.filter[i].guard for i, g in live)
     assert changed["REST"] > 10 and changed["Z0"] > 10, changed
