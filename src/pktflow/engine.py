@@ -45,6 +45,14 @@ is reached without widening.  The queue pops first in, first out; the
 fixpoint does not depend on that order, only the counts in ``stats`` do,
 and the tests compare it with a last-in, first-out run.
 
+The loop computes values only; what is read off the fixpoint is read from
+each node's latest expansion.  That expansion saw the node's final value:
+every accepted update re-queues the firewall, and an expansion never
+changes the expanding node's own value.  Every earlier expansion saw a
+value contained in the final one, and every transfer is monotone, ``ia``'s
+too, so what the latest expansion emitted covers all that the node emitted
+before.
+
 Each firewall keeps a memo from every packet its tables have run to that
 packet's survivors (``xfer.firewall_tf`` on the packet alone).  An
 expansion runs only the packets not in the memo, and routing sees the
@@ -75,14 +83,13 @@ atom admits all of them it is the formula itself.
 The summary creates no node (``FormulaStore.field_summary``), and a guard's
 node and its negation are built only for a conjunction that runs.
 
-The diagnostics are built packet by packet, for every lattice: each packet
-that arrives at a zone adds its part outside the zone's addresses, and each
-survivor of a firewall's latest expansion its part outside the firewall's
-routing guards (``_no_route``).  Neither builds the union of the packets,
-and both equal the union's part, since ``&`` distributes over ``|``.  The
-latest expansion's survivors are the ones to read: every accepted update
-re-queues the firewall and an expansion never changes the expanding node's
-own value, so the latest expansion saw the final value.
+The diagnostics are built after the loop, from each node's latest emission
+(``_diagnostics``; ``analyze_relations`` builds none): each emission goes
+through every out-link into a zone again, and each packet it delivers adds
+its part outside the zone's addresses; each survivor of a firewall adds its
+part outside the firewall's routing guards.  Neither builds the union of
+the packets, and both equal the union's part, since ``&`` distributes over
+``|``.  The link transfers rerun only conjunctions that the loop ran.
 
 ``v1`` and the relational lattice filter with each table's compiled accept
 region (``xfer.accept_region``), over the rules each packet can meet and
@@ -93,8 +100,8 @@ no ledger while propagating.
 When the worklist is empty, each expanded firewall runs its DNAT once on
 its final value and ``xfer.filter_table_drops`` records what each DROP rule
 discards from it, inside ``stats.wall_time_s``.  That equals the union over
-all expansions: each expansion's value is contained in the final one, which
-the latest expansion saw, and DNAT and the drop sets distribute over union.
+all expansions, since the latest expansion saw the final value, and DNAT and
+the drop sets distribute over union.
 ``v2`` packets and ``ia`` record the ledger rule by rule as they propagate.
 
 The DNAT runs while the computed tables that built the final values are
@@ -590,6 +597,10 @@ def _derive_quotient(net: Network) -> tuple:
 # --------------------------------------------------------------- results
 
 class AnalysisStats(NamedTuple):
+    """The node expansions and joins of the fixpoint, and ``wall_time_s``:
+    the time of the class quotient, the fixpoint and its drop ledger, not of
+    the diagnostics, which ``analyze`` builds after it."""
+
     iterations: int
     joins: int
     wall_time_s: float
@@ -707,10 +718,9 @@ def analyze(net: Network, origin: str, variant: str = "v2", *, observer=None) ->
     started = time.perf_counter()
     classes, starts = class_quotient(net)
     lattice = get_lattice(variant, classes)
-    facts, survivors, iterations, joins, ledger, misdelivered = _propagate(
-        lattice, origin, ceiling, observer)
+    facts, emitted, iterations, joins, ledger = _propagate(lattice, origin, ceiling, observer)
     stats = AnalysisStats(iterations, joins, time.perf_counter() - started)
-    no_route = _no_route(classes, survivors)
+    misdelivered, no_route = _diagnostics(lattice, emitted)
     classes.store.clear_computed()
     return AnalysisResult(net, origin, lattice.variant, stats, ClassSpace(
         classes, starts, facts, ledger, misdelivered, no_route))
@@ -738,7 +748,7 @@ def analyze_relations(net: Network, origin: str):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, lattice.store.nbits + 1000))
     try:
-        facts, _, _, _, ledger, _ = _propagate(lattice, origin, ceiling)
+        facts, _, _, _, ledger = _propagate(lattice, origin, ceiling)
     finally:
         sys.setrecursionlimit(limit)
     return lattice, facts, ledger, starts
@@ -747,36 +757,22 @@ def analyze_relations(net: Network, origin: str):
 def _propagate(lattice, origin: str, ceiling: int, observer=None):
     """The worklist loop shared by every lattice, over ``lattice.net`` from
     the departure value ``lattice.initial(origin)``, popping first in, first
-    out.  Returns ``(facts, survivors, iterations, joins, ledger,
-    misdelivered)``: the per-node values, each firewall's latest table
-    survivors, the counts of node expansions and joins, the drop ledger in
-    the network's store, and the misdelivery diagnostic.
-
-    The diagnostic is kept when the lattice's packets live in the network's
-    store (every lattice but the relational one), and is then per zone the
-    arrivals whose destination lies outside the zone's addresses, only the
-    non-empty ones: an assumption-checking diagnostic, for such packets stay
-    in the zone's value.  The origin's own departure value is not an
-    arrival.  Each arriving packet adds only its own part outside the zone,
-    which is almost always empty; that equals the union of the arrivals
-    outside the zone, since ``&`` distributes over ``|``."""
+    out.  Returns ``(facts, emitted, iterations, joins, ledger)``: the
+    per-node values; per expanded node what it emitted at its latest
+    expansion, the departure value for the origin and the table survivors
+    for a firewall; the counts of node expansions and joins; and the drop
+    ledger in the network's store."""
     net = lattice.net
     ledger = DropLedger(net.store)
     facts: dict[str, AbstractValue] = {n: BOTTOM for n in net.node_names()}
     facts[origin] = lattice.join(lattice.initial(origin))
     iterations, joins = 0, 1
 
-    survivors: dict[str, list] = {}  # firewall -> table survivors, latest expansion
+    emitted: dict[str, tuple | list] = {}  # node -> its emission, latest expansion
     # firewall -> {packet: survivors}, for each packet its tables have run
     memos: dict[str, dict] = {}
     # a compiling lattice records its ledger once, at the fixpoint
     live_ledger = None if lattice.compiles_filters else ledger
-    # zone -> the headers whose destination lies outside it, when the
-    # packets are formulas of the network's store
-    outside = {}
-    if lattice.store is net.store:
-        outside = {z.name: ~net.zone_dst_atom(z) for z in net.zones}
-    misdelivered = dict.fromkeys(outside, net.store.false)
     queue: deque[str] = deque([origin])
     queued = {origin}
     while queue:
@@ -795,14 +791,12 @@ def _propagate(lattice, origin: str, ceiling: int, observer=None):
             for p in packets:
                 if p not in memo:
                     memo[p] = firewall_tf(fw, [p], live_ledger, lattice)
-            packets = survivors[m] = [s for p in packets for s in memo[p]]
+            packets = [s for p in packets for s in memo[p]]
+        emitted[m] = packets
         for own_iface, _, peer in net.out_links(m):
             out = link_tf(net, m, own_iface, packets, lattice)
             if not out:
                 continue
-            if peer in outside:
-                for p in out:
-                    misdelivered[peer] = misdelivered[peer] | (p.curr & outside[peer])
             new_value = lattice.join([*facts[peer].packets, *out])
             joins += 1
             if new_value == facts[peer]:
@@ -816,33 +810,43 @@ def _propagate(lattice, origin: str, ceiling: int, observer=None):
                 queued.add(peer)
     dnats = []  # run while the computed tables that built the values are warm
     if lattice.compiles_filters:
-        for fw in map(net.firewall, survivors):
+        for fw in map(net.firewall, memos):
             dnat = nat_table_tf(fw.dnat, facts[fw.name].packets, lattice)
             dnats.append((fw.filter, lattice.join(dnat).packets))
     lattice.store.clear_computed()
     for table, packets in dnats:
         filter_table_drops(table, packets, ledger, lattice)
         lattice.store.clear_computed()
-    misdelivered = {z: f for z, f in misdelivered.items() if not f.is_empty()}
-    return facts, survivors, iterations, joins, ledger, misdelivered
+    return facts, emitted, iterations, joins, ledger
 
 
-def _no_route(net: Network, survivors) -> dict[str, Formula]:
-    """Packets that clear a firewall's tables but match no routing guard:
-    the OR over the survivors of each one's part outside the routed set,
-    equal to the survivors' union outside it."""
-    out: dict[str, Formula] = {}
-    for fw in net.firewalls:
-        s = survivors.get(fw.name)
-        if not s:
-            continue
-        routed = net.store.false
-        for _, guard in fw.routing:
-            routed = routed | guard_to_formula(guard, net.store)
-        unrouted = ~routed
-        leftover = net.store.false
-        for p in s:
-            leftover = leftover | (p.curr & unrouted)
-        if not leftover.is_empty():
-            out[fw.name] = leftover
-    return out
+def _diagnostics(lattice, emitted) -> tuple[dict[str, Formula], dict[str, Formula]]:
+    """``(misdelivered, no_route)``, read off the fixpoint from each node's
+    latest emission, only the non-empty entries.  Misdelivery is per zone
+    the arrivals whose destination lies outside the zone's addresses: each
+    emission goes through every out-link into a zone again, and each
+    delivered packet adds its part outside the zone.  No-route is per
+    firewall the survivors that match no routing guard: each adds its part
+    outside the routed set.  Both equal the union's part, since ``&``
+    distributes over ``|``."""
+    net = lattice.net
+    false = net.store.false
+    misdelivered: dict[str, Formula] = {}
+    no_route: dict[str, Formula] = {}
+    for m, packets in emitted.items():
+        for own_iface, _, peer in net.out_links(m):
+            if net.is_zone(peer):
+                outside = ~net.zone_dst_atom(net.zone(peer))
+                for p in link_tf(net, m, own_iface, packets, lattice):
+                    misdelivered[peer] = misdelivered.get(peer, false) | (p.curr & outside)
+        if packets and not net.is_zone(m):
+            routed = false
+            for _, guard in net.firewall(m).routing:
+                routed = routed | guard_to_formula(guard, net.store)
+            unrouted = ~routed
+            leftover = false
+            for p in packets:
+                leftover = leftover | (p.curr & unrouted)
+            no_route[m] = leftover
+    return ({z: f for z, f in misdelivered.items() if not f.is_empty()},
+            {n: f for n, f in no_route.items() if not f.is_empty()})

@@ -361,6 +361,7 @@ def compare(
     """
     _enumeration_cap(net, max_width)  # before the analysis, which may be long
     result = analyze(net, origin, variant)
+    variant = result.variant  # as named by the lattice: lower case
     exact = simulate(net, origin, max_width=max_width)
     nodes: list[NodeDiff] = []
     ok = True

@@ -272,9 +272,9 @@ def reference_refine_unmatch(lat, p: AbstractPacket, guard: Guard) -> list[Abstr
 # ------------------------------------------------- reference diagnostics
 
 def reference_no_route(net: Network, lat, survivors: dict) -> dict:
-    """``engine._no_route`` from the union: per firewall, the OR of the
-    current forms of its latest survivors, outside the OR of its routing
-    guards, when not empty."""
+    """``AnalysisResult.no_route`` from the union: per firewall, the OR of
+    the current forms of its latest survivors, outside the OR of its
+    routing guards, when not empty."""
     out = {}
     for fw in net.firewalls:
         s = survivors.get(fw.name)
@@ -349,12 +349,13 @@ def reference_analyze(net: Network, origin: str, variant: str = "v2") -> Analysi
     of a run in which every value is its own class.  ``analyze`` must equal
     it in its views, its stats (but the wall time) and its rendered bytes."""
     lattice = get_lattice(variant, net)
-    facts, survivors, iterations, joins, ledger, misdelivered = engine._propagate(
+    facts, emitted, iterations, joins, ledger = engine._propagate(
         lattice, origin, default_iteration_ceiling(net))
+    misdelivered, no_route = engine._diagnostics(lattice, emitted)
     identity = tuple(range(1 << width) for _, width in net.layout.fields)
     stats = AnalysisStats(iterations, joins, 0.0)
     return AnalysisResult(net, origin, lattice.variant, stats, ClassSpace(
-        net, identity, facts, ledger, misdelivered, engine._no_route(net, survivors)))
+        net, identity, facts, ledger, misdelivered, no_route))
 
 
 def reference_infer_policy(net: Network, zone: str) -> PolicySummary:
@@ -365,7 +366,7 @@ def reference_infer_policy(net: Network, zone: str) -> PolicySummary:
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, lattice.store.nbits + 1000))
     try:
-        facts, _, _, _, ledger, _ = engine._propagate(
+        facts, _, _, _, ledger = engine._propagate(
             lattice, zone, default_iteration_ceiling(net))
     finally:
         sys.setrecursionlimit(limit)

@@ -39,6 +39,7 @@ from pktflow.netmodel import (
     parse_value_set,
 )
 from pktflow.pktset import Formula, FormulaStore
+from pktflow.oracle import compare
 from pktflow.policy import infer_policy
 from pktflow.render import formula_to_text, render_value, result_to_json, result_to_text
 from pktflow.xfer import AbstractPacket, DropLedger, firewall_tf, link_tf
@@ -245,16 +246,23 @@ def test_monotone_growth_at_every_update(fig1, variant):
     analyze(fig1, "Z1", variant, observer=check)
 
 
+def assert_one_fixpoint(net, a, b):
+    """Two runs reached one fixpoint: equal facts at every node, and equal
+    drop ledgers and diagnostics, which are read off the fixpoint."""
+    for node in net.node_names():
+        assert a.facts[node] == b.facts[node], node
+    assert a.ledger.items() == b.ledger.items()
+    assert a.misdelivered == b.misdelivered
+    assert a.no_route == b.no_route
+
+
 @pytest.mark.parametrize("variant", ["v1", "v2", "ia"])
 @pytest.mark.parametrize(
     "fixture", ["fig1.json", "fig3.json", "fig1-small.json", "fig3-small.json"]
 )
 def test_fifo_lifo_agree_on_fixtures(fixture, variant):
     net = load_network(fixture_text(fixture))
-    a = analyze(net, "Z1", variant)
-    b = analyze_lifo(net, "Z1", variant)
-    for node in net.node_names():
-        assert a.facts[node] == b.facts[node]
+    assert_one_fixpoint(net, analyze(net, "Z1", variant), analyze_lifo(net, "Z1", variant))
 
 
 @pytest.mark.parametrize("seed", range(3000, 3030))
@@ -262,10 +270,8 @@ def test_fifo_lifo_agree_on_random_nets(seed):
     cfg, origin = random_network(seed)
     net = network_from_config(cfg)
     for variant in ("v1", "v2", "ia"):
-        a = analyze(net, origin, variant)
-        b = analyze_lifo(net, origin, variant)
-        for node in net.node_names():
-            assert a.facts[node] == b.facts[node]
+        assert_one_fixpoint(net, analyze(net, origin, variant),
+                            analyze_lifo(net, origin, variant))
 
 
 # every zone and variant of the generated rings and mesh, where the two
@@ -284,8 +290,7 @@ def test_fifo_lifo_reach_one_fixpoint_by_different_paths(name, origin, variant):
     a = analyze(net, origin, variant)
     b = analyze_lifo(net, origin, variant)
     assert a.stats.iterations != b.stats.iterations
-    for node in net.node_names():
-        assert a.facts[node] == b.facts[node], node
+    assert_one_fixpoint(net, a, b)
 
 
 def test_stats_populated(fig3):
@@ -333,31 +338,36 @@ def test_misdelivery_diagnostic():
 def union_first_diagnostics(net, origin, variant):
     """Analyze, and rebuild the diagnostics from unions
     (``brute.reference_no_route``, ``brute.reference_misdelivery``) over
-    the packets that each one covers: the survivors ``_no_route`` receives,
-    and every packet a link transfer delivers into a zone."""
+    the packets that each one covers: the firewall survivors in the
+    ``emitted`` that ``_diagnostics`` receives, and every packet that a link
+    transfer of the worklist loop delivers into a zone.  The transfers that
+    ``_diagnostics`` sends again are not arrivals, so the references see
+    every arrival of the run and not the latest emissions alone."""
     arrivals = {z.name: [] for z in net.zones}
     seen = {}
 
     def spy_link(net, node, interface, pset, lat):
-        seen["lat"], seen["net"] = lat, net
         out = link_tf(net, node, interface, pset, lat)
-        for own, _, peer in net.out_links(node):
-            if own == interface and peer in arrivals:
-                arrivals[peer].extend(out)
+        if "emitted" not in seen:
+            for own, _, peer in net.out_links(node):
+                if own == interface and peer in arrivals:
+                    arrivals[peer].extend(out)
         return out
 
-    def spy_no_route(net, survivors):
-        seen["survivors"] = survivors
-        return no_route(net, survivors)
+    def spy_diagnostics(lattice, emitted):
+        seen["lat"], seen["emitted"] = lattice, emitted
+        return diagnostics(lattice, emitted)
 
-    no_route = engine._no_route
+    diagnostics = engine._diagnostics
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "link_tf", spy_link)
-        mp.setattr(engine, "_no_route", spy_no_route)
+        mp.setattr(engine, "_diagnostics", spy_diagnostics)
         res = analyze(net, origin, variant)
     # the analysis ran on the class network; so do the references
-    lat, classes = seen["lat"], seen["net"]
-    return res, reference_no_route(classes, lat, seen["survivors"]), \
+    lat = seen["lat"]
+    classes = lat.net
+    survivors = {n: v for n, v in seen["emitted"].items() if not classes.is_zone(n)}
+    return res, reference_no_route(classes, lat, survivors), \
         reference_misdelivery(classes, lat, arrivals)
 
 
@@ -399,6 +409,18 @@ def test_diagnostics_equal_union_first_on_revalued_configs(doc):
         assert_diagnostics_equal_union_first(net, zone.name)
 
 
+# an origin linked straight to another zone, which no generator produces
+ZONE_TO_ZONE_NET = {
+    "layout": [{"name": "s", "width": 3}, {"name": "d", "width": 3}],
+    "zones": [
+        {"name": "A", "interface": "a", "addr": "0-3"},
+        {"name": "B", "interface": "b", "addr": "4-5"},
+    ],
+    "firewalls": [],
+    "links": [["a", "b"]],
+}
+
+
 def test_diagnostics_equal_union_first_on_fixed_cases(fig3):
     variants = ("v1", "v2", "ia")
     found = assert_diagnostics_equal_union_first(fig3, "Z1")
@@ -407,6 +429,14 @@ def test_diagnostics_equal_union_first_on_fixed_cases(fig3):
     found = assert_diagnostics_equal_union_first(network_from_config(MISDELIVERY_NET), "A")
     assert {x for x in found if x[1] == "misdelivered"} == {
         (v, "misdelivered", "B") for v in variants}
+    # the origin's departure is the only emission that reaches B
+    net = network_from_config(ZONE_TO_ZONE_NET)
+    found = assert_diagnostics_equal_union_first(net, "A")
+    assert found == {(v, "misdelivered", "B") for v in variants}
+    for variant in variants:
+        rep = compare(net, "A", variant)  # what ``pktflow check`` reports
+        assert all(d.status == "equal" for d in rep.nodes), variant
+        assert rep.result.misdelivered["B"] == atom(net, "s", "0-3") & ~atom(net, "d", "4-5")
 
 
 IA_STRICT_NET = {

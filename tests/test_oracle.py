@@ -210,6 +210,17 @@ def test_compare_diff_reported(small3, monkeypatch):
     assert any(d.status == "diff" for d in rep.nodes)
 
 
+@pytest.mark.parametrize("variant", ["v1", "V1", "v2", "V2", "ia", "IA"])
+def test_compare_reads_the_variant_in_any_case(small3, variant):
+    # analyze takes a variant in any case; compare must judge and report
+    # the variant that ran: ia's superset at Z4 is sound, and v2 is
+    # compared by pairs
+    rep = compare(small3, "Z1", variant)
+    assert rep.variant == variant.lower()
+    assert rep.ok
+    assert rep.nodes == compare(small3, "Z1", variant.lower()).nodes
+
+
 # ------------------------------------------------------------- cycle family
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
