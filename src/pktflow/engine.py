@@ -31,10 +31,11 @@ when it holds the first.  Both take their iteration ceiling from the value
 network.  The quotient is derived once per network and kept with it, and
 each run gets a class network with a fresh store, which dies with its
 result.  An ``AnalysisResult`` keeps the class values (``classes``), which
-the renderer maps to value ranges through the class starts, and expands its
+the renderer maps to value ranges through the class starts.  Its
 value-space views (``facts``, ``ledger``, ``misdelivered``, ``no_route``)
-into ``net.store`` only when they are read.  A network that no field
-narrows is its own class network, and the views are its values.
+expand each entry into ``net.store`` when that entry is first read.  A
+network that no field narrows is its own class network, and the views are
+its values.
 
 Propagation (``_propagate``, the one loop): the origin zone emits its
 departure value once; whenever a firewall's value grows it is re-queued.
@@ -71,7 +72,8 @@ sorts packets by their per-field sets.  So output depends neither on node
 ids nor on what the store built before an analysis, and a speedup may drop
 or reorder operations that create nodes.  One tie remains: ``v2`` packets
 with equal per-field sets but different exactness flags print in the node
-order of the class network's store (``render.render_value``).
+order of the class network's store, since the sort key of ``render._order``,
+by which ``render._rows`` sorts, holds no flag.
 ``V2Lattice`` plans each split once per (guard, NAT mask): the guard's
 atom tests for ``curr``, those of its reduced guard for ``orig``, and its
 unmatched pieces, one per atom for a guard mixing NATed and un-NATed
@@ -89,14 +91,18 @@ through every out-link into a zone again, and each packet it delivers adds
 its part outside the zone's addresses; each survivor of a firewall adds its
 part outside the firewall's routing guards.  Neither builds the union of
 the packets, and both equal the union's part, since ``&`` distributes over
-``|``.  The link transfers rerun only conjunctions that the loop ran.
+``|``.  The link transfers rerun only conjunctions that the loop ran.  The
+diagnostics and the drop ledger are each a map built by ``xfer.record``,
+which keeps only non-empty entries; the ledger is returned in ascending
+rule id.
 
 ``v1`` and the relational lattice filter with each table's compiled accept
 region (``xfer.accept_region``), over the rules each packet can meet and
 their guards cofactored by what the lattice's screen of the packet settles
 (``xfer.live_rules``): ``v1`` reads the whole field summary, the
 relational lattice only its top field's values (``screen``).  Both record
-no ledger while propagating.
+no ledger while propagating: ``xfer.firewall_tf`` hands the ledger to the
+rule-by-rule filter only.
 When the worklist is empty, each expanded firewall runs its DNAT once on
 its final value and ``xfer.filter_table_drops`` records what each DROP rule
 discards from it, inside ``stats.wall_time_s``.  That equals the union over
@@ -132,14 +138,7 @@ from .netmodel import (
     zone_departure_formula,
 )
 from .pktset import FieldValueSet, Formula, FormulaStore, HeaderLayout, atom_test, settles
-from .xfer import (
-    AbstractPacket,
-    DropLedger,
-    filter_table_drops,
-    firewall_tf,
-    link_tf,
-    nat_table_tf,
-)
+from .xfer import AbstractPacket, filter_table_drops, firewall_tf, link_tf, nat_table_tf, record
 
 
 class EngineError(PktflowError, RuntimeError):
@@ -608,45 +607,39 @@ class AnalysisStats(NamedTuple):
 
 class ClassSpace(NamedTuple):
     """What an analysis computed, over the class indices of ``net``, the
-    class network of ``class_quotient``; ``starts`` maps them to values."""
+    class network of ``class_quotient``; ``starts`` maps them to values.
+    The ledger and the diagnostics hold only non-empty entries
+    (``xfer.record``), the ledger in ascending rule id."""
 
     net: Network
     starts: tuple
     facts: dict[str, AbstractValue]
-    ledger: DropLedger
-    misdelivered: dict[str, Formula]  # only the non-empty ones
+    ledger: dict[int, Formula]
+    misdelivered: dict[str, Formula]
     no_route: dict[str, Formula]
 
 
-class _Facts(Mapping):
-    """``AnalysisResult.facts``: the class facts, each node's value expanded
-    into ``store`` when that node is first read and then kept.  It holds
-    the class facts, not the result, so that it forms no reference cycle
-    with it."""
+class _Expanded(Mapping):
+    """A value-space view of a class-space map: each entry is expanded by
+    ``expand`` when it is first read, and then kept.  It iterates in the
+    map's order.  It holds the map, not the result, so that it forms no
+    reference cycle with it."""
 
-    __slots__ = ("_classes", "_starts", "_store", "_values")
+    __slots__ = ("_classes", "_expand", "_values")
 
-    def __init__(self, classes: ClassSpace, store: FormulaStore):
-        self._classes = classes.facts
-        self._starts = classes.starts
-        self._store = store
-        self._values: dict[str, AbstractValue] = {}
+    def __init__(self, classes: dict, expand):
+        self._classes = classes
+        self._expand = expand
+        self._values: dict = {}
 
-    def __getitem__(self, node: str) -> AbstractValue:
-        value = self._values.get(node)
+    def __getitem__(self, key):
+        value = self._values.get(key)
         if value is None:
-            starts, store = self._starts, self._store
-            packets = [AbstractPacket(p.curr.expand(starts, store),
-                                      None if p.orig is None else p.orig.expand(starts, store),
-                                      p.nated)
-                       for p in self._classes[node].packets]
-            if len(packets) > 1:  # v2: the join's order, by (orig, mask)
-                packets.sort(key=lambda p: (p.orig.node, p.nated))
-            value = self._values[node] = AbstractValue(tuple(packets))
+            value = self._values[key] = self._expand(self._classes[key])
         return value
 
-    def __contains__(self, node) -> bool:
-        return node in self._classes
+    def __contains__(self, key) -> bool:
+        return key in self._classes
 
     def __iter__(self):
         return iter(self._classes)
@@ -658,13 +651,13 @@ class _Facts(Mapping):
 class AnalysisResult:
     """An analysis of ``net`` from ``origin``.  It ran in class space, and
     ``classes`` holds what it computed.  ``facts``, ``ledger``,
-    ``misdelivered`` and ``no_route`` are their views over ``net.store``:
-    ``facts`` expands a node's value when that node is first read, the
-    others expand whole on first read, and all keep what they expanded;
-    rendering reads ``classes`` and expands nothing."""
+    ``misdelivered`` and ``no_route`` are their views over ``net.store``,
+    which expand an entry (a node's value, a rule's drops, a zone's or a
+    firewall's diagnostic) when it is first read, and keep it; rendering
+    reads ``classes`` and expands nothing."""
 
-    __slots__ = ("net", "origin", "variant", "stats", "classes", "facts",
-                 "_ledger", "_misdelivered", "_no_route")
+    __slots__ = ("net", "origin", "variant", "stats", "classes", "facts", "ledger",
+                 "misdelivered", "no_route")
 
     def __init__(self, net: Network, origin: str, variant: str, stats: AnalysisStats,
                  classes: ClassSpace):
@@ -673,32 +666,23 @@ class AnalysisResult:
         self.variant = variant
         self.stats = stats
         self.classes = classes
-        self.facts: Mapping[str, AbstractValue] = _Facts(classes, net.store)
-        self._ledger = self._misdelivered = self._no_route = None
+        starts, store = classes.starts, net.store
 
-    def _expand(self, f: Formula) -> Formula:
-        return f.expand(self.classes.starts, self.net.store)
+        def formula(f: Formula) -> Formula:
+            return f.expand(starts, store)
 
-    @property
-    def ledger(self) -> DropLedger:
-        if self._ledger is None:
-            self._ledger = DropLedger(self.net.store)
-            for rid, f in self.classes.ledger.items():
-                self._ledger.record(rid, self._expand(f))
-        return self._ledger
+        def value(v: AbstractValue) -> AbstractValue:
+            packets = [AbstractPacket(formula(p.curr), None if p.orig is None else formula(p.orig),
+                                      p.nated)
+                       for p in v.packets]
+            if len(packets) > 1:  # v2: the join's order, by (orig, mask)
+                packets.sort(key=lambda p: (p.orig.node, p.nated))
+            return AbstractValue(tuple(packets))
 
-    @property
-    def misdelivered(self) -> dict[str, Formula]:
-        if self._misdelivered is None:
-            self._misdelivered = {z: self._expand(f)
-                                  for z, f in self.classes.misdelivered.items()}
-        return self._misdelivered
-
-    @property
-    def no_route(self) -> dict[str, Formula]:
-        if self._no_route is None:
-            self._no_route = {n: self._expand(f) for n, f in self.classes.no_route.items()}
-        return self._no_route
+        self.facts: Mapping[str, AbstractValue] = _Expanded(classes.facts, value)
+        self.ledger: Mapping[int, Formula] = _Expanded(classes.ledger, formula)
+        self.misdelivered: Mapping[str, Formula] = _Expanded(classes.misdelivered, formula)
+        self.no_route: Mapping[str, Formula] = _Expanded(classes.no_route, formula)
 
 
 def default_iteration_ceiling(net: Network) -> int:
@@ -732,11 +716,11 @@ def analyze_relations(net: Network, origin: str):
 
     Returns ``(lattice, facts, ledger, starts)``: the ``RelationalLattice``
     over the class network, whose private store holds the relations; the
-    per-node values; the drop ledger of original headers in the class
-    network's store; and the class starts, which expand a formula of that
-    store into ``net.store`` (``Formula.expand``).  ``lattice.orig_of``
-    copies a relation's original view into the class network's store.  No
-    diagnostics are computed.
+    per-node values; the drop ledger, from rule id to original headers in
+    the class network's store; and the class starts, which expand a formula
+    of that store into ``net.store`` (``Formula.expand``).
+    ``lattice.orig_of`` copies a relation's original view into the class
+    network's store.  No diagnostics are computed.
     """
     if not net.is_zone(origin):
         raise EngineError(f"origin {origin!r} is not a zone of the network")
@@ -761,9 +745,9 @@ def _propagate(lattice, origin: str, ceiling: int, observer=None):
     per-node values; per expanded node what it emitted at its latest
     expansion, the departure value for the origin and the table survivors
     for a firewall; the counts of node expansions and joins; and the drop
-    ledger in the network's store."""
+    ledger in the network's store, in ascending rule id."""
     net = lattice.net
-    ledger = DropLedger(net.store)
+    ledger: dict[int, Formula] = {}
     facts: dict[str, AbstractValue] = {n: BOTTOM for n in net.node_names()}
     facts[origin] = lattice.join(lattice.initial(origin))
     iterations, joins = 0, 1
@@ -771,8 +755,6 @@ def _propagate(lattice, origin: str, ceiling: int, observer=None):
     emitted: dict[str, tuple | list] = {}  # node -> its emission, latest expansion
     # firewall -> {packet: survivors}, for each packet its tables have run
     memos: dict[str, dict] = {}
-    # a compiling lattice records its ledger once, at the fixpoint
-    live_ledger = None if lattice.compiles_filters else ledger
     queue: deque[str] = deque([origin])
     queued = {origin}
     while queue:
@@ -790,7 +772,7 @@ def _propagate(lattice, origin: str, ceiling: int, observer=None):
             memo = memos.setdefault(m, {})
             for p in packets:
                 if p not in memo:
-                    memo[p] = firewall_tf(fw, [p], live_ledger, lattice)
+                    memo[p] = firewall_tf(fw, [p], ledger, lattice)
             packets = [s for p in packets for s in memo[p]]
         emitted[m] = packets
         for own_iface, _, peer in net.out_links(m):
@@ -817,7 +799,7 @@ def _propagate(lattice, origin: str, ceiling: int, observer=None):
     for table, packets in dnats:
         filter_table_drops(table, packets, ledger, lattice)
         lattice.store.clear_computed()
-    return facts, emitted, iterations, joins, ledger
+    return facts, emitted, iterations, joins, dict(sorted(ledger.items()))
 
 
 def _diagnostics(lattice, emitted) -> tuple[dict[str, Formula], dict[str, Formula]]:
@@ -830,7 +812,6 @@ def _diagnostics(lattice, emitted) -> tuple[dict[str, Formula], dict[str, Formul
     outside the routed set.  Both equal the union's part, since ``&``
     distributes over ``|``."""
     net = lattice.net
-    false = net.store.false
     misdelivered: dict[str, Formula] = {}
     no_route: dict[str, Formula] = {}
     for m, packets in emitted.items():
@@ -838,15 +819,12 @@ def _diagnostics(lattice, emitted) -> tuple[dict[str, Formula], dict[str, Formul
             if net.is_zone(peer):
                 outside = ~net.zone_dst_atom(net.zone(peer))
                 for p in link_tf(net, m, own_iface, packets, lattice):
-                    misdelivered[peer] = misdelivered.get(peer, false) | (p.curr & outside)
+                    record(misdelivered, peer, p.curr & outside)
         if packets and not net.is_zone(m):
-            routed = false
+            routed = net.store.false
             for _, guard in net.firewall(m).routing:
                 routed = routed | guard_to_formula(guard, net.store)
             unrouted = ~routed
-            leftover = false
             for p in packets:
-                leftover = leftover | (p.curr & unrouted)
-            no_route[m] = leftover
-    return ({z: f for z, f in misdelivered.items() if not f.is_empty()},
-            {n: f for n, f in no_route.items() if not f.is_empty()})
+                record(no_route, m, p.curr & unrouted)
+    return misdelivered, no_route

@@ -7,10 +7,12 @@ are sets, so ``infer_policy`` computes them with the relational ``v2``
 engine (``engine.analyze_relations``: one BDD per NAT mask, no packet
 splitting) with the zone as origin: accept is the union of the original
 views of the relations at every other zone; reject is the union of the drop
-ledger.  A packet ``v2`` run gives the same formulas, as the unions over
-its packets' orig components; the tests compare the two through
-``reference_packet_policy`` in ``tests/brute.py``.  A
-non-empty overlap means the fate of a packet depends on nondeterministic
+ledger's entries, each the originals that one DROP rule discards.  A packet
+``v2`` run gives the same formulas, as the unions over its packets' orig
+components and its ledger's entries; the tests compare the two through
+``reference_packet_policy`` in ``tests/brute.py``, and each node's
+relations with a packet run's, per NAT mask, through ``packet_relations``
+there.  A non-empty overlap means the fate of a packet depends on nondeterministic
 routing or NAT choices — worth an operator's attention.
 
 The relational run is in class space: on ``engine.class_quotient(net)``,
@@ -66,7 +68,7 @@ def _unions(net: Network, zone: str, facts, ledger, orig_of) -> tuple[Formula, F
         for p in facts[z.name].packets:
             accept = accept | orig_of(p)
     reject = net.store.false
-    for _, dropped in ledger.items():
+    for dropped in ledger.values():
         reject = reject | dropped
     return accept, reject
 

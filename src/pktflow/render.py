@@ -233,7 +233,7 @@ def result_to_text(result: AnalysisResult, net: Network) -> str:
     lines = []
     for node in net.node_names():
         lines.append(f"facts({node}) = {value_to_text(classes.facts[node], net, starts, views)}")
-    if classes.ledger.rule_ids():
+    if classes.ledger:
         lines.append("")
         for rid, formula in classes.ledger.items():
             lines.append(f"dropped({rid}) = {formula_to_text(formula, layout, starts)}")

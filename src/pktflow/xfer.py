@@ -17,8 +17,14 @@ matched branch's target field.  Tables take and return packet lists in
 rule-major order (rule by rule, each over the pending packets in order).  A
 firewall transfer pushes a value through the firewall's DNAT, filter, and
 SNAT tables in that order; a link transfer then keeps what the emitting
-interface's routing guard admits.  Routing misses are not rule drops and
-never reach the ledger.
+interface's routing guard admits.
+
+The drop ledger is a plain dict from DROP rule id to the headers that rule
+discards, in the network's store (``lat.ledger_form``): original headers
+for ``v2``, packet and relational alike, current ones for ``v1`` and
+``ia``.  ``record`` ORs a form into its rule's entry and leaves an empty
+form out, so every entry is non-empty.  Routing misses are not rule drops
+and never reach the ledger.
 
 A lattice that refines by plain conjunction on ``curr`` (``v1``, and the
 relational ``v2`` in its own store; ``lat.compiles_filters``) sees a filter
@@ -68,34 +74,16 @@ class AbstractPacket(NamedTuple):
     nated: int = 0
 
 
-class DropLedger:
-    """Per-DROP-rule accumulation of the forms discarded by that rule.
-
-    Variant 2 records original (pre-NAT) forms; variants 1/ia record current
-    forms.
-    """
-
-    def __init__(self, store: FormulaStore):
-        self.store = store
-        self._dropped: dict[int, Formula] = {}
-
-    def record(self, rule_id: int, form: Formula) -> None:
-        if form.is_empty():
-            return
-        prev = self._dropped.get(rule_id)
-        self._dropped[rule_id] = form if prev is None else prev | form
-
-    def dropped(self, rule_id: int) -> Formula:
-        return self._dropped.get(rule_id, self.store.false)
-
-    def rule_ids(self) -> list[int]:
-        return sorted(self._dropped)
-
-    def items(self) -> list[tuple[int, Formula]]:
-        return [(rid, self._dropped[rid]) for rid in self.rule_ids()]
+def record(entries: dict, key, form: Formula) -> None:
+    """OR ``form`` into ``entries[key]``, unless it is empty: so every entry
+    is non-empty.  The drop ledger (rule id to the forms its DROP rule
+    discards) and the engine's diagnostics are built this way."""
+    if not form.is_empty():
+        prev = entries.get(key)
+        entries[key] = form if prev is None else prev | form
 
 
-def filter_rule_tf(rule: FilterRule, p, ledger: DropLedger | None, lat):
+def filter_rule_tf(rule: FilterRule, p, ledger: dict | None, lat):
     """Split ``p`` on a filtering rule.
 
     Returns (accepted, unmatched) tuples of packets, each possibly empty.
@@ -105,13 +93,13 @@ def filter_rule_tf(rule: FilterRule, p, ledger: DropLedger | None, lat):
     unmatched = tuple(lat.refine_unmatch(p, rule.guard, matched))
     if rule.action == DROP:
         if matched is not None and ledger is not None:
-            ledger.record(rule.rule_id, lat.ledger_form(matched))
+            record(ledger, rule.rule_id, lat.ledger_form(matched))
         return (), unmatched
     accepted = (matched,) if matched is not None else ()
     return accepted, unmatched
 
 
-def filter_table_tf(table, pset, ledger: DropLedger | None, lat):
+def filter_table_tf(table, pset, ledger: dict | None, lat):
     """Thread packets through a filtering table; returns the accepted ones
     in rule-major order."""
     pending = list(pset)
@@ -215,7 +203,7 @@ def drop_regions(table, store: FormulaStore, live: tuple) -> tuple[tuple[int, in
     return regions
 
 
-def filter_table_drops(table, pset, ledger: DropLedger, lat) -> None:
+def filter_table_drops(table, pset, ledger: dict, lat) -> None:
     """Record in ``ledger`` what each DROP rule of a filter table discards
     from ``pset``, for a lattice that refines by conjunction on ``curr``:
     rule i drops ``p & g_i & ~g_j`` for every earlier rule j, as in the
@@ -232,7 +220,7 @@ def filter_table_drops(table, pset, ledger: DropLedger, lat) -> None:
         for rule_id, node in drop_regions(table, store, live):
             c = p.curr & Formula(store, node)
             if not c.is_empty():
-                ledger.record(rule_id, lat.ledger_form(AbstractPacket(c, None, p.nated)))
+                record(ledger, rule_id, lat.ledger_form(AbstractPacket(c, None, p.nated)))
 
 
 def _overlapping(table, i: int, layout) -> frozenset[int]:
@@ -278,7 +266,7 @@ def nat_table_tf(table, pset, lat):
     return out + pending
 
 
-def firewall_tf(fw: Firewall, pset, ledger: DropLedger | None, lat):
+def firewall_tf(fw: Firewall, pset, ledger: dict | None, lat):
     """Run packets through the firewall's DNAT, filter, and SNAT tables;
     returns the survivors, before routing, in rule-major order.  A lattice
     that refines by conjunction (``lat.compiles_filters``) filters with the

@@ -43,10 +43,10 @@ from pktflow.engine import (
 )
 from pktflow.netmodel import DROP, Guard, Network, guard_to_formula
 from pktflow.oracle import DEFAULT_WIDTH_GUARD, ExactResult, _enumeration_cap
-from pktflow.pktset import FieldValueSet, HeaderLayout
+from pktflow.pktset import FieldValueSet, Formula, HeaderLayout
 from pktflow.policy import PolicySummary, _unions
 from pktflow.render import RenderedPacket
-from pktflow.xfer import AbstractPacket, DropLedger
+from pktflow.xfer import AbstractPacket, record
 
 
 def all_headers(layout: HeaderLayout) -> range:
@@ -323,7 +323,7 @@ def reference_accept_region(table, store):
     return region
 
 
-def reference_filter_table_drops(table, pset, ledger: DropLedger, lat) -> None:
+def reference_filter_table_drops(table, pset, ledger: dict, lat) -> None:
     """Rule i of a filter table drops ``p & g_i & ~g_j`` for every earlier
     rule j, over every rule of the table.  ``xfer.filter_table_drops`` must
     record the same ledger entries."""
@@ -339,7 +339,7 @@ def reference_filter_table_drops(table, pset, ledger: DropLedger, lat) -> None:
                     break
                 c = c & ~guard_to_formula(earlier.guard, store)
             if not c.is_empty():
-                ledger.record(rule.rule_id, lat.ledger_form(AbstractPacket(c, None, p.nated)))
+                record(ledger, rule.rule_id, lat.ledger_form(AbstractPacket(c, None, p.nated)))
 
 
 # ------------------------------------------------ reference analyses
@@ -377,9 +377,28 @@ def reference_infer_policy(net: Network, zone: str) -> PolicySummary:
         for p in facts[z.name].packets:
             accept = accept | lattice.orig_of(p)
     reject = net.store.false
-    for _, dropped in ledger.items():
+    for dropped in ledger.values():
         reject = reject | dropped
     return PolicySummary(zone, accept, reject, accept & reject)
+
+
+def packet_relations(lat: RelationalLattice, value) -> dict[int, Formula]:
+    """A packet ``v2`` value of ``lat.net``'s layout as relations of
+    ``lat.store``, one per NAT mask: the union over the value's packets of
+    ``curr & orig``, ``curr`` relabelled through ``lat._from_net`` and
+    ``orig`` the same way but for each NATed field, which goes onto its
+    shadow (``lat._to_shadow``).  Each relation holds the (curr, orig)
+    pairs of the mask's packets, and a relational run's fact at the same
+    node must be these relations."""
+    out: dict[int, Formula] = {}
+    for p in value.packets:
+        to_orig = lat._from_net
+        for name in lat.layout.mask_names(p.nated):
+            shadow = lat._to_shadow[name]
+            to_orig = tuple(shadow[v] for v in to_orig)
+        relation = p.curr.relabel(lat._from_net, lat.store) & p.orig.relabel(to_orig, lat.store)
+        record(out, p.nated, relation)
+    return out
 
 
 def reference_packet_policy(net: Network, zone: str) -> PolicySummary:
@@ -598,9 +617,9 @@ def reference_result_to_text(result: AnalysisResult, net: Network) -> str:
     layout, starts = net.layout, classes.starts
     lines = [f"facts({node}) = {reference_value_to_text(classes.facts[node], net, starts)}"
              for node in net.node_names()]
-    if classes.ledger.rule_ids():
+    if classes.ledger:
         lines.append("")
-        for rid, formula in classes.ledger.items():
+        for rid, formula in sorted(classes.ledger.items()):
             lines.append(f"dropped({rid}) = {render.formula_to_text(formula, layout, starts)}")
     diag = [f"misdelivered({zone}) = {render.formula_to_text(f, layout, starts)}"
             for zone, f in sorted(classes.misdelivered.items())]
@@ -629,7 +648,7 @@ def reference_result_to_json(result: AnalysisResult, net: Network, network_name:
             packets.append(entry)
         facts[node] = packets
     ledger, ledger_exact = {}, {}
-    for rid, formula in classes.ledger.items():
+    for rid, formula in sorted(classes.ledger.items()):
         sets, exact = render.formula_fields(formula, layout, starts)
         ledger[str(rid)] = data_sets(sets, layout)
         ledger_exact[str(rid)] = exact

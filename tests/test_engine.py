@@ -42,7 +42,7 @@ from pktflow.pktset import Formula, FormulaStore
 from pktflow.oracle import compare
 from pktflow.policy import infer_policy
 from pktflow.render import formula_to_text, render_value, result_to_json, result_to_text
-from pktflow.xfer import AbstractPacket, DropLedger, firewall_tf, link_tf
+from pktflow.xfer import AbstractPacket, firewall_tf, link_tf
 from test_loader_fuzz import revalued_configs
 
 
@@ -198,9 +198,9 @@ def test_fig3_v2_reproduces_published_values(fig3):
     assert p4.curr == pool & ~excluded
     assert p4.orig == z1 & ~excluded
 
-    assert res.ledger.dropped(1) == z1 & atom(fig3, "d", "209.85.153.85")
-    assert res.ledger.dropped(5) == z1 & atom(fig3, "d", "202.65.23.2")
-    assert res.ledger.rule_ids() == [1, 5]
+    assert res.ledger[1] == z1 & atom(fig3, "d", "209.85.153.85")
+    assert res.ledger[5] == z1 & atom(fig3, "d", "202.65.23.2")
+    assert list(res.ledger) == [1, 5]
     assert not res.misdelivered
 
 
@@ -251,7 +251,7 @@ def assert_one_fixpoint(net, a, b):
     drop ledgers and diagnostics, which are read off the fixpoint."""
     for node in net.node_names():
         assert a.facts[node] == b.facts[node], node
-    assert a.ledger.items() == b.ledger.items()
+    assert a.ledger == b.ledger
     assert a.misdelivered == b.misdelivered
     assert a.no_route == b.no_route
 
@@ -485,12 +485,12 @@ def assert_per_packet_runs_equal_one_run(net, origin, variant):
     lat = get_lattice(variant, net)
     for fw in net.firewalls:
         packets = facts[fw.name].packets
-        whole = DropLedger(net.store)
+        whole: dict = {}
         one = firewall_tf(fw, packets, whole, lat)
-        apart = DropLedger(net.store)
+        apart: dict = {}
         runs = [s for p in packets for s in firewall_tf(fw, [p], apart, lat)]
         assert lat.join(one) == lat.join(runs)
-        assert apart.items() == whole.items()
+        assert apart == whole
 
 
 @pytest.mark.parametrize("variant", ["v2", "ia"])
@@ -600,7 +600,7 @@ def test_an_analysis_leaves_its_computed_tables_empty():
     result = analyze(mesh, "Z0", "v1")
     ring = load_network(network_text("ring-4x4-1.json"))
     lattice, _, ledger, _ = analyze_relations(ring, "Z0")
-    assert result.classes.ledger.rule_ids() and ledger.rule_ids()
+    assert result.classes.ledger and ledger
     for store in (result.classes.net.store, lattice.store):
         # the child lists and the unique table, then the &, | and ~ tables
         _, _, uniq, *computed = store._tables
@@ -642,12 +642,17 @@ def test_class_space_analysis_equals_value_space_reference():
                 assert (got.stats.iterations, got.stats.joins) == (
                     want.stats.iterations, want.stats.joins), case
                 assert got.facts == want.facts, case
-                assert got.ledger.items() == want.ledger.items(), case
+                assert got.ledger == want.ledger, case
                 assert got.misdelivered == want.misdelivered, case
                 assert got.no_route == want.no_route, case
                 seen["narrowed" if got.classes.net is not net else "identity"] += 1
                 seen["misdelivered"] += bool(got.misdelivered)
                 seen["no_route"] += bool(got.no_route)
+                # one accumulator: only non-empty entries, the ledger by rule id
+                classes = got.classes
+                for entries in (classes.ledger, classes.misdelivered, classes.no_route):
+                    assert not any(f.is_empty() for f in entries.values()), case
+                assert list(classes.ledger) == sorted(classes.ledger), case
     assert sum(seen[k] for k in ("narrowed", "identity")) == 1083
     assert all(seen[k] for k in ("narrowed", "identity", "misdelivered", "no_route")), seen
 
@@ -699,7 +704,8 @@ def test_class_store_dies_with_its_result():
     gc.disable()
     try:
         result = analyze(net, "Z1", "v2")
-        assert list(result.facts.values()) and result.ledger.items()  # the views expanded
+        # the views expanded
+        assert list(result.facts.values()) and list(result.ledger.values())
         store = weakref.ref(result.classes.net.store)
         assert store() is not net.store
         del result
@@ -725,7 +731,9 @@ def test_value_views_are_expanded_once(monkeypatch):
     result = analyze(net, "Z1", "v2")
     for view in ("facts", "ledger", "misdelivered", "no_route"):
         assert getattr(result, view) is getattr(result, view), view
-    want = dict(reference_analyze(net, "Z1", "v2").facts)
+    reference = reference_analyze(net, "Z1", "v2")
+    want, wants = dict(reference.facts), {"ledger": dict(reference.ledger),
+                                          "no_route": dict(reference.no_route)}
     expanded = []
     expand = Formula.expand
     monkeypatch.setattr(Formula, "expand", lambda f, *args: expanded.append(f) or expand(f, *args))
@@ -738,3 +746,13 @@ def test_value_views_are_expanded_once(monkeypatch):
     assert expanded == [f for p in packets for f in (p.curr, p.orig)]
     assert facts == want
     assert len(expanded) == sum(2 * len(v.packets) for v in result.classes.facts.values())
+    # so does a rule's drop entry, or a firewall's no-route entry
+    assert list(result.classes.ledger) == [1, 5] and list(result.classes.no_route) == ["F1"]
+    for view, key in (("ledger", 5), ("no_route", "F1")):
+        entries, classes = getattr(result, view), getattr(result.classes, view)
+        expanded.clear()
+        assert list(entries) == list(classes) and key in entries and not expanded
+        assert entries[key] is entries[key]
+        assert expanded == [classes[key]]
+        assert entries == wants[view]
+        assert len(expanded) == len(classes)

@@ -315,10 +315,10 @@ def assert_diagnostics_match(net, sim, results: dict, label: str):
         assert enumerated(res.misdelivered, cap) == misdelivered, (
             f"{variant} misdelivery differs on {label}"
         )
-    assert enumerated(dict(results["v2"].ledger.items()), cap) == sim.per_rule_dropped, (
+    assert enumerated(results["v2"].ledger, cap) == sim.per_rule_dropped, (
         f"v2 ledger differs on {label}"
     )
-    assert enumerated(dict(results["v1"].ledger.items()), cap) == sim.per_rule_dropped_curr, (
+    assert enumerated(results["v1"].ledger, cap) == sim.per_rule_dropped_curr, (
         f"v1 ledger differs on {label}"
     )
 

@@ -602,7 +602,7 @@ def test_field_summary_on_wide_fields_equals_references():
 
 def analysis_nodes(result):
     """The node of every fact, ledger entry and diagnostic of a result."""
-    nodes = [f.node for _, f in result.ledger.items()]
+    nodes = [f.node for f in result.ledger.values()]
     nodes += [f.node for f in (*result.misdelivered.values(), *result.no_route.values())]
     for value in result.facts.values():
         for p in value.packets:

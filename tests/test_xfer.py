@@ -32,7 +32,6 @@ from pktflow.netmodel import (
 from pktflow.pktset import FieldValueSet, atom_test, settles
 from pktflow.xfer import (
     AbstractPacket,
-    DropLedger,
     accept_region,
     filter_region_tf,
     filter_rule_tf,
@@ -43,6 +42,7 @@ from pktflow.xfer import (
     live_rules,
     nat_rule_tf,
     nat_table_tf,
+    record,
 )
 from test_loader_fuzz import revalued_configs
 
@@ -70,17 +70,28 @@ def atom(net, field, text):
 
 # ------------------------------------------------------------- filter rules
 
+def test_record_leaves_out_empty_forms_and_ors_repeated_keys(fig3):
+    a, b = atom(fig3, "s", "10.192.29.1-255"), atom(fig3, "d", "209.85.153.85")
+    entries: dict = {}
+    record(entries, 1, fig3.store.false)
+    assert entries == {}
+    record(entries, 1, a)
+    record(entries, 2, b)
+    record(entries, 1, fig3.store.false)
+    record(entries, 1, b)
+    assert entries == {1: a | b, 2: b}
+
 def test_filter_rule_drop_match(fig3, lat):
     rule1 = fig3.firewall("F1").filter[0]
     p = z1_packet(fig3, lat)
-    ledger = DropLedger(fig3.store)
+    ledger: dict = {}
     accepted, unmatched = filter_rule_tf(rule1, p, ledger, lat)
     assert accepted == ()
     assert len(unmatched) == 1
     expected_curr = atom(fig3, "s", "10.192.29.1-255") & ~atom(fig3, "d", "209.85.153.85")
     assert unmatched[0].curr == expected_curr
     assert unmatched[0].orig == expected_curr
-    dropped = ledger.dropped(rule1.rule_id)
+    dropped = ledger[rule1.rule_id]
     assert dropped == atom(fig3, "s", "10.192.29.1-255") & atom(fig3, "d", "209.85.153.85")
 
 
@@ -95,17 +106,17 @@ def test_filter_rule_default_accept(fig3, lat):
 def test_filter_rule_disjoint_drop(fig3, lat):
     rule2 = fig3.firewall("F1").filter[1]  # guards on Z2 sources
     p = z1_packet(fig3, lat)
-    ledger = DropLedger(fig3.store)
+    ledger: dict = {}
     accepted, unmatched = filter_rule_tf(rule2, p, ledger, lat)
     assert accepted == ()
     assert len(unmatched) == 1
     assert unmatched[0].curr == p.curr and unmatched[0].orig == p.orig
-    assert ledger.rule_ids() == []
+    assert ledger == {}
 
 
 def test_filter_table_f1(fig3, lat):
     p = z1_packet(fig3, lat)
-    ledger = DropLedger(fig3.store)
+    ledger: dict = {}
     out = filter_table_tf(fig3.firewall("F1").filter, [p], ledger, lat)
     assert len(out) == 1
     assert out[0].curr == atom(fig3, "s", "10.192.29.1-255") & ~atom(fig3, "d", "209.85.153.85")
@@ -211,8 +222,7 @@ def test_link_zone_side_identity(fig3, lat):
 
 def test_link_f1_to_f2(fig3, lat):
     p = z1_packet(fig3, lat)
-    ledger = DropLedger(fig3.store)
-    s = firewall_tf(fig3.firewall("F1"), [p], ledger, lat)
+    s = firewall_tf(fig3.firewall("F1"), [p], {}, lat)
     out = link_tf(fig3, "F1", "f1-f2", s, lat)
     assert len(out) == 1
     assert out[0].curr == atom(fig3, "s", "202.67.34.6-10") & atom(fig3, "d", "202.65.23.2")
@@ -221,7 +231,7 @@ def test_link_f1_to_f2(fig3, lat):
 
 def test_link_f1_to_z4_excludes_internal_and_blocked(fig3, lat):
     p = z1_packet(fig3, lat)
-    s = firewall_tf(fig3.firewall("F1"), [p], DropLedger(fig3.store), lat)
+    s = firewall_tf(fig3.firewall("F1"), [p], {}, lat)
     out = link_tf(fig3, "F1", "f1-z4", s, lat)
     (q,) = out
     excluded = (
@@ -255,11 +265,11 @@ def test_link_without_routing_entry_emits_nothing():
 
 def test_routing_drop_not_in_ledger(fig3, lat):
     p = z1_packet(fig3, lat)
-    ledger = DropLedger(fig3.store)
+    ledger: dict = {}
     for iface in ("f1-z1", "f1-z2", "f1-f2", "f1-z4"):
         s = firewall_tf(fig3.firewall("F1"), [p], ledger, lat)
         link_tf(fig3, "F1", iface, s, lat)
-    assert ledger.rule_ids() == [1]  # only the real DROP rule
+    assert list(ledger) == [1]  # only the real DROP rule
 
 
 # ---------------------------------------------------- partition + fold laws
@@ -625,20 +635,20 @@ def random_table(rng, layout):
     return tuple(rules)
 
 
-def compiled_equals_fold(table, pset, lat, ledger_store):
+def compiled_equals_fold(table, pset, lat):
     """The region filter and the deferred drops against ``filter_table_tf``:
     the same accepted headers per NAT mask, the same ledger.  Returns the
     deferred ledger."""
-    folded = DropLedger(ledger_store)
+    folded: dict = {}
     pieces = filter_table_tf(table, pset, folded, lat)
     compiled = filter_region_tf(table, pset, lat)
     assert lat.join(compiled) == lat.join(pieces)
     region = reference_accept_region(table, lat.store)
     assert [q.curr for q in compiled] == [
         p.curr & region for p in pset if not (p.curr & region).is_empty()]
-    deferred = DropLedger(ledger_store)
+    deferred: dict = {}
     filter_table_drops(table, pset, deferred, lat)
-    assert deferred.items() == folded.items()
+    assert deferred == folded
     return deferred
 
 
@@ -649,12 +659,12 @@ def test_accept_region_equals_rule_fold_v1(seed):
     lat = get_lattice("v1", net)
     table = random_table(rng, net.layout)
     p = random_packet(rng, net, lat)
-    deferred = compiled_equals_fold(table, [p], lat, net.store)
+    deferred = compiled_equals_fold(table, [p], lat)
     for rule in table:  # each drop entry by brute force: first match is the rule
         want = {h for h in _headers(p.curr, net)
                 if next(r for r in table if r.guard.matches(net.layout, h)) is rule
                 and rule.action == DROP}
-        assert _headers(deferred.dropped(rule.rule_id), net) == want
+        assert _headers(deferred.get(rule.rule_id, net.store.false), net) == want
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -668,7 +678,7 @@ def test_accept_region_equals_rule_fold_relational(seed):
     snat = nat_table_tf(net.firewall("F1").snat, [p], lat)
     pset = lat.join([p, *snat]).packets
     assert [q.nated for q in pset] == [0, 1]
-    compiled_equals_fold(random_table(rng, net.layout), pset, lat, net.store)
+    compiled_equals_fold(random_table(rng, net.layout), pset, lat)
 
 
 # ------------------------------------------- filter compile over live rules
@@ -869,15 +879,16 @@ def drops_equal_whole_table_twice(lat, table, packets, ledger_store) -> int:
     twice into one ledger; the second call, after the computed tables are
     emptied as the engine empties them, builds no node.  Returns how many
     rules dropped something."""
-    got, want = DropLedger(ledger_store), DropLedger(ledger_store)
+    got: dict = {}
+    want: dict = {}
     filter_table_drops(table, packets, got, lat)
     lat.store.clear_computed()
     nodes = lat.store.node_count(), ledger_store.node_count()
     filter_table_drops(table, packets, got, lat)
     assert (lat.store.node_count(), ledger_store.node_count()) == nodes
     reference_filter_table_drops(table, packets, want, lat)
-    assert got.items() == want.items()
-    return len(got.rule_ids())
+    assert got == want
+    return len(got)
 
 
 def test_drop_regions_equal_whole_table_from_a_rest_zone():
@@ -923,7 +934,7 @@ def assert_v1_equals_whole_table(net, origin):
     with whole_table_compile():
         want = analyze(net, origin, "v1")
     assert got.facts == want.facts
-    assert got.ledger.items() == want.ledger.items()
+    assert got.ledger == want.ledger
     assert (got.stats.joins, got.stats.iterations) == (want.stats.joins, want.stats.iterations)
 
 
